@@ -192,8 +192,7 @@ void diskTierTable() {
 /// with Run = true. The warm process executes every request straight
 /// from the disk entries' embedded flat units — zero compile phases —
 /// so its advantage is the whole static pipeline, paid only by the cold
-/// row. disk hydrations must stay 0: a nonzero count would mean the
-/// "hits" silently recompiled.
+/// row.
 void diskRunTable() {
   namespace fs = std::filesystem;
   const std::vector<Request> Batch = buildRunBatch();
@@ -203,8 +202,8 @@ void diskRunTable() {
   std::printf("\npersistent disk tier, Run = true (fresh process each row, "
               "shared --cache-dir, %zu run requests)\n",
               Batch.size());
-  std::printf("%-8s %14s %18s %12s %12s %11s\n", "workers", "cold-dir req/s",
-              "warm-dir req/s", "disk hits", "hydrations", "speedup");
+  std::printf("%-8s %14s %18s %12s %11s\n", "workers", "cold-dir req/s",
+              "warm-dir req/s", "disk hits", "speedup");
 
   for (unsigned Workers : {1u, 4u, 8u}) {
     ServiceConfig Cfg;
@@ -215,7 +214,7 @@ void diskRunTable() {
 
     fs::remove_all(Dir);
     double ColdSecs, WarmSecs;
-    uint64_t DiskHits, Hydrations;
+    uint64_t DiskHits;
     {
       Service Cold(Cfg); // empty directory: full compiles + runs
       ColdSecs = submitAll(Cold, Batch);
@@ -224,12 +223,10 @@ void diskRunTable() {
       Service Warm(Cfg); // fresh memory tier: flat units from disk + runs
       WarmSecs = submitAll(Warm, Batch);
       DiskHits = Warm.stats().DiskHits;
-      Hydrations = Warm.stats().DiskHydrations;
     }
-    std::printf("%-8u %14.1f %18.1f %9llu/%zu %12llu %10.1fx\n", Workers,
+    std::printf("%-8u %14.1f %18.1f %9llu/%zu %10.1fx\n", Workers,
                 Batch.size() / ColdSecs, Batch.size() / WarmSecs,
                 static_cast<unsigned long long>(DiskHits), Batch.size(),
-                static_cast<unsigned long long>(Hydrations),
                 ColdSecs / WarmSecs);
   }
   fs::remove_all(Dir);

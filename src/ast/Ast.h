@@ -26,6 +26,7 @@
 #include "support/Interner.h"
 
 #include <cassert>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -204,26 +205,26 @@ struct Expr {
 class AstArena {
 public:
   Expr *expr(Expr::Kind K, SrcLoc Loc) {
-    Exprs.push_back(std::make_unique<Expr>(K, Loc));
-    return Exprs.back().get();
+    return &Exprs.emplace_back(K, Loc);
   }
   Dec *dec(Dec::Kind K, SrcLoc Loc) {
-    Decs.push_back(std::make_unique<Dec>());
-    Decs.back()->K = K;
-    Decs.back()->Loc = Loc;
-    return Decs.back().get();
+    Dec &D = Decs.emplace_back();
+    D.K = K;
+    D.Loc = Loc;
+    return &D;
   }
   TyExpr *ty(TyExpr::Kind K, SrcLoc Loc) {
-    Tys.push_back(std::make_unique<TyExpr>(K, Loc));
-    return Tys.back().get();
+    return &Tys.emplace_back(K, Loc);
   }
 
   size_t exprCount() const { return Exprs.size(); }
 
 private:
-  std::vector<std::unique_ptr<Expr>> Exprs;
-  std::vector<std::unique_ptr<Dec>> Decs;
-  std::vector<std::unique_ptr<TyExpr>> Tys;
+  // A deque never moves its elements as it grows, so the node pointers
+  // handed out stay valid for the arena's lifetime.
+  std::deque<Expr> Exprs;
+  std::deque<Dec> Decs;
+  std::deque<TyExpr> Tys;
 };
 
 /// A parsed program: a sequence of top-level declarations and a result

@@ -179,26 +179,7 @@ std::unique_ptr<CompiledUnit> Compiler::compile(std::string_view Source,
 
 rt::RunResult Compiler::run(const CompiledUnit &Unit,
                             rt::EvalOptions EvalOpts) const {
-  PhaseTimer Timer(RunPhaseName, Sink);
-  if (Unit.Options.Strat == Strategy::R)
-    EvalOpts.GcEnabled = false;
-  // Exact dangling detection and cross-request page pooling are
-  // mutually exclusive: a pooled page could be handed to another run
-  // while the detector can still attribute it to a dead region.
-  if (EvalOpts.RetainReleasedPages)
-    EvalOpts.SharedPool = nullptr;
-  rt::RunResult R =
-      rt::runProgram(Unit.program(), Unit.rootMu(), Unit.Mult, Unit.Kinds,
-                     Unit.Drops, Names, EvalOpts);
-  PhaseProfile &P = Timer.stop();
-  P.GcCount = R.Heap.GcCount;
-  P.AllocWords = R.Heap.AllocWords;
-  P.CopiedWords = R.Heap.CopiedWords;
-  // Fold the run's collector stalls into the profile so the sink (and
-  // anyone reading RunResult::Phase) sees them nested inside this span.
-  P.GcPauses = R.GcPauses;
-  R.Phase = P;
-  return R;
+  return runFlat(*Unit.Flat, EvalOpts, Sink);
 }
 
 rt::RunResult Compiler::runFlat(const flat::FlatUnit &Flat,
@@ -206,8 +187,9 @@ rt::RunResult Compiler::runFlat(const flat::FlatUnit &Flat,
   PhaseTimer Timer(RunPhaseName, Sink);
   if (static_cast<Strategy>(Flat.Strat) == Strategy::R)
     EvalOpts.GcEnabled = false;
-  // Same quarantine rule as run(): exact dangling detection and
-  // cross-request page pooling are mutually exclusive.
+  // Exact dangling detection and cross-request page pooling are
+  // mutually exclusive: a pooled page could be handed to another run
+  // while the detector can still attribute it to a dead region.
   if (EvalOpts.RetainReleasedPages)
     EvalOpts.SharedPool = nullptr;
   rt::RunResult R = rt::runFlatUnit(Flat, EvalOpts);
@@ -215,6 +197,8 @@ rt::RunResult Compiler::runFlat(const flat::FlatUnit &Flat,
   P.GcCount = R.Heap.GcCount;
   P.AllocWords = R.Heap.AllocWords;
   P.CopiedWords = R.Heap.CopiedWords;
+  // Fold the run's collector stalls into the profile so the sink (and
+  // anyone reading RunResult::Phase) sees them nested inside this span.
   P.GcPauses = R.GcPauses;
   R.Phase = P;
   return R;

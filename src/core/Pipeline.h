@@ -154,14 +154,17 @@ struct CompileAndRunResult {
 ///    unit and const interner state. Once a compile has returned, any
 ///    number of threads may concurrently run()/print a CompiledUnit
 ///    provided no thread calls compile() on the owner in the meantime.
-///    The service layer's compile cache freezes one Compiler per cached
-///    unit to make shared units immutable by construction.
+///  * A unit's flat form (CompiledUnit::Flat) is self-contained and
+///    immutable: it outlives its Compiler and runs via runFlat() from
+///    any thread. The service layer's compile cache relies on this —
+///    each cold compile renders its products on a short-lived Compiler
+///    that is destroyed before the entry is shared, so cache entries
+///    hold no Compiler at all.
 ///  * Arenas grow monotonically: compiling N sources through one
 ///    Compiler keeps every previously returned CompiledUnit valid, at
 ///    the cost of memory linear in the total source compiled (see
 ///    arenaFootprint()). Long-lived single-Compiler loops should either
-///    accept that linear growth or recycle the Compiler; the service
-///    layer instead uses one short-lived Compiler per cache entry.
+///    accept that linear growth or recycle the Compiler.
 class Compiler {
 public:
   Compiler() = default;
@@ -209,26 +212,27 @@ public:
   /// the phase governor rather than finishing or failing on its own.
   bool wasCutOff() const { return CutOff; }
 
-  /// Executes a compiled unit on the region runtime. GC is enabled
-  /// unless the unit was compiled with Strategy::R. Const: safe to call
-  /// concurrently from several threads on the same unit (each run gets
-  /// its own heap). EvalOpts.SharedPool lets concurrent runs recycle
-  /// standard region pages through one rt::PagePool; it is ignored when
-  /// EvalOpts.RetainReleasedPages asks for exact dangling detection.
+  /// Executes a compiled unit on the region runtime: runFlat() over
+  /// Unit.Flat, with this Compiler's trace sink.
   rt::RunResult run(const CompiledUnit &Unit,
                     rt::EvalOptions EvalOpts = {}) const;
 
-  /// Executes a flat unit — same contract and RunResult shape as run(),
-  /// including the "run" PhaseProfile and the Strategy::R GC gate — but
-  /// needs no Compiler instance at all: this is how disk-cache hits run
-  /// without recompiling. Static because a decoded FlatUnit is
-  /// self-contained (its own string table, resolved region facts).
+  /// Executes a flat unit on the region runtime (rt/FlatEval.h) and
+  /// returns its result with the "run" PhaseProfile filled in. GC is
+  /// enabled unless the unit was compiled with Strategy::R. Safe to
+  /// call concurrently from several threads on the same unit (each run
+  /// gets its own heap). EvalOpts.SharedPool lets concurrent runs
+  /// recycle standard region pages through one rt::PagePool; it is
+  /// ignored when EvalOpts.RetainReleasedPages asks for exact dangling
+  /// detection. Static because a FlatUnit is self-contained (its own
+  /// string table, resolved region facts): this is how cache entries,
+  /// fresh or loaded from disk, run without a Compiler.
   static rt::RunResult runFlat(const flat::FlatUnit &Flat,
                                rt::EvalOptions EvalOpts = {},
                                TraceSink *Sink = nullptr);
 
-  /// compile() followed by run() — the one-call form the service workers
-  /// and the batch driver use. Result.Unit is null on compile failure.
+  /// compile() followed by run(). Result.Unit is null on compile
+  /// failure.
   CompileAndRunResult compileAndRun(std::string_view Source,
                                     const CompileOptions &Opts = {},
                                     rt::EvalOptions EvalOpts = {});

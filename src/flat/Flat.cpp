@@ -30,12 +30,11 @@ const FlatRegion *FlatUnit::regionInfo(uint32_t Id) const {
 
 namespace {
 
-/// Mirror of the tree evaluator's per-function compilation pass
-/// (rt/Eval.cpp): fun/lambda discovery in pre-order, capture lists,
-/// RApp argument resolution against the lexical fun scope, and the
-/// free-region computation with the drop analysis applied. Kept
-/// operation-for-operation identical so a flat run allocates exactly
-/// the words the tree run does — the differential suite pins this.
+/// The per-function compilation pass: fun/lambda discovery in
+/// pre-order, capture lists, RApp argument resolution against the
+/// lexical fun scope, and the free-region computation with the drop
+/// analysis applied. Closure sizes follow from it, so the runtime
+/// golden file pins its output through every run's allocation words.
 struct FnInfo {
   const RExpr *Node = nullptr;
   const RExpr *Body = nullptr;
@@ -284,7 +283,7 @@ private:
   }
 
   uint32_t exnIdOf(Symbol Name) const {
-    // Unregistered constructors get the tree evaluator's sentinel.
+    // Unregistered constructors get a sentinel id.
     auto It = FP.ExnIds.find(Name);
     return It != FP.ExnIds.end() ? It->second : UINT32_MAX - 2;
   }

@@ -46,6 +46,7 @@
 #include "region/Subst.h"
 #include "support/Interner.h"
 
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -167,18 +168,18 @@ struct RExpr {
 class RExprArena {
 public:
   RExpr *make(RExpr::Kind K) {
-    Nodes.push_back(std::make_unique<RExpr>(K));
-    return Nodes.back().get();
+    return &Nodes.emplace_back(K);
   }
   /// Shallow copy (children shared) — the workhorse of substitution.
   RExpr *clone(const RExpr *E) {
-    Nodes.push_back(std::make_unique<RExpr>(*E));
-    return Nodes.back().get();
+    return &Nodes.emplace_back(*E);
   }
   size_t size() const { return Nodes.size(); }
 
 private:
-  std::vector<std::unique_ptr<RExpr>> Nodes;
+  // A deque never moves its elements as it grows, so the node pointers
+  // handed out stay valid for the arena's lifetime.
+  std::deque<RExpr> Nodes;
 };
 
 /// A whole region-annotated program together with the bookkeeping the

@@ -31,6 +31,7 @@
 #include "region/Effect.h"
 
 #include <cassert>
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -238,16 +239,16 @@ private:
     return add(M);
   }
   const Mu *add(Mu M) {
-    Mus.push_back(std::make_unique<Mu>(std::move(M)));
-    return Mus.back().get();
+    return &Mus.emplace_back(std::move(M));
   }
   const Tau *add(Tau T) {
-    Taus.push_back(std::make_unique<Tau>(std::move(T)));
-    return Taus.back().get();
+    return &Taus.emplace_back(std::move(T));
   }
 
-  std::vector<std::unique_ptr<Mu>> Mus;
-  std::vector<std::unique_ptr<Tau>> Taus;
+  // A deque never moves its elements as it grows, so the node pointers
+  // handed out stay valid for the arena's lifetime.
+  std::deque<Mu> Mus;
+  std::deque<Tau> Taus;
 };
 
 //===----------------------------------------------------------------------===//

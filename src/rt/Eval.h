@@ -1,4 +1,4 @@
-//===- rt/Eval.h - Region-aware evaluator -----------------------*- C++ -*-===//
+//===- rt/Eval.h - Runtime options and run results --------------*- C++ -*-===//
 //
 // Part of RegionML, a reproduction of "Garbage-Collection Safety for
 // Region-Based Type-Polymorphic Programs" (Elsman, PLDI 2023).
@@ -6,11 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The realistic runtime: compiles a region-annotated program to a small
-/// code table (one entry per lambda/fun with its capture and free-region
-/// sets) and interprets it against the region heap, interleaving the
-/// copying collector at allocation points — the execution model whose
-/// safety Theorem 2 (containment) establishes.
+/// The region runtime's interface types: the options a run takes and
+/// the result it returns. The runtime itself is the flat interpreter
+/// (rt/FlatEval.h), which executes a flat::FlatUnit against the region
+/// heap and interleaves the copying collector at allocation points —
+/// the execution model whose safety Theorem 2 (containment)
+/// establishes:
 ///
 ///  * letregion creates/destroys regions following the stack discipline;
 ///  * closures are region-allocated records holding captured values plus
@@ -27,17 +28,10 @@
 #ifndef RML_RT_EVAL_H
 #define RML_RT_EVAL_H
 
-#include "region/RExpr.h"
-#include "rinfer/DropRegions.h"
-#include "rinfer/Multiplicity.h"
-#include "rinfer/RegionKinds.h"
 #include "rt/GcPolicy.h"
 #include "rt/Region.h"
-#include "rt/Value.h"
-#include "support/Interner.h"
 #include "support/Trace.h"
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,10 +45,12 @@ struct EvalOptions {
   bool UseFiniteRegions = true;          // multiplicity-driven sizing
   bool RetainReleasedPages = false;      // exact dangling detection
   uint64_t StepLimit = 400'000'000;      // interpreter fuel
-  /// Native-stack budget for the tree-walking interpreter (no tail-call
+  /// Native-stack budget for the interpreter (no tail-call
   /// optimisation): once the evaluator has consumed this much C++ stack,
-  /// the run fails gracefully instead of overflowing. Self-adjusts to
-  /// frame sizes across build modes.
+  /// the run fails gracefully instead of overflowing. Measured in bytes,
+  /// so the recursion depth it allows depends on the build's frame
+  /// sizes: sanitizer builds with larger frames (ASan) reach the budget
+  /// at a much shallower depth.
   size_t StackLimitBytes = 6u * 1024 * 1024 + 512 * 1024;
   /// Generational collection (the paper's [16,17] integration): minor
   /// collections evacuate only pages younger than the last collection,
@@ -81,7 +77,7 @@ struct EvalOptions {
   /// outlive the run and be thread-safe if runs share it). Each
   /// collection delivers one TraceSink::recordGcPause as it ends. The
   /// pauses also accumulate in RunResult::GcPauses regardless, and
-  /// Compiler::run folds them into the run PhaseProfile — so a sink
+  /// Compiler::runFlat folds them into the run PhaseProfile — so a sink
   /// that already records run profiles must NOT also be installed here
   /// or it would see every pause twice.
   TraceSink *PauseSink = nullptr;
@@ -112,16 +108,10 @@ struct RunResult {
   GcPolicyStats Policy;
   /// The runtime phase's profile (name Compiler::RunPhaseName, wall
   /// time, HeapStats fold-in, GcPauses fold-in). Filled by
-  /// Compiler::run, which times the whole execution; empty when
-  /// runProgram is called directly.
+  /// Compiler::runFlat, which times the whole execution; empty when
+  /// runFlatUnit is called directly.
   PhaseProfile Phase;
 };
-
-/// Compiles and runs \p P.
-RunResult runProgram(const RProgram &P, const Mu *RootMu,
-                     const MultiplicityInfo &Mult, const RegionKindInfo &Kinds,
-                     const DropInfo &Drops, const Interner &Names,
-                     const EvalOptions &Opts);
 
 } // namespace rml::rt
 

@@ -1,11 +1,9 @@
 //===- rt/FlatEval.cpp ----------------------------------------------------===//
 //
-// The flat twin of rt/Eval.cpp's Machine. Every evaluation rule below
-// is an operation-for-operation port of the tree walk: identical
-// allocation word counts, GC trigger points, rooting discipline and
-// error strings. When changing either evaluator, change both — the
-// differential suite (tests/mml_files_test.cpp, tests/fuzz_test.cpp,
-// tests/flat_test.cpp) fails on any observable divergence.
+// The interpreter over flat units. Allocation word counts, GC trigger
+// points, rooting discipline, step accounting and error strings are
+// observable: the runtime golden file (tests/golden/runtime.txt, see
+// tests/runtime_golden.h) fails on any change to them.
 //
 //===----------------------------------------------------------------------===//
 
@@ -378,8 +376,9 @@ private:
     if (++Steps > Opts.StepLimit)
       return fatal(RunOutcome::RuntimeError, "step limit exceeded");
     // Native-stack budget: downward-growing stacks on every supported
-    // platform; the probe's distance from run()'s base approximates
-    // consumption regardless of frame size (build-mode independent).
+    // platform; the probe's distance from run()'s base measures the
+    // bytes consumed, so the depth the budget allows shrinks in builds
+    // with larger frames (ASan).
     char Probe;
     if (StackBase > &Probe &&
         static_cast<size_t>(StackBase - &Probe) > Opts.StackLimitBytes)

@@ -6,17 +6,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executes a flat::FlatUnit directly — no RExpr tree, no Interner, no
-/// analysis structures. An exact operational mirror of the tree-walking
-/// evaluator (rt/Eval.cpp): the same EvalOptions, the same allocation
-/// sites and word counts, the same GC trigger points, write barrier,
-/// step accounting and error strings, and the same RunResult shape —
-/// so tree and flat runs of one program agree on every observable,
-/// including HeapStats and GC-safety attribution (the differential
-/// suite pins this across the rg/rg-/r strategy grid).
+/// The region runtime: executes a flat::FlatUnit directly — no RExpr
+/// tree, no Interner, no analysis structures. Every run in the system
+/// comes through here: Compiler::run forwards to Compiler::runFlat, and
+/// the service runs fresh and disk-loaded cache entries alike.
 ///
-/// This is what makes disk-cache entries runnable: a decoded FlatUnit
-/// needs nothing from its original Compiler.
+/// Its observables — results, error strings, step counts, HeapStats,
+/// the GC pause sequence, region profiles and GC-policy moves — are
+/// pinned by the runtime golden file (tests/golden/runtime.txt),
+/// recorded from the tree-walking evaluator this interpreter replaced.
+/// The small-step machine of Section 3.10 (smallstep/Step.h) stays the
+/// independent semantic oracle on the pure fragment it covers.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The per-run GC trigger policy shared by the tree and flat walkers.
+/// The per-run GC trigger policy of the runtime (rt/FlatEval.h).
 /// In static mode (the default) it reproduces the historical constants
 /// bit-for-bit: collect once allocSinceGc reaches GcThresholdWords, and
 /// in generational mode make every MinorsPerMajor-th collection major.
@@ -34,11 +34,11 @@
 /// are counted even in static mode (observability without adaptation).
 ///
 /// Everything except the budget check depends only on deterministic
-/// inputs (allocation word counts), so the tree and flat evaluators —
-/// which produce identical allocation streams by construction — make
-/// identical adaptive decisions, and the differential suites can pin
-/// results, diagnostics and HeapStats across static vs adaptive runs
-/// with only pause shape allowed to differ.
+/// inputs (allocation word counts), so adaptive decisions repeat
+/// exactly from run to run (the runtime golden file pins them), and
+/// the differential suites can pin results, diagnostics and HeapStats
+/// across static vs adaptive runs with only pause shape allowed to
+/// differ.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -13,24 +13,21 @@ CachedCompileRef rml::service::compileShared(std::string_view Source,
                                              const CompileOptions &Opts,
                                              PhaseGovernor *Governor) {
   auto CC = std::make_shared<CachedCompile>();
-  CC->Owner = std::make_unique<Compiler>();
-  CC->Owner->setPhaseGovernor(Governor);
-  CC->Unit = CC->Owner->compile(Source, Opts);
-  // Detach before freezing: the governor may die with its caller's
-  // stack frame while the cached entry lives on (wasCutOff() persists).
-  CC->Owner->setPhaseGovernor(nullptr);
-  CC->Ok = CC->Unit != nullptr;
-  CC->Diagnostics = CC->Owner->diagnostics().str();
-  if (CC->Unit) {
-    CC->Printed = CC->Owner->printProgram(*CC->Unit);
-    CC->Schemes = CC->Owner->topLevelSchemes(*CC->Unit);
-    CC->CaptureReport = CC->Owner->captureReport(*CC->Unit);
-    // Alias the unit's flat form: run() prefers it, and the disk tier
-    // persists it so warm restarts are runnable without recompiling.
-    CC->Flat = CC->Unit->Flat;
+  Compiler C;
+  C.setPhaseGovernor(Governor);
+  std::unique_ptr<CompiledUnit> Unit = C.compile(Source, Opts);
+  CC->Ok = Unit != nullptr;
+  CC->Diagnostics = C.diagnostics().str();
+  if (Unit) {
+    CC->Printed = C.printProgram(*Unit);
+    CC->Schemes = C.topLevelSchemes(*Unit);
+    CC->CaptureReport = C.captureReport(*Unit);
+    // The flat form outlives the Compiler: it is what runs, and what
+    // the disk tier persists so warm restarts run without recompiling.
+    CC->Flat = Unit->Flat;
   }
-  CC->Profiles = CC->Owner->lastPhaseProfiles();
-  CC->Cost = std::max<size_t>(1, CC->Owner->arenaFootprint().total());
+  CC->Profiles = C.lastPhaseProfiles();
+  CC->Cost = std::max<size_t>(1, C.arenaFootprint().total());
   return CC;
 }
 
@@ -69,8 +66,7 @@ CachedCompileRef CompileCache::lookup(const CacheKey &K) {
   std::lock_guard<std::mutex> Lock(S.M);
   auto It = S.Map.find(K);
   if (It != S.Map.end()) {
-    // A racing worker populated the slot meanwhile; prefer its entry —
-    // it may already be the hydrated, runnable one.
+    // A racing worker populated the slot meanwhile; prefer its entry.
     S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
     It->second->Stamp = RecencyClock.fetch_add(1) + 1;
     return It->second->Value;

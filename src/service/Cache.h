@@ -10,26 +10,17 @@
 /// by (source, Strategy, SpuriousMode, Check) — see service/Hash.h —
 /// with an optional persistent second tier (service/DiskCache.h).
 ///
-/// **How a CompiledUnit becomes shareable.** A CompiledUnit points into
-/// the arenas of the Compiler that built it, and Compiler::compile()
-/// mutates those arenas, so a unit is only safe to share once its owner
-/// stops compiling. The cache makes that true by construction: every
-/// entry carries its own dedicated Compiler that performs exactly one
-/// compile and is then frozen inside an immutable, refcounted
-/// CachedCompile. After that, only const operations touch the pair —
-/// Compiler::run(), printProgram() and schemeOf() are const and build
-/// all mutable state (region heap, evaluator stacks) per call — so any
-/// number of worker threads can run the same cached unit concurrently.
-///
-/// Entries loaded from the disk tier carry no Owner/Unit, but they do
-/// carry the program's flat form (flat::FlatUnit, decoded from the
-/// entry file), which is directly executable — runnable() holds and
-/// run() executes the flat interpreter, so a warm restart's first
-/// Run=true request is served entirely from disk. Only a disk entry
-/// whose flat section is absent (a file written by a pre-flat version
-/// of the format would fail the version check first, so in practice a
-/// synthetic or future-format entry) falls back to the counted
-/// hydration recompile in Executor::process.
+/// **One entry shape.** An entry holds only rendered products: the
+/// verdict, diagnostics, printed program, schemes, capture report and
+/// phase profiles, plus the program's flat form (flat::FlatUnit), which
+/// is self-contained and directly executable. compileShared builds one
+/// on a short-lived Compiler and destroys it before returning, so no
+/// entry pins compiler arenas, and DiskCache::load produces exactly the
+/// same shape from an entry file. Every field is immutable once the
+/// entry is shared, and run() builds all mutable state (region heap,
+/// evaluator stacks) per call, so any number of worker threads can run
+/// the same entry concurrently — and a warm restart serves Run=true
+/// requests entirely from disk.
 ///
 /// **Sharding.** The map is split into NumShards key-hash-addressed
 /// shards, each with its own mutex, LRU list and cost budget, so
@@ -39,7 +30,7 @@
 /// totalCost(), recencyHashes() — merges the shards, the last in
 /// global recency order via per-entry recency stamps.
 ///
-/// Failed compilations are cached too (Unit == null + rendered
+/// Failed compilations are cached too (Ok false, no Flat, rendered
 /// diagnostics): repeated ill-typed submissions are common in a serving
 /// setting and re-diagnosing them is pure waste.
 ///
@@ -61,27 +52,17 @@ namespace rml::service {
 
 class DiskCache;
 
-/// One immutable compilation: the frozen owner Compiler, the unit it
-/// produced (null if compilation failed or the entry came from disk),
-/// and the products that are cheaper to render once than per request.
+/// One immutable compilation: the products that are cheaper to render
+/// once than per request, and the runnable flat form.
 struct CachedCompile {
-  /// The dedicated Compiler whose arenas own Unit. Never compiled on
-  /// again; only its const surface is used after construction. Null for
-  /// disk-tier entries.
-  std::unique_ptr<Compiler> Owner;
-  /// Null when compilation failed (then Diagnostics says why) or when
-  /// the entry was loaded from disk (disk entries run via Flat instead).
-  std::unique_ptr<CompiledUnit> Unit;
-  /// The flat, self-contained executable form (see flat/Flat.h). For
-  /// fresh compiles this aliases Unit->Flat; for disk-tier entries it
-  /// is decoded from the entry file and is the *only* runnable form.
+  /// The flat, self-contained executable form (see flat/Flat.h); set
+  /// exactly when Ok. Fresh entries share the compiled unit's; disk-tier
+  /// entries decode it from the entry file.
   std::shared_ptr<const flat::FlatUnit> Flat;
-  /// Whether the compile this entry records succeeded. For fresh
-  /// compiles this mirrors Unit != nullptr; for disk-tier entries it is
-  /// the persisted verdict.
+  /// Whether the compile this entry records succeeded.
   bool Ok = false;
-  /// Set on entries synthesised by DiskCache::load — they carry static
-  /// products only and are never written back to disk.
+  /// Set on entries produced by DiskCache::load; they are never written
+  /// back to disk.
   bool FromDisk = false;
   /// Rendered diagnostics (errors and warnings) of the compile.
   std::string Diagnostics;
@@ -101,28 +82,18 @@ struct CachedCompile {
   /// Cache hits report these names as skipped/zero — the work was
   /// reused, not redone.
   std::vector<PhaseProfile> Profiles;
-  /// Eviction weight: the arena nodes the frozen Owner holds
-  /// (Compiler::arenaFootprint().total(), at least 1). The cache bounds
-  /// the sum of these, not the entry count, so one huge program cannot
-  /// pin it.
+  /// Eviction weight: the arena nodes the compile built
+  /// (Compiler::arenaFootprint().total(), at least 1), a measure of the
+  /// program's size. The cache bounds the sum of these, not the entry
+  /// count, so one huge program cannot pin it.
   size_t Cost = 1;
 
   bool ok() const { return Ok; }
-  /// True when the entry can serve a Run=true request: it holds a live
-  /// CompiledUnit, a flat unit, or both. Fresh compiles have both; disk
-  /// entries have only Flat. False only for failed compiles and for
-  /// disk entries whose file predates (or omitted) the flat section —
-  /// those hit Executor::process's counted hydration fallback.
-  bool runnable() const { return Flat != nullptr || Unit != nullptr; }
 
-  /// Read-only run of the cached unit (runnable() must hold). Safe
-  /// concurrently from many threads. Prefers the flat interpreter —
-  /// operationally identical to the tree walk (the differential suite
-  /// pins this) and the only option for disk-tier entries.
+  /// Read-only run of the cached unit (ok() must hold). Safe
+  /// concurrently from many threads.
   rt::RunResult run(rt::EvalOptions EvalOpts = {}) const {
-    if (Flat)
-      return Compiler::runFlat(*Flat, EvalOpts);
-    return Owner->run(*Unit, EvalOpts);
+    return Compiler::runFlat(*Flat, EvalOpts);
   }
 
   /// Scheme of the outermost top-level binding named \p Name, from the
@@ -140,13 +111,11 @@ struct CachedCompile {
 /// any request still holds the handle, even after cache eviction.
 using CachedCompileRef = std::shared_ptr<const CachedCompile>;
 
-/// Compiles \p Source on a fresh, dedicated Compiler and freezes the
-/// result into a shareable CachedCompile. An optional \p Governor is
-/// consulted at every phase boundary (per-phase budgets); it is
-/// detached from the Compiler before this returns, so the frozen entry
-/// never outlives a stack-local governor. A governed cut-off looks like
-/// a failed compile here (null Unit, partial Profiles) — callers that
-/// care ask the frozen Owner's wasCutOff().
+/// Compiles \p Source on a fresh Compiler, renders its products into a
+/// shareable CachedCompile and destroys the Compiler. An optional
+/// \p Governor is consulted at every phase boundary (per-phase
+/// budgets). A governed cut-off looks like a failed compile here (not
+/// Ok, partial Profiles); callers that care ask their governor.
 CachedCompileRef compileShared(std::string_view Source,
                                const CompileOptions &Opts,
                                PhaseGovernor *Governor = nullptr);

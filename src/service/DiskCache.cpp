@@ -224,11 +224,12 @@ CachedCompileRef DiskCache::load(const CacheKey &K) const {
   std::string FlatBytes = HasFlat == 1 ? R.str() : std::string();
 
   // Fail closed: structural damage (truncation, trailing bytes, bad
-  // magic/version) and key mismatches — including a genuine FNV-1a
-  // collision, where the hash matches but the embedded source or
-  // option bytes differ — all reject to a miss. Never a wrong answer.
+  // magic/version, a flat-presence byte that disagrees with the ok
+  // byte) and key mismatches — including a genuine FNV-1a collision,
+  // where the hash matches but the embedded source or option bytes
+  // differ — all reject to a miss. Never a wrong answer.
   if (!R.done() || !MagicOk || Version != FormatVersion ||
-      HasFlat > 1 || Hash != K.Hash || Source != K.Source ||
+      HasFlat > 1 || Ok != HasFlat || Hash != K.Hash || Source != K.Source ||
       Strat != static_cast<uint8_t>(K.Strat) ||
       Spurious != static_cast<uint8_t>(K.Spurious) ||
       Check != (K.Check ? 1 : 0) || Captures != (K.Captures ? 1 : 0)) {

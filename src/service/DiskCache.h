@@ -33,9 +33,10 @@
 /// version and checksum), which Compiler::runFlat executes directly.
 /// A warm restart's first Run=true request therefore completes from
 /// disk with zero compile phases. The flat section fails closed like
-/// everything else: a damaged or undecodable flat unit rejects the
-/// whole entry to a miss (counted in LoadRejects) rather than loading
-/// a half-runnable entry.
+/// everything else: a damaged or undecodable flat unit, or a presence
+/// byte that disagrees with the entry's ok byte, rejects the whole
+/// entry to a miss (counted in LoadRejects). A loaded entry therefore
+/// has exactly the shape of a fresh one.
 ///
 /// **Bounded growth.** Left alone the directory grows one file per
 /// distinct compile forever. A SweepConfig bounds it by total bytes
@@ -118,9 +119,9 @@ public:
   ~DiskCache();
 
   /// Loads and verifies the entry for \p K; null on miss or rejection.
-  /// A returned entry has FromDisk set and no Owner/Unit, but carries
-  /// the persisted static products plus, for successful compiles, the
-  /// decoded flat unit — so it is runnable without recompiling.
+  /// A returned entry has FromDisk set and carries the persisted static
+  /// products plus, for successful compiles, the decoded flat unit — so
+  /// it is runnable without recompiling.
   CachedCompileRef load(const CacheKey &K) const;
 
   /// Persists \p V under \p K's hash, atomically. A no-op when the

@@ -32,7 +32,7 @@ class CostModel;
 /// Runs requests against a compile cache and a page pool under one
 /// ServiceConfig. process() is safe from any number of threads: the
 /// cache and pool are thread-safe, and each cold compile happens on a
-/// fresh per-entry Compiler governed by a stack-local budget governor.
+/// fresh Compiler governed by a stack-local budget governor.
 class Executor {
 public:
   /// All referents are non-owning and must outlive the Executor.
@@ -49,15 +49,6 @@ public:
   /// *not* cached (a later, unbudgeted submission must be able to
   /// finish the work).
   Response process(const Request &Req) const;
-
-  /// How many Run=true requests hit a disk-tier entry that carried no
-  /// runnable flat unit and had to fall back to a full recompile. Zero
-  /// in steady state (format-version-2 entries always embed the flat
-  /// unit); nonzero flags synthetic or future-format entries whose
-  /// "hit" silently cost a whole compile.
-  uint64_t diskHydrations() const {
-    return DiskHydrations.load(std::memory_order_relaxed);
-  }
 
   /// How many cold compiles ran under CostModel-derived budgets
   /// (ServiceConfig::AutoBudget with an empty explicit PhaseBudgets and
@@ -77,8 +68,6 @@ private:
   rt::PagePool *Pool;
   /// Nullable; fed on completion, consulted for auto budgets.
   CostModel *Model;
-  /// Counts the un-runnable-disk-hit recompile fallback in process().
-  mutable std::atomic<uint64_t> DiskHydrations{0};
   /// Counts cold compiles governed by model-derived budgets.
   mutable std::atomic<uint64_t> BudgetAutoDerived{0};
 };

@@ -375,7 +375,6 @@ ServiceStats Service::stats() const {
     Out.SweptBytes = DC.SweptBytes;
     Out.SweepErrors = DC.SweepErrors;
   }
-  Out.DiskHydrations = Exec.diskHydrations();
   Out.BudgetAutoDerived = Exec.budgetAutoDerived();
   CostModel::Snapshot MS = Model.snapshot();
   Out.CostModelEntries = MS.Entries;

@@ -24,9 +24,9 @@
 /// optional EvalOptions; the response carries diagnostics, the printed
 /// program, requested scheme renderings, the run outcome and its
 /// HeapStats. Workers respect the one-Compiler-per-thread constraint by
-/// construction: cold compiles go to a fresh per-entry Compiler that is
-/// frozen into the cache (see service/Cache.h), and cache hits only
-/// touch the frozen units through their const surface.
+/// construction: each cold compile runs on a fresh Compiler that dies
+/// once its products are rendered into an immutable cache entry (see
+/// service/Cache.h), and cache hits only read those entries.
 ///
 //===----------------------------------------------------------------------===//
 

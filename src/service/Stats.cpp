@@ -42,7 +42,6 @@ std::string ServiceStats::json() const {
       << ",\"disk_hits\":" << DiskHits << ",\"disk_misses\":" << DiskMisses
       << ",\"disk_write_errors\":" << DiskWriteErrors
       << ",\"disk_load_rejects\":" << DiskLoadRejects
-      << ",\"disk_hydrations\":" << DiskHydrations
       << ",\"swept_files\":" << SweptFiles
       << ",\"swept_bytes\":" << SweptBytes
       << ",\"sweep_errors\":" << SweepErrors

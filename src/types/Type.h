@@ -21,6 +21,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -74,8 +75,7 @@ struct TypeScheme {
 class TypeArena {
 public:
   Type *make(TypeKind K, Type *A = nullptr, Type *B = nullptr) {
-    Nodes.push_back(std::make_unique<Type>(K));
-    Type *T = Nodes.back().get();
+    Type *T = &Nodes.emplace_back(K);
     T->A = A;
     T->B = B;
     return T;
@@ -108,7 +108,9 @@ private:
     return Slot;
   }
 
-  std::vector<std::unique_ptr<Type>> Nodes;
+  // A deque never moves its elements as it grows, so the node pointers
+  // handed out stay valid for the arena's lifetime.
+  std::deque<Type> Nodes;
   uint32_t NextVarId = 0;
   Type *IntT = nullptr, *BoolT = nullptr, *StringT = nullptr,
        *UnitT = nullptr, *ExnT = nullptr;

@@ -6,17 +6,16 @@
 // garbage, out-of-range indices — fails closed to a null decode, the
 // disk tier counts a damaged flat section as a load rejection, a warm
 // service restart executes Run=true straight from disk with zero compile
-// phases, and the Executor's hydration fallback (an ok disk hit with no
-// runnable form) is counted instead of silent. Labelled `flat` in ctest
-// and expected to be clean under -DRML_SANITIZE=thread.
+// phases, and the runs match the runtime golden file. Labelled `flat` in
+// ctest and expected to be clean under -DRML_SANITIZE=thread.
 //
 //===----------------------------------------------------------------------===//
 
 #include "flat/Flat.h"
 
 #include "core/Pipeline.h"
+#include "runtime_golden.h"
 #include "service/DiskCache.h"
-#include "service/Executor.h"
 #include "service/Service.h"
 
 #include <gtest/gtest.h>
@@ -50,6 +49,10 @@ fun guard n = if n > 20 then raise Overflow n else n
               cell := h 9; !cell + len words)
  in (guard r handle Overflow n => n - 1) + size "abc" end
 )";
+
+/// Ends in an uncaught exception.
+const char *UncaughtProgram =
+    "exception Boom of int\n;if 1 < 2 then raise Boom 9 else 0";
 
 /// Small and fast: the subject of the exhaustive bit-flip sweep.
 const char *SmallProgram = "fun id x = x\n;id 1 + id 2";
@@ -133,49 +136,29 @@ TEST(FlatEncoding, StrategiesEncodeDifferently) {
 TEST(FlatEncoding, DecodedUnitRunsLikeTheTree) {
   for (Strategy Strat : {Strategy::Rg, Strategy::RgMinus, Strategy::R}) {
     SCOPED_TRACE(strategyName(Strat));
-    Compiler C;
-    CompileOptions Opts;
-    Opts.Strat = Strat;
-    auto Unit = C.compile(RichProgram, Opts);
-    ASSERT_NE(Unit, nullptr) << C.diagnostics().str();
-
+    std::shared_ptr<const flat::FlatUnit> Decoded =
+        flat::decodeFlat(flatBytesOf(RichProgram, Strat));
+    ASSERT_NE(Decoded, nullptr);
     rt::EvalOptions E;
     E.GcThresholdWords = 512;
-    rt::RunResult Tree = C.run(*Unit, E);
-    ASSERT_EQ(Tree.Outcome, rt::RunOutcome::Ok) << Tree.Error;
-
-    std::shared_ptr<const flat::FlatUnit> Decoded =
-        flat::decodeFlat(flat::encodeFlat(*Unit->Flat));
-    ASSERT_NE(Decoded, nullptr);
-    rt::RunResult Flat = Compiler::runFlat(*Decoded, E);
-    EXPECT_EQ(Flat.Outcome, Tree.Outcome);
-    EXPECT_EQ(Flat.Output, Tree.Output);
-    EXPECT_EQ(Flat.ResultText, Tree.ResultText);
-    EXPECT_EQ(Flat.Steps, Tree.Steps);
-    EXPECT_EQ(Flat.Heap.AllocWords, Tree.Heap.AllocWords);
-    EXPECT_EQ(Flat.Heap.GcCount, Tree.Heap.GcCount);
-    EXPECT_EQ(Flat.Heap.CopiedWords, Tree.Heap.CopiedWords);
-    EXPECT_EQ(Flat.Heap.RegionsCreated, Tree.Heap.RegionsCreated);
-    // runFlat reports the same "run" phase profile shape as run().
-    EXPECT_EQ(Flat.Phase.Name, Compiler::RunPhaseName);
-    EXPECT_EQ(Flat.Phase.GcCount, Flat.Heap.GcCount);
+    rt::RunResult R = Compiler::runFlat(*Decoded, E);
+    EXPECT_EQ(R.Outcome, rt::RunOutcome::Ok) << R.Error;
+    golden::expectMatchesGolden(std::string("flat/rich/") +
+                                    strategyName(Strat),
+                                RichProgram, R);
+    EXPECT_EQ(R.Phase.Name, Compiler::RunPhaseName);
+    EXPECT_EQ(R.Phase.GcCount, R.Heap.GcCount);
   }
 }
 
 TEST(FlatEncoding, UncaughtExceptionAgreesBetweenTreeAndFlat) {
-  const char *Raises =
-      "exception Boom of int\n;if 1 < 2 then raise Boom 9 else 0";
-  Compiler C;
-  auto Unit = C.compile(Raises);
-  ASSERT_NE(Unit, nullptr) << C.diagnostics().str();
-  rt::RunResult Tree = C.run(*Unit);
-  ASSERT_EQ(Tree.Outcome, rt::RunOutcome::UncaughtException);
-  std::shared_ptr<const flat::FlatUnit> Decoded =
-      flat::decodeFlat(flat::encodeFlat(*Unit->Flat));
+  std::shared_ptr<const flat::FlatUnit> Decoded = flat::decodeFlat(
+      flatBytesOf(UncaughtProgram));
   ASSERT_NE(Decoded, nullptr);
-  rt::RunResult Flat = Compiler::runFlat(*Decoded);
-  EXPECT_EQ(Flat.Outcome, Tree.Outcome);
-  EXPECT_EQ(Flat.Error, Tree.Error) << "exception names survive the trip";
+  rt::RunResult R = Compiler::runFlat(*Decoded);
+  EXPECT_EQ(R.Outcome, rt::RunOutcome::UncaughtException);
+  // Exception names survive the trip.
+  golden::expectMatchesGolden("flat/uncaught", UncaughtProgram, R);
 }
 
 //===----------------------------------------------------------------------===//
@@ -364,6 +347,35 @@ TEST(FlatDisk, ForgedPresenceByteIsACountedLoadReject) {
   EXPECT_EQ(Disk.counters().LoadRejects, 1u);
 }
 
+TEST(FlatDisk, OkEntryWithoutItsFlatSectionIsACountedLoadReject) {
+  ScratchDir Dir("no_flat");
+  DiskCache Disk(Dir.str());
+  CacheKey K = CacheKey::of(SmallProgram, CompileOptions{});
+  CachedCompileRef Fresh = storeOne(Disk, K, SmallProgram);
+  ASSERT_NE(Fresh->Flat, nullptr);
+  fs::path File = Dir.Path / DiskCache::entryFileName(K.Hash);
+  std::string Bytes = readFileBytes(File);
+  std::string FlatBytes = flat::encodeFlat(*Fresh->Flat);
+  size_t PresencePos = Bytes.size() - FlatBytes.size() - 8 - 1;
+
+  // An ok entry that claims no runnable form: cut the nested flat
+  // string and write presence 0. No writer produces this shape, so it
+  // loads as damage, not as a hit that cannot run.
+  writeFileBytes(File, Bytes.substr(0, PresencePos) + std::string(1, '\0'));
+  EXPECT_EQ(Disk.load(K), nullptr);
+  EXPECT_EQ(Disk.counters().LoadRejects, 1u);
+
+  // And the converse: a failed compile carrying a flat section. The ok
+  // byte follows the 8-byte magic, the u32 version and four option bytes.
+  const size_t OkPos = 8 + 4 + 4;
+  ASSERT_EQ(Bytes[OkPos], 1);
+  Bytes[OkPos] = 0;
+  writeFileBytes(File, Bytes);
+  EXPECT_EQ(Disk.load(K), nullptr);
+  EXPECT_EQ(Disk.counters().LoadRejects, 2u);
+  EXPECT_EQ(Disk.counters().Hits, 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Warm restart: Run=true served from disk with zero compile phases
 //===----------------------------------------------------------------------===//
@@ -414,7 +426,6 @@ TEST(FlatService, WarmRestartRunsFromDiskWithZeroCompilePhases) {
 
   ServiceStats S = Svc.stats();
   EXPECT_EQ(S.DiskHits, 1u);
-  EXPECT_EQ(S.DiskHydrations, 0u) << "no silent recompile";
   EXPECT_EQ(S.DiskLoadRejects, 0u);
   EXPECT_EQ(S.CacheMisses, 1u) << "one memory miss, promoted from disk";
 }
@@ -440,51 +451,6 @@ TEST(FlatService, WarmRestartRunsUnderEveryStrategy) {
     EXPECT_TRUE(Warm.CacheHit);
     EXPECT_EQ(Warm.ResultText, ColdResult);
   }
-}
-
-//===----------------------------------------------------------------------===//
-// The hydration fallback is counted, not silent
-//===----------------------------------------------------------------------===//
-
-TEST(FlatExecutor, UnrunnableDiskHitCountsAHydration) {
-  ServiceConfig Cfg;
-  Cfg.CacheCapacity = 8;
-  CompileCache Cache(Cfg.CacheCapacity);
-  Executor Exec(Cfg, Cache, nullptr);
-
-  // A synthetic ok disk entry with no runnable form — the shape a
-  // future-format (or hand-damaged) entry would load as if the flat
-  // section were optional. runnable() is false.
-  Request Req;
-  Req.Source = SmallProgram;
-  CacheKey K = CacheKey::of(Req.Source, Req.Opts);
-  auto Stale = std::make_shared<CachedCompile>();
-  Stale->Ok = true;
-  Stale->FromDisk = true;
-  Stale->Printed = "stale";
-  Cache.insert(K, Stale);
-  ASSERT_FALSE(Stale->runnable());
-
-  // Static traffic is served from the entry without hydrating...
-  Request Static = Req;
-  Static.Run = false;
-  Response StaticResp = Exec.process(Static);
-  EXPECT_TRUE(StaticResp.CacheHit);
-  EXPECT_EQ(Exec.diskHydrations(), 0u);
-
-  // ...but Run=true must recompile once, and the fallback is counted.
-  Response First = Exec.process(Req);
-  EXPECT_EQ(First.Status, RequestOutcome::Ok) << First.Error;
-  EXPECT_FALSE(First.CacheHit) << "hydration is a real compile";
-  EXPECT_EQ(First.ResultText, "3");
-  EXPECT_EQ(Exec.diskHydrations(), 1u);
-
-  // The recompiled entry replaced the stale one: no second hydration.
-  Response Second = Exec.process(Req);
-  EXPECT_EQ(Second.Status, RequestOutcome::Ok);
-  EXPECT_TRUE(Second.CacheHit);
-  EXPECT_EQ(Second.ResultText, "3");
-  EXPECT_EQ(Exec.diskHydrations(), 1u);
 }
 
 } // namespace

@@ -7,8 +7,10 @@
 //     checker accepts the result,
 //   * rg, rg-, r, scheme (3), and the generational collector all compute
 //     the same value under an aggressive collection schedule,
+//   * every run matches the runtime golden file (tests/runtime_golden.h)
+//     on every observable, crashes included,
 //   * the small-step semantics of Section 3.10 computes the same value
-//     as the realistic runtime.
+//     as the realistic runtime — the independent semantic oracle.
 //
 // The generator deliberately instantiates the composition function's
 // spurious type variable with random (often boxed) types — the exact
@@ -19,6 +21,7 @@
 
 #include "core/Pipeline.h"
 
+#include "runtime_golden.h"
 #include "smallstep/Step.h"
 
 #include <gtest/gtest.h>
@@ -299,30 +302,15 @@ private:
 // The properties
 //===----------------------------------------------------------------------===//
 
-/// Runs \p Unit's flat form under the same options and pins it to the
-/// tree walk's result: outcome, printed output, rendered value, error
-/// text, step count and the full heap accounting. The flat interpreter
-/// is a second implementation of the same operational semantics — any
-/// divergence on a generated program is a bug in one of the two.
-void expectFlatAgrees(const CompiledUnit &Unit, const rt::EvalOptions &E,
-                      const rt::RunResult &Tree, const std::string &Src,
-                      const char *Cfg) {
-  ASSERT_NE(Unit.Flat, nullptr) << Cfg << "\n" << Src;
-  rt::RunResult F = Compiler::runFlat(*Unit.Flat, E);
-  EXPECT_EQ(F.Outcome, Tree.Outcome) << Cfg << "\n" << Src;
-  EXPECT_EQ(F.Error, Tree.Error) << Cfg << "\n" << Src;
-  EXPECT_EQ(F.Output, Tree.Output) << Cfg << "\n" << Src;
-  EXPECT_EQ(F.ResultText, Tree.ResultText) << Cfg << "\n" << Src;
-  EXPECT_EQ(F.Steps, Tree.Steps) << Cfg << "\n" << Src;
-  EXPECT_EQ(F.Heap.AllocWords, Tree.Heap.AllocWords) << Cfg << "\n" << Src;
-  EXPECT_EQ(F.Heap.GcCount, Tree.Heap.GcCount) << Cfg << "\n" << Src;
-  EXPECT_EQ(F.Heap.MinorGcCount, Tree.Heap.MinorGcCount) << Cfg;
-  EXPECT_EQ(F.Heap.MajorGcCount, Tree.Heap.MajorGcCount) << Cfg;
-  EXPECT_EQ(F.Heap.CopiedWords, Tree.Heap.CopiedWords) << Cfg << "\n" << Src;
-  EXPECT_EQ(F.Heap.RegionsCreated, Tree.Heap.RegionsCreated) << Cfg;
-  EXPECT_EQ(F.Heap.FiniteRegionsCreated, Tree.Heap.FiniteRegionsCreated)
-      << Cfg;
-  EXPECT_EQ(F.Heap.PagesAllocated, Tree.Heap.PagesAllocated) << Cfg;
+/// Pins run \p R of generated program \p I of this seed under config
+/// \p Cfg to the runtime golden file: outcome, printed output, rendered
+/// value, error text, steps and the full heap accounting, crashes
+/// included (an rg- dangling pointer is part of the semantics).
+void expectGoldenRun(uint32_t Seed, int I, const char *Cfg,
+                     const std::string &Src, const rt::RunResult &R) {
+  golden::expectMatchesGolden("fuzz/" + std::to_string(Seed) + "/" +
+                                  std::to_string(I) + "/" + Cfg,
+                              Src, R);
 }
 
 class FuzzTest : public ::testing::TestWithParam<uint32_t> {};
@@ -343,7 +331,7 @@ TEST_P(FuzzTest, PipelineAgreementAndGcSafety) {
     Aggressive.RetainReleasedPages = true;
     rt::RunResult Ref = C.run(*Unit, Aggressive);
     ASSERT_EQ(Ref.Outcome, rt::RunOutcome::Ok) << Ref.Error << "\n" << Src;
-    expectFlatAgrees(*Unit, Aggressive, Ref, Src, "rg/flat");
+    expectGoldenRun(GetParam(), I, "rg", Src, Ref);
 
     // And the flat unit survives a serialisation round trip unchanged:
     // decode(encode(U)) re-encodes to the same bytes and still computes
@@ -406,9 +394,7 @@ TEST_P(FuzzTest, PipelineAgreementAndGcSafety) {
       rt::EvalOptions E = Aggressive;
       E.Generational = Cfg.Generational;
       rt::RunResult R = C2.run(*U2, E);
-      // Tree and flat must agree even when the run crashes: an rg-
-      // dangling pointer is part of the semantics being mirrored.
-      expectFlatAgrees(*U2, E, R, Src, Cfg.Name);
+      expectGoldenRun(GetParam(), I, Cfg.Name, Src, R);
       // rg- may legitimately crash with a dangling pointer when the
       // generator builds a Figure-1 shape; anything else must agree.
       if (Cfg.S == Strategy::RgMinus &&

@@ -13,6 +13,7 @@
 
 #include "bench/Programs.h"
 #include "core/Pipeline.h"
+#include "runtime_golden.h"
 
 #include <gtest/gtest.h>
 
@@ -193,35 +194,20 @@ TEST(GcPolicyTest, AdaptiveRunsMatchStaticRunsOnEveryObservable) {
 }
 
 TEST(GcPolicyTest, TreeAndFlatMakeIdenticalAdaptiveDecisions) {
-  // The adaptive rules consume only allocation word counts, which the
-  // two walkers produce identically by construction — so tree and flat
-  // must agree not just on results but on every policy decision.
+  // The adaptive rules consume only allocation word counts, so every
+  // policy decision is deterministic: each corpus program's adaptive
+  // run matches the runtime golden file, policy moves included.
   Compiler C;
   for (const bench::BenchProgram &P : bench::benchmarkSuite()) {
     auto Unit = C.compile(P.Source);
     ASSERT_NE(Unit, nullptr) << P.Name << ": " << C.diagnostics().str();
-    ASSERT_NE(Unit->Flat, nullptr) << P.Name;
 
     EvalOptions E;
     E.GcThresholdWords = 2048;
     E.AdaptiveGc = true;
-    RunResult Tree = C.run(*Unit, E);
-    RunResult Flat = Compiler::runFlat(*Unit->Flat, E);
-    ASSERT_EQ(Tree.Outcome, RunOutcome::Ok) << P.Name << ": " << Tree.Error;
-    ASSERT_EQ(Flat.Outcome, RunOutcome::Ok) << P.Name << ": " << Flat.Error;
-
-    EXPECT_EQ(Flat.ResultText, Tree.ResultText) << P.Name;
-    EXPECT_EQ(Flat.Output, Tree.Output) << P.Name;
-    EXPECT_EQ(Flat.Steps, Tree.Steps) << P.Name;
-    EXPECT_EQ(Flat.Heap.AllocWords, Tree.Heap.AllocWords) << P.Name;
-    EXPECT_EQ(Flat.Heap.GcCount, Tree.Heap.GcCount) << P.Name;
-    EXPECT_EQ(Flat.Heap.CopiedWords, Tree.Heap.CopiedWords) << P.Name;
-    EXPECT_EQ(Flat.Policy.ThresholdRaises, Tree.Policy.ThresholdRaises)
-        << P.Name;
-    EXPECT_EQ(Flat.Policy.ThresholdDrops, Tree.Policy.ThresholdDrops)
-        << P.Name;
-    EXPECT_EQ(Flat.Policy.FinalThresholdWords, Tree.Policy.FinalThresholdWords)
-        << P.Name;
+    RunResult R = C.run(*Unit, E);
+    ASSERT_EQ(R.Outcome, RunOutcome::Ok) << P.Name << ": " << R.Error;
+    golden::expectMatchesGolden("gc_policy/adaptive/" + P.Name, P.Source, R);
   }
 }
 
@@ -242,19 +228,16 @@ TEST(GcPolicyTest, AdaptiveGenerationalRunsStayDifferentiallyClean) {
 
   EvalOptions Adaptive = Static;
   Adaptive.AdaptiveGc = true;
-  RunResult Tree = C.run(*Unit, Adaptive);
-  RunResult Flat = Compiler::runFlat(*Unit->Flat, Adaptive);
-  ASSERT_EQ(Tree.Outcome, RunOutcome::Ok) << Tree.Error;
-  ASSERT_EQ(Flat.Outcome, RunOutcome::Ok) << Flat.Error;
+  RunResult R = C.run(*Unit, Adaptive);
+  ASSERT_EQ(R.Outcome, RunOutcome::Ok) << R.Error;
 
-  EXPECT_EQ(Tree.ResultText, Base.ResultText);
-  EXPECT_EQ(Tree.Output, Base.Output);
-  EXPECT_EQ(Tree.Steps, Base.Steps);
-  EXPECT_EQ(Tree.Heap.AllocWords, Base.Heap.AllocWords);
-  // Tree and flat agree on the full generational decision stream.
-  EXPECT_EQ(Flat.Heap.MinorGcCount, Tree.Heap.MinorGcCount);
-  EXPECT_EQ(Flat.Heap.MajorGcCount, Tree.Heap.MajorGcCount);
-  EXPECT_EQ(Flat.Policy.FinalMinorsPerMajor, Tree.Policy.FinalMinorsPerMajor);
+  EXPECT_EQ(R.ResultText, Base.ResultText);
+  EXPECT_EQ(R.Output, Base.Output);
+  EXPECT_EQ(R.Steps, Base.Steps);
+  EXPECT_EQ(R.Heap.AllocWords, Base.Heap.AllocWords);
+  // The full generational decision stream matches the golden file.
+  golden::expectMatchesGolden("gc_policy/adaptive-generational/nrev",
+                              P->Source, R);
 }
 
 TEST(GcPolicyTest, PauseBudgetBacksCollectionFrequencyOff) {

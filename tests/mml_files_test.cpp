@@ -5,12 +5,14 @@
 // paper's crash under rg-. The differential suite at the bottom runs
 // every shipped .mml under rg and rg-, each with the cross-request page
 // pool on and off, and demands the four configurations agree on every
-// observable.
+// observable; the last test pins every program under every strategy to
+// the runtime golden file.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Pipeline.h"
 #include "rt/PagePool.h"
+#include "runtime_golden.h"
 
 #include <algorithm>
 #include <filesystem>
@@ -140,12 +142,11 @@ TEST(MmlFiles, EveryProgramAgreesWithAndWithoutThePool) {
 }
 
 //===----------------------------------------------------------------------===//
-// Differential: the tree walk vs the flat interpreter, every shipped
-// program under every strategy. Two fresh Compilers per configuration —
-// one runs the tree, one encodes/decodes and runs the flat unit — so
-// the comparison also covers compile-side determinism (diagnostics and
-// spurious statistics), the serialisation round trip, and the full
-// runtime observables down to heap accounting.
+// Every shipped program under every strategy against the runtime golden
+// file (tests/runtime_golden.h). Two fresh Compilers per configuration,
+// so the test also covers compile-side determinism (diagnostics and
+// spurious statistics) and the serialisation round trip: the decoded
+// copy of the flat unit is what runs, exactly the disk-tier path.
 //===----------------------------------------------------------------------===//
 
 TEST(MmlFiles, EveryProgramAgreesBetweenTreeAndFlat) {
@@ -165,54 +166,36 @@ TEST(MmlFiles, EveryProgramAgreesBetweenTreeAndFlat) {
       CompileOptions Opts;
       Opts.Strat = Strat;
 
-      Compiler TreeC;
-      auto TreeU = TreeC.compile(Src, Opts);
-      ASSERT_NE(TreeU, nullptr) << TreeC.diagnostics().str();
+      Compiler C1;
+      auto U1 = C1.compile(Src, Opts);
+      ASSERT_NE(U1, nullptr) << C1.diagnostics().str();
 
-      Compiler FlatC;
-      auto FlatU = FlatC.compile(Src, Opts);
-      ASSERT_NE(FlatU, nullptr) << FlatC.diagnostics().str();
+      Compiler C2;
+      auto U2 = C2.compile(Src, Opts);
+      ASSERT_NE(U2, nullptr) << C2.diagnostics().str();
 
       // Compile-side determinism across independent Compilers.
-      EXPECT_EQ(FlatC.diagnostics().str(), TreeC.diagnostics().str());
-      EXPECT_EQ(FlatU->Spurious.TotalFunctions,
-                TreeU->Spurious.TotalFunctions);
-      EXPECT_EQ(FlatU->Spurious.SpuriousFunctions,
-                TreeU->Spurious.SpuriousFunctions);
-      EXPECT_EQ(FlatU->Spurious.TotalInsts, TreeU->Spurious.TotalInsts);
-      EXPECT_EQ(FlatU->Spurious.SpuriousBoxedInsts,
-                TreeU->Spurious.SpuriousBoxedInsts);
-      // Both flattenings encode to the same bytes (determinism), and the
-      // decoded copy is what actually executes below — exactly the
-      // disk-tier path.
-      ASSERT_NE(TreeU->Flat, nullptr);
-      ASSERT_NE(FlatU->Flat, nullptr);
-      std::string Bytes = flat::encodeFlat(*FlatU->Flat);
-      EXPECT_EQ(flat::encodeFlat(*TreeU->Flat), Bytes);
+      EXPECT_EQ(C2.diagnostics().str(), C1.diagnostics().str());
+      EXPECT_EQ(U2->Spurious.TotalFunctions, U1->Spurious.TotalFunctions);
+      EXPECT_EQ(U2->Spurious.SpuriousFunctions,
+                U1->Spurious.SpuriousFunctions);
+      EXPECT_EQ(U2->Spurious.TotalInsts, U1->Spurious.TotalInsts);
+      EXPECT_EQ(U2->Spurious.SpuriousBoxedInsts,
+                U1->Spurious.SpuriousBoxedInsts);
+      ASSERT_NE(U1->Flat, nullptr);
+      ASSERT_NE(U2->Flat, nullptr);
+      std::string Bytes = flat::encodeFlat(*U2->Flat);
+      EXPECT_EQ(flat::encodeFlat(*U1->Flat), Bytes);
       std::shared_ptr<const flat::FlatUnit> Decoded = flat::decodeFlat(Bytes);
       ASSERT_NE(Decoded, nullptr);
 
       rt::EvalOptions E;
       E.GcThresholdWords = 2048;
       E.RetainReleasedPages = true; // exact dangling detection for rg-
-      rt::RunResult Tree = TreeC.run(*TreeU, E);
-      rt::RunResult Flat = Compiler::runFlat(*Decoded, E);
-      EXPECT_EQ(Flat.Outcome, Tree.Outcome) << Tree.Error << Flat.Error;
-      EXPECT_EQ(Flat.Error, Tree.Error);
-      EXPECT_EQ(Flat.Output, Tree.Output);
-      EXPECT_EQ(Flat.ResultText, Tree.ResultText);
-      EXPECT_EQ(Flat.Steps, Tree.Steps);
-      EXPECT_EQ(Flat.Heap.AllocWords, Tree.Heap.AllocWords);
-      EXPECT_EQ(Flat.Heap.GcCount, Tree.Heap.GcCount);
-      EXPECT_EQ(Flat.Heap.MinorGcCount, Tree.Heap.MinorGcCount);
-      EXPECT_EQ(Flat.Heap.MajorGcCount, Tree.Heap.MajorGcCount);
-      EXPECT_EQ(Flat.Heap.CopiedWords, Tree.Heap.CopiedWords);
-      EXPECT_EQ(Flat.Heap.RegionsCreated, Tree.Heap.RegionsCreated);
-      EXPECT_EQ(Flat.Heap.FiniteRegionsCreated,
-                Tree.Heap.FiniteRegionsCreated);
-      EXPECT_EQ(Flat.Heap.PagesAllocated, Tree.Heap.PagesAllocated);
-      EXPECT_EQ(Flat.Heap.PeakHeapWords, Tree.Heap.PeakHeapWords);
-      EXPECT_EQ(Flat.GcPauses.size(), Tree.GcPauses.size());
+      golden::expectMatchesGolden(
+          "mml/" + std::filesystem::path(Path).filename().string() + "/" +
+              strategyName(Strat),
+          Src, Compiler::runFlat(*Decoded, E));
     }
   }
 }

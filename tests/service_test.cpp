@@ -228,7 +228,7 @@ TEST(CompileCacheTest, CostAwareEvictionOrderWithinAShard) {
   CachedCompileRef Small2 = compileShared(Src[1], Opts);
   CachedCompileRef Big = compileShared(ComposeProgram, Opts);
   ASSERT_TRUE(Small1->ok() && Small2->ok() && Big->ok());
-  // Cost is the frozen owner's arena footprint: same-shape programs
+  // Cost is the compile's arena footprint: same-shape programs
   // weigh the same, and the real program dwarfs the literals.
   ASSERT_EQ(Small1->Cost, Small2->Cost);
   ASSERT_GT(Big->Cost, 2 * Small1->Cost);
@@ -882,7 +882,7 @@ TEST(ServiceTest, StatsJsonShape) {
         "\"budget_auto_derived\":0", "\"shutdown_rejected\":0",
         "\"internal_errors\":0",
         "\"disk_hits\":0", "\"disk_misses\":0", "\"disk_write_errors\":0",
-        "\"disk_load_rejects\":0", "\"disk_hydrations\":0",
+        "\"disk_load_rejects\":0",
         // The cost model saw two admissions of one source: the first
         // prediction fell back to the prior, the second hit the entry
         // the first completion learned.

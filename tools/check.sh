@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-#===- tools/check.sh - Tier-1 verify + TSan concurrency gate -------------===#
+#===- tools/check.sh - Tier-1 verify + TSan and UBSan gates --------------===#
 #
 # The checks a change must pass before it lands:
 #
-#   1. configure + build + full ctest in build/ (the tier-1 suite), and
+#   1. configure + build + full ctest in build/ (the tier-1 suite),
 #   2. a -DRML_SANITIZE=thread build in build-tsan/ running the
 #      concurrency-sensitive labels: the service layer, the scheduler
 #      policies (completion-order and drain tests), and the
@@ -14,11 +14,13 @@
 #      the flat runnable IR (round-trip/corruption fuzz plus the
 #      warm-restart execute-from-disk service tests), the learned
 #      cost model (prediction/EWMA/budget units plus a multi-threaded
-#      coherence check), the memory system (GcPolicy units plus
-#      the adaptive-vs-static and tree-vs-flat differentials), and the
-#      capture-tracking analysis (report byte-identity across cache
-#      tiers and process restarts, the CaptureQuery wire kind, and the
-#      disk-format version gate).
+#      coherence check), the memory system (GcPolicy units plus the
+#      adaptive-vs-static differential and the golden adaptive runs),
+#      and the capture-tracking analysis (report byte-identity across
+#      cache tiers and process restarts, the CaptureQuery wire kind,
+#      and the disk-format version gate), and
+#   3. a -DRML_SANITIZE=undefined build in build-ubsan/ running the
+#      full suite, halting on the first undefined-behaviour report.
 #
 # Usage: tools/check.sh            # from anywhere inside the repo
 #
@@ -38,5 +40,11 @@ echo "== tsan: service + pool + sched + disk + net + flat + cost + mem + capture
 cmake -B "$ROOT/build-tsan" -S "$ROOT" -DRML_SANITIZE=thread
 cmake --build "$ROOT/build-tsan" -j "$JOBS"
 ctest --test-dir "$ROOT/build-tsan" -L 'service|pool|sched|disk|net|flat|cost|mem|capture' --output-on-failure
+
+echo "== ubsan: full test suite =="
+cmake -B "$ROOT/build-ubsan" -S "$ROOT" -DRML_SANITIZE=undefined
+cmake --build "$ROOT/build-ubsan" -j "$JOBS"
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+  ctest --test-dir "$ROOT/build-ubsan" --output-on-failure -j "$JOBS"
 
 echo "== check.sh: all green =="
