@@ -65,9 +65,6 @@ namespace rml {
 /// phase, in execution order, Skipped phases included (with zero cost),
 /// stopping only at a phase that fails outright (its profile never
 /// reaches the hook — the early diagnostic exit predates the governor).
-/// Observers that harvest per-phase cost distributions — the service
-/// CostModel's quantile rings, from which --auto-budget derives default
-/// budgets — ride on this contract rather than on a second callback.
 class PhaseGovernor {
 public:
   virtual ~PhaseGovernor();

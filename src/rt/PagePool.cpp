@@ -2,8 +2,6 @@
 
 #include "rt/PagePool.h"
 
-#include "rt/Topology.h"
-
 #include <algorithm>
 #include <functional>
 #include <thread>
@@ -39,33 +37,14 @@ PagePool::~PagePool() {
 
 const PagePool::ShardOrder &PagePool::shardOrder() {
   // Computed once per thread: workers land on (mostly) distinct home
-  // shards within their own NUMA node's partition and keep hitting the
-  // same one, so the fast path is one uncontended CAS.
+  // shards and keep hitting the same one, so the fast path is one
+  // uncontended CAS. Steals visit the other shards in rotation order.
   thread_local const ShardOrder Cached = [] {
     ShardOrder S;
-    const Topology &T = Topology::get();
-    const size_t NN =
-        std::min<size_t>(std::max(1u, T.numNodes()), NumShards);
-    const size_t Node = T.currentNode() % NN;
-    // Shard I belongs to node I mod NN: interleaved, so every node owns
-    // at least floor(NumShards/NN) shards.
-    std::array<uint8_t, NumShards> Mine{}, Others{};
-    size_t MineCnt = 0, OtherCnt = 0;
-    for (size_t I = 0; I < NumShards; ++I) {
-      if (I % NN == Node)
-        Mine[MineCnt++] = static_cast<uint8_t>(I);
-      else
-        Others[OtherCnt++] = static_cast<uint8_t>(I);
-    }
-    const size_t Hash =
-        std::hash<std::thread::id>{}(std::this_thread::get_id());
-    const size_t Rot = MineCnt ? Hash % MineCnt : 0;
-    size_t K = 0;
-    for (size_t I = 0; I < MineCnt; ++I)
-      S.Order[K++] = Mine[(Rot + I) % MineCnt];
-    for (size_t I = 0; I < OtherCnt; ++I)
-      S.Order[K++] = Others[I];
-    S.NodeCount = static_cast<uint8_t>(MineCnt ? MineCnt : 1);
+    const size_t Home =
+        std::hash<std::thread::id>{}(std::this_thread::get_id()) % NumShards;
+    for (size_t I = 0; I < NumShards; ++I)
+      S[I] = static_cast<uint8_t>((Home + I) % NumShards);
     return S;
   }();
   return Cached;
@@ -129,8 +108,8 @@ uint64_t *PagePool::popPage(Shard &S) {
 }
 
 size_t PagePool::reserveSlots(size_t Want) {
-  // Win capacity under the bound before touching a shard, so a
-  // concurrent release/prewarm mix can never overshoot MaxPages. The
+  // Win capacity under the bound before touching a shard, so
+  // concurrent releases can never overshoot MaxPages. The
   // arena holds exactly MaxPages nodes and every held node is covered
   // by a reserved slot, so a won slot guarantees a free node.
   size_t Cur = TotalFree.load(std::memory_order_relaxed);
@@ -151,18 +130,18 @@ size_t PagePool::reserveSlots(size_t Want) {
 std::unique_ptr<uint64_t[]> PagePool::acquire() {
   const ShardOrder &O = shardOrder();
   // Home-shard fast path: one CAS, no lock.
-  if (uint64_t *Page = popPage(Shards[O.Order[0]])) {
+  if (uint64_t *Page = popPage(Shards[O[0]])) {
     Hits.fetch_add(1, std::memory_order_relaxed);
     return std::unique_ptr<uint64_t[]>(Page);
   }
-  // Steal path: same-node shards first, then remote. The mutex only
+  // Steal path: the other shards in rotation order. The mutex only
   // serializes stealers against each other — threads hitting their
   // home shard never wait on it.
   if (TotalFree.load(std::memory_order_relaxed) > 0) {
     std::lock_guard<std::mutex> Lock(StealM);
     Locks.fetch_add(1, std::memory_order_relaxed);
     for (size_t I = 1; I < NumShards; ++I)
-      if (uint64_t *Page = popPage(Shards[O.Order[I]])) {
+      if (uint64_t *Page = popPage(Shards[O[I]])) {
         StealCount.fetch_add(1, std::memory_order_relaxed);
         Hits.fetch_add(1, std::memory_order_relaxed);
         return std::unique_ptr<uint64_t[]>(Page);
@@ -187,7 +166,7 @@ void PagePool::release(std::unique_ptr<uint64_t[]> Buf) {
   }
   Nodes[Idx].Page.store(Buf.release(), std::memory_order_relaxed);
   Accepted.fetch_add(1, std::memory_order_relaxed);
-  pushChain(Shards[shardOrder().Order[0]].Head, Idx, Idx);
+  pushChain(Shards[shardOrder()[0]].Head, Idx, Idx);
 }
 
 size_t PagePool::acquireMany(std::vector<std::unique_ptr<uint64_t[]>> &Out,
@@ -200,7 +179,7 @@ size_t PagePool::acquireMany(std::vector<std::unique_ptr<uint64_t[]>> &Out,
 
   // Detach the whole home chain once, take up to Pages off its front
   // (preserving LIFO order), and re-prepend any remainder with one CAS.
-  uint32_t Chain = detachChain(Shards[O.Order[0]].Head);
+  uint32_t Chain = detachChain(Shards[O[0]].Head);
   uint32_t TakenFirst = NoNode, TakenLast = NoNode;
   while (Chain != NoNode && Got < Pages) {
     uint32_t Idx = Chain;
@@ -218,7 +197,7 @@ size_t PagePool::acquireMany(std::vector<std::unique_ptr<uint64_t[]>> &Out,
     for (uint32_t Next;
          (Next = Nodes[Last].Next.load(std::memory_order_relaxed)) != NoNode;)
       Last = Next;
-    pushChain(Shards[O.Order[0]].Head, Chain, Last);
+    pushChain(Shards[O[0]].Head, Chain, Last);
   }
   if (TakenFirst != NoNode) {
     pushChain(FreeNodes, TakenFirst, TakenLast);
@@ -232,7 +211,7 @@ size_t PagePool::acquireMany(std::vector<std::unique_ptr<uint64_t[]>> &Out,
     Locks.fetch_add(1, std::memory_order_relaxed);
     for (size_t I = 1; I < NumShards && Got < Pages; ++I)
       while (Got < Pages) {
-        uint64_t *Page = popPage(Shards[O.Order[I]]);
+        uint64_t *Page = popPage(Shards[O[I]]);
         if (!Page)
           break;
         Out.emplace_back(Page);
@@ -281,30 +260,8 @@ void PagePool::releaseMany(std::vector<std::unique_ptr<uint64_t[]>> Bufs) {
   }
   if (Linked) {
     Accepted.fetch_add(Linked, std::memory_order_relaxed);
-    pushChain(Shards[shardOrder().Order[0]].Head, First, Last);
+    pushChain(Shards[shardOrder()[0]].Head, First, Last);
   }
-}
-
-size_t PagePool::prewarm(size_t Pages) {
-  const ShardOrder &O = shardOrder();
-  size_t Added = 0;
-  while (Added < Pages) {
-    if (reserveSlots(1) == 0)
-      break;
-    uint32_t Idx = popNode(FreeNodes);
-    if (Idx == NoNode) { // unreachable by the slot/node invariant
-      TotalFree.fetch_sub(1, std::memory_order_relaxed);
-      break;
-    }
-    auto Buf = std::make_unique<uint64_t[]>(PageWords);
-    Nodes[Idx].Page.store(Buf.release(), std::memory_order_relaxed);
-    // Spread across the calling thread's node partition only: a warm
-    // page on a remote node would miss the point of prewarming.
-    pushChain(Shards[O.Order[Added % O.NodeCount]].Head, Idx, Idx);
-    ++Added;
-  }
-  Prewarms.fetch_add(Added, std::memory_order_relaxed);
-  return Added;
 }
 
 void PagePool::trim() {
@@ -338,7 +295,6 @@ PagePoolStats PagePool::stats() const {
   Out.AcquireMisses = Misses.load(std::memory_order_relaxed);
   Out.Releases = Accepted.load(std::memory_order_relaxed);
   Out.Trims = Trims.load(std::memory_order_relaxed);
-  Out.Prewarmed = Prewarms.load(std::memory_order_relaxed);
   Out.Steals = StealCount.load(std::memory_order_relaxed);
   Out.BatchAcquires = BatchAcq.load(std::memory_order_relaxed);
   Out.BatchReleases = BatchRel.load(std::memory_order_relaxed);

@@ -25,17 +25,14 @@
 ///    makes the race benign by construction instead of by argument.
 ///    Heads carry a 32-bit ABA tag next to the 32-bit node index.
 ///
-///  * **NUMA-aware homing.** Shards are partitioned across the NUMA
-///    nodes reported by rt::Topology (single-node machines see the old
-///    behaviour); a thread's home shard is picked among its own node's
-///    shards, and prewarm fills the calling thread's node partition.
-///    An acquire that finds its home shard empty steals from the other
-///    shards — same-node shards first — before reporting a miss. Only
-///    stealers and trim() take the pool's one mutex; the home-shard
-///    hit path and release path are mutex-free, so a concurrent trim
-///    or steal storm can never serialize hot acquires. Mutex
-///    acquisitions are counted (LockAcquires) so benchmarks can show
-///    locks per request.
+///  * **Home shards.** A thread's home shard is its thread-id hash
+///    modulo NumShards. An acquire that finds its home shard empty
+///    steals from the other shards, in rotation order after the home
+///    one, before reporting a miss. Only stealers and trim() take the
+///    pool's one mutex; the home-shard hit path and release path are
+///    mutex-free, so a concurrent trim or steal storm can never
+///    serialize hot acquires. Mutex acquisitions are counted
+///    (LockAcquires) so benchmarks can show locks per request.
 ///
 ///  * **Batch hand-offs.** releaseMany prepends a whole heap's pages
 ///    as one pre-linked chain with a single CAS on the home shard —
@@ -87,7 +84,6 @@ struct PagePoolStats {
   uint64_t AcquireMisses = 0; // acquires that found the pool empty
   uint64_t Releases = 0;      // pages accepted into the pool
   uint64_t Trims = 0;         // pages freed (over capacity, or trim())
-  uint64_t Prewarmed = 0;     // pages allocated eagerly by prewarm()
   uint64_t Steals = 0;        // hits served from a non-home shard
   uint64_t BatchAcquires = 0; // acquireMany calls
   uint64_t BatchReleases = 0; // releaseMany calls
@@ -147,14 +143,6 @@ public:
   /// and freed outside any shared state.
   void trim();
 
-  /// Eagerly allocates up to \p Pages standard pages into the free
-  /// lists (spread round-robin across the calling thread's NUMA node's
-  /// shards), stopping at the capacity bound. A cold service otherwise
-  /// pays one allocator miss per page of the first request wave; a
-  /// prewarmed pool serves that wave entirely from reuse. Returns how
-  /// many pages were added.
-  size_t prewarm(size_t Pages);
-
   PagePoolStats stats() const;
   size_t freePages() const { return TotalFree.load(std::memory_order_relaxed); }
   size_t capacity() const { return MaxPages; }
@@ -186,12 +174,9 @@ private:
     std::atomic<uint64_t> Head{EmptyHead};
   };
 
-  /// This thread's home shard and its steal order (same-NUMA-node
-  /// shards before remote ones), computed once per thread.
-  struct ShardOrder {
-    std::array<uint8_t, NumShards> Order; // Order[0] is home
-    uint8_t NodeCount = NumShards;        // same-node prefix of Order
-  };
+  /// This thread's shard visiting order: element 0 is its home shard,
+  /// the rest the steal order. Computed once per thread.
+  using ShardOrder = std::array<uint8_t, NumShards>;
   static const ShardOrder &shardOrder();
 
   // Treiber primitives over the node arena.
@@ -220,7 +205,6 @@ private:
   std::atomic<uint64_t> Misses{0};
   std::atomic<uint64_t> Accepted{0};
   std::atomic<uint64_t> Trims{0};
-  std::atomic<uint64_t> Prewarms{0};
   std::atomic<uint64_t> StealCount{0};
   std::atomic<uint64_t> BatchAcq{0};
   std::atomic<uint64_t> BatchRel{0};

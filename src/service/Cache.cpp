@@ -27,19 +27,12 @@ CachedCompileRef rml::service::compileShared(std::string_view Source,
     CC->Flat = Unit->Flat;
   }
   CC->Profiles = C.lastPhaseProfiles();
-  CC->Cost = std::max<size_t>(1, C.arenaFootprint().total());
   return CC;
 }
 
-CompileCache::CompileCache(size_t Capacity, size_t CostCapacity,
-                           DiskCache *DiskTier)
-    : Cap(Capacity), CostCap(CostCapacity), Disk(DiskTier) {
-  // Entry capacity rounds up so tiny aggregate caps still admit one
-  // entry per shard; the cost budget divides evenly (tests pass
-  // multiples of NumShards when they need the bound exact).
-  ShardCap = Cap == 0 ? 0 : (Cap + NumShards - 1) / NumShards;
-  ShardCostCap = CostCap == 0 ? 0 : std::max<size_t>(1, CostCap / NumShards);
-}
+CompileCache::CompileCache(size_t Capacity, DiskCache *DiskTier)
+    : Cap(Capacity), ShardCap((Capacity + NumShards - 1) / NumShards),
+      Disk(DiskTier) {}
 
 CachedCompileRef CompileCache::lookup(const CacheKey &K) {
   Shard &S = Shards[shardOf(K)];
@@ -91,28 +84,19 @@ void CompileCache::insert(const CacheKey &K, CachedCompileRef V) {
 void CompileCache::insertLocked(Shard &S, const CacheKey &K,
                                 CachedCompileRef V) {
   ++S.C.Insertions;
-  size_t Cost = V ? V->Cost : 1;
   uint64_t Stamp = RecencyClock.fetch_add(1) + 1;
   auto It = S.Map.find(K);
   if (It != S.Map.end()) {
     // Lost a compile race: keep the freshest value, refresh recency.
-    S.TotalCost -= It->second->Value ? It->second->Value->Cost : 1;
-    S.TotalCost += Cost;
     It->second->Value = std::move(V);
     It->second->Stamp = Stamp;
     S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
   } else {
     S.Lru.push_front(Node{K, std::move(V), Stamp});
     S.Map.emplace(S.Lru.front().Key, S.Lru.begin());
-    S.TotalCost += Cost;
   }
-  // Evict by count, then by summed arena footprint; the freshest entry
-  // of the shard is never evicted (see the class comment).
-  while (S.Map.size() > ShardCap ||
-         (ShardCostCap != 0 && S.TotalCost > ShardCostCap &&
-          S.Map.size() > 1)) {
+  while (S.Map.size() > ShardCap) {
     const Node &Victim = S.Lru.back();
-    S.TotalCost -= Victim.Value ? Victim.Value->Cost : 1;
     S.Map.erase(Victim.Key);
     S.Lru.pop_back();
     ++S.C.Evictions;
@@ -136,15 +120,6 @@ size_t CompileCache::size() const {
   for (const Shard &S : Shards) {
     std::lock_guard<std::mutex> Lock(S.M);
     N += S.Map.size();
-  }
-  return N;
-}
-
-size_t CompileCache::totalCost() const {
-  size_t N = 0;
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.M);
-    N += S.TotalCost;
   }
   return N;
 }

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// A thread-safe, sharded LRU cache of compilations, content-addressed
-/// by (source, Strategy, SpuriousMode, Check) — see service/Hash.h —
+/// by (source, CompileOptions) — see service/Hash.h —
 /// with an optional persistent second tier (service/DiskCache.h).
 ///
 /// **One entry shape.** An entry holds only rendered products: the
@@ -23,12 +23,11 @@
 /// requests entirely from disk.
 ///
 /// **Sharding.** The map is split into NumShards key-hash-addressed
-/// shards, each with its own mutex, LRU list and cost budget, so
+/// shards, each with its own mutex, LRU list and entry budget, so
 /// workers contending on distinct keys proceed in parallel. The
-/// cost-eviction invariant ("the freshest entry is never evicted")
-/// holds per shard; the aggregate surface — counters(), size(),
-/// totalCost(), recencyHashes() — merges the shards, the last in
-/// global recency order via per-entry recency stamps.
+/// aggregate surface — counters(), size(), recencyHashes() — merges the
+/// shards, the last in global recency order via per-entry recency
+/// stamps.
 ///
 /// Failed compilations are cached too (Ok false, no Flat, rendered
 /// diagnostics): repeated ill-typed submissions are common in a serving
@@ -82,11 +81,6 @@ struct CachedCompile {
   /// Cache hits report these names as skipped/zero — the work was
   /// reused, not redone.
   std::vector<PhaseProfile> Profiles;
-  /// Eviction weight: the arena nodes the compile built
-  /// (Compiler::arenaFootprint().total(), at least 1), a measure of the
-  /// program's size. The cache bounds the sum of these, not the entry
-  /// count, so one huge program cannot pin it.
-  size_t Cost = 1;
 
   bool ok() const { return Ok; }
 
@@ -125,14 +119,10 @@ CachedCompileRef compileShared(std::string_view Source,
 /// shard's most recently used entry. Capacity 0 disables caching (every
 /// lookup misses, insert is a no-op).
 ///
-/// The entry capacity and the optional CostCapacity are split across
-/// shards (rounding the per-shard entry capacity up, so tiny caps still
-/// admit one entry per shard). Eviction is cost-aware per shard: beyond
-/// the entry count, the per-shard cost budget bounds the summed
-/// CachedCompile::Cost, evicting from the LRU end until the bound holds
-/// again. The most recently inserted entry of a shard always stays,
-/// even when it alone exceeds the budget — a cache that rejects its
-/// newest entry would re-compile it on every request.
+/// The entry capacity is split across shards, rounding the per-shard
+/// capacity up so tiny caps still admit one entry per shard. An insert
+/// beyond a shard's capacity evicts that shard's least recently used
+/// entry.
 ///
 /// With a DiskCache attached, a memory miss consults the disk tier
 /// (outside any shard lock) and promotes a verified hit into the shard;
@@ -155,8 +145,7 @@ public:
     return static_cast<size_t>((K.Hash * 0x9E3779B97F4A7C15ull) >> 61);
   }
 
-  explicit CompileCache(size_t Capacity, size_t CostCapacity = 0,
-                        DiskCache *Disk = nullptr);
+  explicit CompileCache(size_t Capacity, DiskCache *Disk = nullptr);
 
   /// Returns the cached compilation and refreshes its recency, or null.
   /// Counts a hit or a miss; a memory miss falls through to the disk
@@ -164,7 +153,7 @@ public:
   CachedCompileRef lookup(const CacheKey &K);
 
   /// Inserts (or refreshes) \p K, evicting the least recently used
-  /// entries of its shard beyond the per-shard budgets, and writes the
+  /// entry of its shard beyond the per-shard capacity, and writes the
   /// entry through to the disk tier. Two workers racing to insert the
   /// same key is benign: the second insert wins the map slot, and the
   /// first result stays valid for whoever already holds its shared_ptr.
@@ -173,9 +162,6 @@ public:
   Counters counters() const;
   size_t size() const;
   size_t capacity() const { return Cap; }
-  size_t costCapacity() const { return CostCap; }
-  /// Summed Cost of the resident entries, across shards.
-  size_t totalCost() const;
 
   /// Keys from most to least recently used, merged across shards by
   /// recency stamp (testing / introspection).
@@ -192,7 +178,6 @@ private:
 
   struct Shard {
     mutable std::mutex M;
-    size_t TotalCost = 0;
     std::list<Node> Lru; // front = most recent
     std::unordered_map<CacheKey, std::list<Node>::iterator, CacheKeyHash> Map;
     Counters C;
@@ -203,11 +188,9 @@ private:
   /// persisted).
   void insertLocked(Shard &S, const CacheKey &K, CachedCompileRef V);
 
-  size_t Cap;        // aggregate entry capacity (0 disables)
-  size_t CostCap;    // aggregate cost capacity (0 = unbounded)
-  size_t ShardCap;   // per-shard entry capacity
-  size_t ShardCostCap; // per-shard cost capacity
-  DiskCache *Disk;   // optional second tier (not owned)
+  size_t Cap;      // aggregate entry capacity (0 disables)
+  size_t ShardCap; // per-shard entry capacity
+  DiskCache *Disk; // optional second tier (not owned)
   std::atomic<uint64_t> RecencyClock{0};
   std::array<Shard, NumShards> Shards;
 };

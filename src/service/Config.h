@@ -54,10 +54,6 @@ struct ServiceConfig {
   size_t QueueCapacity = 256;
   /// LRU compile-cache entries; 0 disables caching.
   size_t CacheCapacity = 128;
-  /// Bound on the cache's summed CachedCompile::Cost (the arena nodes
-  /// each entry's compile built); 0 leaves cost unbounded (entry count
-  /// only).
-  size_t CacheCostCapacity = 0;
   /// Directory for the persistent compile-cache tier (rmlc --cache-dir):
   /// each successful or failed compile's static products are written as
   /// one content-hash-named file, and a memory miss consults the
@@ -83,10 +79,6 @@ struct ServiceConfig {
   /// that ask for RetainReleasedPages dangling detection bypass the
   /// pool regardless (see rt/PagePool.h).
   size_t PagePoolPages = rt::PagePool::DefaultMaxPages;
-  /// Eagerly allocate the pool's PagePoolPages at construction so the
-  /// first request wave runs entirely on recycled pages (a cold pool
-  /// pays one allocator miss per page instead).
-  bool PrewarmPool = false;
   /// Optional sink receiving every executed phase profile (static
   /// phases of cold compiles plus each request's runtime phase, whose
   /// GcPauses the sink can render nested). Non-owning; must be
@@ -105,21 +97,6 @@ struct ServiceConfig {
   /// runtime "run" phase is not budgeted (interrupting the interpreter
   /// mid-flight is a different mechanism).
   std::map<std::string, uint64_t> PhaseBudgets = {};
-  /// Derive default PhaseBudgets from the CostModel's observed per-phase
-  /// distributions (rmlc/rmld --auto-budget): once a phase has
-  /// BudgetMinSamples observations, cold compiles run under budget =
-  /// quantile(BudgetQuantile) x BudgetMultiplier nanos for that phase.
-  /// Explicit PhaseBudgets win (auto-derivation only fills an empty
-  /// map), and until enough history exists compiles run unbudgeted —
-  /// the model must never invent a budget from noise.
-  bool AutoBudget = false;
-  /// Observed-distribution quantile the derived budget starts from.
-  double BudgetQuantile = 0.95;
-  /// Headroom multiplier applied to the quantile: a derived budget
-  /// should catch pathological blowups, not routine variance.
-  double BudgetMultiplier = 8.0;
-  /// Per-phase observations required before a budget is derived.
-  size_t BudgetMinSamples = 32;
   /// DRR quantum for SchedPolicy::FairShare, in cost-key units
   /// (predicted nanos once the model has history): the credit each
   /// active tenant receives per round-robin round. Smaller is fairer

@@ -2,10 +2,7 @@
 
 #include "service/CostModel.h"
 
-#include "core/Pipeline.h"
-
 #include <algorithm>
-#include <cmath>
 
 using namespace rml;
 using namespace rml::service;
@@ -63,37 +60,6 @@ void CostModel::observe(uint64_t Hash, size_t SourceBytes,
         PriorCount ? Alpha * PerByte + (1.0 - Alpha) * PriorPerByte : PerByte;
     ++PriorCount;
   }
-}
-
-void CostModel::observePhase(const PhaseProfile &P) {
-  std::lock_guard<std::mutex> Lock(M);
-  PhaseRing &R = Rings[P.Name];
-  if (R.Samples.size() < RingCapacity) {
-    R.Samples.push_back(P.WallNanos);
-  } else {
-    R.Samples[R.Next] = P.WallNanos;
-    R.Next = (R.Next + 1) % RingCapacity;
-  }
-}
-
-std::map<std::string, uint64_t>
-CostModel::deriveBudgets(double Quantile, double Multiplier,
-                         size_t MinSamples) const {
-  std::map<std::string, uint64_t> Out;
-  double Q = std::clamp(Quantile, 0.0, 1.0);
-  std::lock_guard<std::mutex> Lock(M);
-  for (const auto &[Name, Ring] : Rings) {
-    if (Name == Compiler::RunPhaseName)
-      continue; // the runtime phase is not budgeted
-    if (Ring.Samples.size() < std::max<size_t>(MinSamples, 1))
-      continue;
-    std::vector<uint64_t> S = Ring.Samples;
-    size_t Idx = static_cast<size_t>(
-        std::llround(Q * static_cast<double>(S.size() - 1)));
-    std::nth_element(S.begin(), S.begin() + Idx, S.end());
-    Out[Name] = toNanos(static_cast<double>(S[Idx]) * Multiplier);
-  }
-  return Out;
 }
 
 CostModel::Snapshot CostModel::snapshot() const {

@@ -6,18 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The learned cost model behind scheduling, admission, and budget
-/// decisions. Every completed request feeds one observation — the summed
-/// wall time of its executed (non-Skipped) phases, keyed by the same
-/// FNV-1a content hash the compile cache uses — and three consumers read
-/// the accumulated state:
+/// The learned cost model behind scheduling and admission decisions.
+/// Every completed request feeds one observation — the summed wall time
+/// of its executed (non-Skipped) phases, keyed by the same FNV-1a
+/// content hash the compile cache uses — and two consumers read the
+/// accumulated state:
 ///
 ///   - the Scheduler's cost provider calls predict() so Ljf orders by
 ///     *predicted* processing nanos instead of raw source length;
 ///   - net::Server admission calls predict() to shed work whose learned
-///     cost already exceeds the client's deadline;
-///   - the Executor calls deriveBudgets() to turn observed per-phase
-///     distributions into default PhaseBudgets (--auto-budget).
+///     cost already exceeds the client's deadline.
 ///
 /// Never-seen sources fall back to a global *per-byte* prior (EWMA of
 /// cost/byte over cold compiles), so a cold prediction is PerByte x
@@ -38,9 +36,7 @@
 #include "support/Trace.h"
 
 #include <cstdint>
-#include <map>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -52,10 +48,6 @@ public:
   /// EWMA weight of the newest observation. High enough to converge in
   /// a handful of passes, low enough to ride out one noisy run.
   static constexpr double Alpha = 0.4;
-  /// Per-phase samples retained for quantile queries: a ring, so the
-  /// newest RingCapacity observations define the distribution budgets
-  /// are derived from.
-  static constexpr size_t RingCapacity = 512;
 
   /// One answer from predict().
   struct Prediction {
@@ -88,28 +80,9 @@ public:
   /// per-byte prior keeps meaning "a full compile costs this much per
   /// byte" and is not dragged down by cheap cache-hit runs. Callers
   /// skip Budget/Shutdown/InternalError outcomes — a cut-off's partial
-  /// cost is not the source's cost. The per-phase quantile rings are
-  /// NOT fed here: they ride the pipeline's governor hook (see
-  /// observePhase), which sees phases the sum never will — the phases
-  /// of a compile that was later cut off.
+  /// cost is not the source's cost.
   void observe(uint64_t Hash, size_t SourceBytes,
                const std::vector<PhaseProfile> &Profiles, bool UpdatePrior);
-
-  /// Lands one executed phase's wall nanos in its quantile ring. Fed
-  /// from PhaseGovernor::keepGoing — the pipeline's exactly-once
-  /// per-finished-phase observation stream — by the Executor's governor
-  /// on every cold compile. Skipped phases are the caller's to filter.
-  void observePhase(const PhaseProfile &P);
-
-  /// Derives per-phase budgets from the observed distributions: for
-  /// every static phase with at least \p MinSamples samples, budget =
-  /// quantile(\p Quantile) x \p Multiplier nanos. The runtime "run"
-  /// phase is never budgeted (PhaseBudgets bind compiles only). Returns
-  /// an empty map until enough history exists — callers treat that as
-  /// "no budgets yet", not "budget everything at zero".
-  std::map<std::string, uint64_t> deriveBudgets(double Quantile,
-                                                double Multiplier,
-                                                size_t MinSamples) const;
 
   Snapshot snapshot() const;
 
@@ -120,16 +93,8 @@ private:
     uint64_t Count = 0;
   };
 
-  /// Fixed-capacity ring of recent wall-nano samples for one phase.
-  struct PhaseRing {
-    std::vector<uint64_t> Samples;
-    size_t Next = 0;
-  };
-
   mutable std::mutex M;
   std::unordered_map<uint64_t, Entry> Entries;
-  /// Keyed by phase name; std::map for stable iteration in tests.
-  std::map<std::string, PhaseRing> Rings;
   double PriorPerByte = 0.0;
   uint64_t PriorCount = 0;
   mutable uint64_t Hits = 0;

@@ -123,10 +123,8 @@ void DiskCache::store(const CacheKey &K, const CachedCompile &V) const {
   std::string Buf;
   Buf.append(Magic, sizeof(Magic));
   putU32(Buf, FormatVersion);
-  Buf.push_back(static_cast<char>(K.Strat));
-  Buf.push_back(static_cast<char>(K.Spurious));
-  Buf.push_back(K.Check ? 1 : 0);
-  Buf.push_back(K.Captures ? 1 : 0);
+  for (uint8_t B : encodeOptions(K.Opts))
+    Buf.push_back(static_cast<char>(B));
   Buf.push_back(V.Ok ? 1 : 0);
   putU64(Buf, K.Hash);
   putStr(Buf, K.Source);
@@ -141,7 +139,6 @@ void DiskCache::store(const CacheKey &K, const CachedCompile &V) const {
   putU64(Buf, V.Profiles.size());
   for (const PhaseProfile &P : V.Profiles)
     putStr(Buf, P.Name);
-  putU64(Buf, V.Cost);
   // The runnable payload: the flat unit's own self-checking encoding
   // (magic, version, checksum) nested as one counted string. Successful
   // compiles always carry one; failed compiles persist presence 0.
@@ -194,8 +191,10 @@ CachedCompileRef DiskCache::load(const CacheKey &K) const {
     MagicOk = std::memcmp(FileMagic, Magic, sizeof(Magic)) == 0;
   }
   uint32_t Version = R.u32();
-  uint8_t Strat = R.u8(), Spurious = R.u8(), Check = R.u8();
-  uint8_t Captures = R.u8(), Ok = R.u8();
+  OptionBytes Options;
+  for (uint8_t &B : Options)
+    B = R.u8();
+  uint8_t Ok = R.u8();
   uint64_t Hash = R.u64();
   std::string Source = R.str();
   auto CC = std::make_shared<CachedCompile>();
@@ -219,7 +218,6 @@ CachedCompileRef DiskCache::load(const CacheKey &K) const {
     P.Skipped = true;
     CC->Profiles.push_back(std::move(P));
   }
-  CC->Cost = std::max<uint64_t>(1, R.u64());
   uint8_t HasFlat = R.u8();
   std::string FlatBytes = HasFlat == 1 ? R.str() : std::string();
 
@@ -230,9 +228,7 @@ CachedCompileRef DiskCache::load(const CacheKey &K) const {
   // differ — all reject to a miss. Never a wrong answer.
   if (!R.done() || !MagicOk || Version != FormatVersion ||
       HasFlat > 1 || Ok != HasFlat || Hash != K.Hash || Source != K.Source ||
-      Strat != static_cast<uint8_t>(K.Strat) ||
-      Spurious != static_cast<uint8_t>(K.Spurious) ||
-      Check != (K.Check ? 1 : 0) || Captures != (K.Captures ? 1 : 0)) {
+      Options != encodeOptions(K.Opts)) {
     ++LoadRejects;
     return nullptr;
   }

@@ -10,7 +10,7 @@
 /// pipeline is pure and deterministic per (source, CompileOptions) —
 /// the premise service/Hash.h documents — so the *static* products of a
 /// compilation (printed program, rendered diagnostics, the top-level
-/// scheme table, phase names and the eviction cost) are safe to persist
+/// scheme table and phase names) are safe to persist
 /// and reuse across process restarts: the same inputs can only ever
 /// produce the same bytes.
 ///
@@ -154,9 +154,9 @@ public:
   /// Current serialisation version; bumped on any format change so old
   /// files fail closed to a miss instead of being misparsed. Version 2
   /// appended the embedded flat unit; version 3 added the Captures
-  /// option byte and the persisted capture report; v1/v2 files are
-  /// version-rejected.
-  static constexpr uint32_t FormatVersion = 3;
+  /// option byte and the persisted capture report; version 4 dropped
+  /// the per-entry eviction cost; v1–v3 files are version-rejected.
+  static constexpr uint32_t FormatVersion = 4;
   /// First bytes of every entry file.
   static constexpr char Magic[8] = {'R', 'M', 'L', 'D', 'C', 'A', 'C', 'H'};
 

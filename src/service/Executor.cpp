@@ -32,22 +32,12 @@ namespace {
 /// executed phase whose wall time exceeds its (present) budget. Lives
 /// on the Executor's stack for exactly one compile, which compileShared
 /// runs on a Compiler that dies before it returns.
-///
-/// Doubles as the cost model's per-phase feed: keepGoing is the
-/// pipeline's exactly-once per-finished-phase observation stream (see
-/// PhaseGovernor in core/Pipeline.h), so each executed phase lands one
-/// sample in the model's quantile rings here — including the phases of
-/// a compile this very governor then cuts off, which the completion-
-/// level observe() deliberately never sees.
 class BudgetGovernor final : public PhaseGovernor {
 public:
-  BudgetGovernor(const std::map<std::string, uint64_t> &Budgets,
-                 CostModel *Model)
-      : Budgets(Budgets), Model(Model) {}
+  explicit BudgetGovernor(const std::map<std::string, uint64_t> &Budgets)
+      : Budgets(Budgets) {}
 
   bool keepGoing(const PhaseProfile &P) override {
-    if (Model && !P.Skipped)
-      Model->observePhase(P);
     auto It = Budgets.find(P.Name);
     // Absent = unlimited; a present 0 budgets out any executed phase
     // (real phases always take > 0 ns). Skipped phases cost nothing.
@@ -61,7 +51,6 @@ public:
 
 private:
   const std::map<std::string, uint64_t> &Budgets;
-  CostModel *Model;
   std::string TrippedPhase; // empty until a budget trips
 };
 
@@ -102,25 +91,9 @@ Response Executor::processImpl(const Request &Req) const {
     // Two workers racing on the same key both compile; the results are
     // bit-identical (the pipeline is deterministic) and the cache keeps
     // whichever insert lands last.
-    // Explicit budgets win; with --auto-budget and none set, the cost
-    // model's observed per-phase distributions supply them — once it
-    // has enough history (an empty derivation means "no budgets yet").
-    const std::map<std::string, uint64_t> *Budgets = &Cfg.PhaseBudgets;
-    std::map<std::string, uint64_t> Derived;
-    if (Cfg.AutoBudget && Cfg.PhaseBudgets.empty() && Model) {
-      Derived = Model->deriveBudgets(Cfg.BudgetQuantile, Cfg.BudgetMultiplier,
-                                     Cfg.BudgetMinSamples);
-      if (!Derived.empty()) {
-        Budgets = &Derived;
-        BudgetAutoDerived.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    // The governor is installed whenever there is a model to feed, not
-    // just when budgets bind: its hook is how per-phase samples reach
-    // the quantile rings.
-    BudgetGovernor Gov(*Budgets, Model);
+    BudgetGovernor Gov(Cfg.PhaseBudgets);
     CC = compileShared(Req.Source, Req.Opts,
-                       (Budgets->empty() && !Model) ? nullptr : &Gov);
+                       Cfg.PhaseBudgets.empty() ? nullptr : &Gov);
     Resp.Profiles = CC->Profiles;
     if (!Gov.tripped().empty()) {
       // Over budget: report which phase blew it and keep the entry out

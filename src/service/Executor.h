@@ -36,8 +36,7 @@ class CostModel;
 class Executor {
 public:
   /// All referents are non-owning and must outlive the Executor.
-  /// \p Model (nullable) receives one observation per completion and,
-  /// under ServiceConfig::AutoBudget, supplies derived phase budgets.
+  /// \p Model (nullable) receives one observation per completion.
   Executor(const ServiceConfig &Cfg, CompileCache &Cache, rt::PagePool *Pool,
            CostModel *Model = nullptr)
       : Cfg(Cfg), Cache(Cache), Pool(Pool), Model(Model) {}
@@ -50,14 +49,6 @@ public:
   /// finish the work).
   Response process(const Request &Req) const;
 
-  /// How many cold compiles ran under CostModel-derived budgets
-  /// (ServiceConfig::AutoBudget with an empty explicit PhaseBudgets and
-  /// enough per-phase history). Zero until the model has
-  /// BudgetMinSamples observations of some phase.
-  uint64_t budgetAutoDerived() const {
-    return BudgetAutoDerived.load(std::memory_order_relaxed);
-  }
-
 private:
   /// The cache/compile/run lifecycle; process() wraps it to feed the
   /// cost model exactly once per completion.
@@ -66,10 +57,8 @@ private:
   const ServiceConfig &Cfg;
   CompileCache &Cache;
   rt::PagePool *Pool;
-  /// Nullable; fed on completion, consulted for auto budgets.
+  /// Nullable; fed on completion.
   CostModel *Model;
-  /// Counts cold compiles governed by model-derived budgets.
-  mutable std::atomic<uint64_t> BudgetAutoDerived{0};
 };
 
 } // namespace rml::service

@@ -10,8 +10,8 @@
 /// and deterministic per (source, CompileOptions) — the same pair always
 /// yields the same region-annotated program, schemes and analyses — so a
 /// compilation is fully identified by hashing exactly the inputs the
-/// pipeline reads: the source text plus the Strategy / SpuriousMode /
-/// Check / Captures knobs. EvalOptions deliberately do NOT enter the
+/// pipeline reads: the source text plus the CompileOptions, encoded by
+/// encodeOptions(). EvalOptions deliberately do NOT enter the
 /// key; they only affect run(), which is recomputed per request.
 ///
 /// The hash is 64-bit FNV-1a: no dependencies, stable across platforms,
@@ -26,6 +26,7 @@
 
 #include "core/Pipeline.h"
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -56,16 +57,28 @@ private:
   uint64_t H = Offset;
 };
 
+/// The compile options as bytes, in a fixed order: strategy, spurious
+/// mode, check, captures. The key hash folds them in after the source
+/// and every disk entry stores and verifies them, so this is the one
+/// place a CompileOptions field becomes bytes: a new option is added to
+/// core/Pipeline.h and here, and nowhere else in the service.
+using OptionBytes = std::array<uint8_t, 4>;
+
+inline OptionBytes encodeOptions(const CompileOptions &Opts) {
+  return {static_cast<uint8_t>(Opts.Strat),
+          static_cast<uint8_t>(Opts.Spurious),
+          static_cast<uint8_t>(Opts.Check ? 1 : 0),
+          static_cast<uint8_t>(Opts.Captures ? 1 : 0)};
+}
+
 /// Hash of everything the static pipeline reads.
 inline uint64_t hashCompileInputs(std::string_view Source,
                                   const CompileOptions &Opts) {
-  return Fnv1a()
-      .bytes(Source)
-      .byte(static_cast<uint8_t>(Opts.Strat))
-      .byte(static_cast<uint8_t>(Opts.Spurious))
-      .byte(Opts.Check ? 1 : 0)
-      .byte(Opts.Captures ? 1 : 0)
-      .value();
+  Fnv1a H;
+  H.bytes(Source);
+  for (uint8_t B : encodeOptions(Opts))
+    H.byte(B);
+  return H.value();
 }
 
 /// The cache key: precomputed hash plus the exact inputs, so lookups are
@@ -73,26 +86,16 @@ inline uint64_t hashCompileInputs(std::string_view Source,
 struct CacheKey {
   uint64_t Hash = 0;
   std::string Source;
-  Strategy Strat = Strategy::Rg;
-  SpuriousMode Spurious = SpuriousMode::FreshSecondary;
-  bool Check = true;
-  bool Captures = false;
+  CompileOptions Opts;
 
   static CacheKey of(std::string_view Source, const CompileOptions &Opts) {
-    CacheKey K;
-    K.Hash = hashCompileInputs(Source, Opts);
-    K.Source = std::string(Source);
-    K.Strat = Opts.Strat;
-    K.Spurious = Opts.Spurious;
-    K.Check = Opts.Check;
-    K.Captures = Opts.Captures;
-    return K;
+    return {hashCompileInputs(Source, Opts), std::string(Source), Opts};
   }
 
   friend bool operator==(const CacheKey &A, const CacheKey &B) {
-    return A.Hash == B.Hash && A.Strat == B.Strat &&
-           A.Spurious == B.Spurious && A.Check == B.Check &&
-           A.Captures == B.Captures && A.Source == B.Source;
+    return A.Hash == B.Hash &&
+           encodeOptions(A.Opts) == encodeOptions(B.Opts) &&
+           A.Source == B.Source;
   }
   friend bool operator!=(const CacheKey &A, const CacheKey &B) {
     return !(A == B);

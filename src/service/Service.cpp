@@ -12,10 +12,7 @@ namespace {
 std::unique_ptr<rt::PagePool> makePool(const ServiceConfig &Cfg) {
   if (Cfg.PagePoolPages == 0)
     return nullptr;
-  auto P = std::make_unique<rt::PagePool>(Cfg.PagePoolPages);
-  if (Cfg.PrewarmPool)
-    P->prewarm(Cfg.PagePoolPages);
-  return P;
+  return std::make_unique<rt::PagePool>(Cfg.PagePoolPages);
 }
 
 std::unique_ptr<DiskCache> makeDisk(const ServiceConfig &Cfg) {
@@ -49,7 +46,7 @@ Response shutdownResponse() {
 
 Service::Service(ServiceConfig CfgIn)
     : Cfg(std::move(CfgIn)), Disk(makeDisk(Cfg)),
-      Cache(Cfg.CacheCapacity, Cfg.CacheCostCapacity, Disk.get()),
+      Cache(Cfg.CacheCapacity, Disk.get()),
       Pool(makePool(Cfg)), Exec(Cfg, Cache, Pool.get(), &Model),
       Started(std::chrono::steady_clock::now()),
       Sched(makeScheduler(Cfg.Policy, Cfg.FairShareQuantum)) {
@@ -375,7 +372,6 @@ ServiceStats Service::stats() const {
     Out.SweptBytes = DC.SweptBytes;
     Out.SweepErrors = DC.SweepErrors;
   }
-  Out.BudgetAutoDerived = Exec.budgetAutoDerived();
   CostModel::Snapshot MS = Model.snapshot();
   Out.CostModelEntries = MS.Entries;
   Out.CostModelHits = MS.Hits;
@@ -389,7 +385,6 @@ ServiceStats Service::stats() const {
     Out.PoolAcquireMisses = PS.AcquireMisses;
     Out.PoolReleases = PS.Releases;
     Out.PoolTrims = PS.Trims;
-    Out.PoolPrewarmed = PS.Prewarmed;
     Out.PoolSteals = PS.Steals;
     Out.PoolBatchAcquires = PS.BatchAcquires;
     Out.PoolBatchReleases = PS.BatchReleases;

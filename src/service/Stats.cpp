@@ -34,7 +34,6 @@ std::string ServiceStats::json() const {
       << ",\"completed\":" << Completed
       << ",\"compile_errors\":" << CompileErrors
       << ",\"budget_exceeded\":" << BudgetExceeded
-      << ",\"budget_auto_derived\":" << BudgetAutoDerived
       << ",\"internal_errors\":" << InternalErrors
       << ",\"runs_ok\":" << RunsOk << ",\"runs_failed\":" << RunsFailed
       << ",\"cache_hits\":" << CacheHits << ",\"cache_misses\":" << CacheMisses
@@ -57,7 +56,6 @@ std::string ServiceStats::json() const {
       << ",\"pool_misses\":" << PoolAcquireMisses
       << ",\"pool_releases\":" << PoolReleases
       << ",\"pool_trims\":" << PoolTrims
-      << ",\"pool_prewarmed\":" << PoolPrewarmed
       << ",\"pool_steals\":" << PoolSteals
       << ",\"pool_batch_acquires\":" << PoolBatchAcquires
       << ",\"pool_batch_releases\":" << PoolBatchReleases

@@ -53,10 +53,6 @@ struct ServiceStats {
   /// Requests cut off by a ServiceConfig::PhaseBudgets budget
   /// (RequestOutcome::Budget). Disjoint from CompileErrors.
   uint64_t BudgetExceeded = 0;
-  /// Cold compiles that ran under CostModel-derived budgets
-  /// (--auto-budget with enough per-phase history). Zero until the
-  /// model accumulates ServiceConfig::BudgetMinSamples observations.
-  uint64_t BudgetAutoDerived = 0;
   /// Requests whose processing threw (RequestOutcome::InternalError).
   /// The worker survived and the caller got a resolved response.
   uint64_t InternalErrors = 0;
@@ -98,7 +94,6 @@ struct ServiceStats {
   uint64_t PoolAcquireMisses = 0;
   uint64_t PoolReleases = 0;
   uint64_t PoolTrims = 0;
-  uint64_t PoolPrewarmed = 0;
   /// v2 pool counters: hits served off a non-home shard, batch API
   /// calls, and mutex acquisitions (steal scans and trims only — the
   /// home-shard paths are lock-free, so locks per request is the

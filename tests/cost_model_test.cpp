@@ -3,17 +3,14 @@
 // The CostModel in isolation: the bootstrap and per-byte-prior
 // prediction ladder (and its FromPrior marking, which admission's
 // never-shed-cold rule rides on), EWMA convergence of per-key entries,
-// the prior's cold-completions-only update rule, budget derivation from
-// the per-phase quantile rings (run-phase exclusion, minimum-sample
-// gating, multiplier), and the snapshot counters /stats exposes.
+// the prior's cold-completions-only update rule, and the snapshot
+// counters /stats exposes.
 // Labelled `cost` in ctest and expected to be clean under
 // -DRML_SANITIZE=thread.
 //
 //===----------------------------------------------------------------------===//
 
 #include "service/CostModel.h"
-
-#include "core/Pipeline.h"
 
 #include <gtest/gtest.h>
 
@@ -101,40 +98,6 @@ TEST(CostModelUnit, PerBytePriorScalesColdPredictions) {
   EXPECT_FALSE(M.predict(2, 100).FromPrior);
 }
 
-TEST(CostModelUnit, DeriveBudgetsGatesOnSamplesAndExcludesRun) {
-  CostModel M;
-  // 100 parse samples of 10..1000ns (uniform), plus run-phase samples
-  // that must never produce a budget (budgets bind compiles only).
-  for (uint64_t I = 1; I <= 100; ++I) {
-    M.observePhase(phase("parse", I * 10));
-    M.observePhase(phase(Compiler::RunPhaseName, I * 1000));
-  }
-  // Not enough history yet under a higher gate: empty means "no
-  // budgets", never "budget everything at zero".
-  EXPECT_TRUE(M.deriveBudgets(0.95, 8.0, 101).empty());
-
-  std::map<std::string, uint64_t> B = M.deriveBudgets(0.95, 8.0, 100);
-  ASSERT_EQ(B.size(), 1u);
-  ASSERT_TRUE(B.count("parse"));
-  EXPECT_FALSE(B.count(Compiler::RunPhaseName));
-  // p95 of 10,20,...,1000 sits at sample index round(0.95 * 99) = 94
-  // (zero-based) = 950ns; the safety multiplier scales it to 7600.
-  EXPECT_EQ(B["parse"], 7600u);
-}
-
-TEST(CostModelUnit, PhaseRingRetainsOnlyTheNewestSamples) {
-  CostModel M;
-  // Overfill the ring with cheap samples, then refill it entirely with
-  // expensive ones: the quantile must reflect only the survivors.
-  for (size_t I = 0; I < CostModel::RingCapacity; ++I)
-    M.observePhase(phase("parse", 10));
-  for (size_t I = 0; I < CostModel::RingCapacity; ++I)
-    M.observePhase(phase("parse", 1000));
-  std::map<std::string, uint64_t> B = M.deriveBudgets(0.5, 1.0, 1);
-  ASSERT_TRUE(B.count("parse"));
-  EXPECT_EQ(B["parse"], 1000u);
-}
-
 TEST(CostModelUnit, SnapshotCountsEntriesHitsAndPriorUses) {
   CostModel M;
   CostModel::Snapshot S0 = M.snapshot();
@@ -166,7 +129,6 @@ TEST(CostModelUnit, ConcurrentObserversAndPredictorsStayCoherent) {
       for (int I = 0; I < PerThread; ++I) {
         uint64_t Hash = static_cast<uint64_t>(T * PerThread + I);
         M.observe(Hash, 10, {phase("parse", 100)}, true);
-        M.observePhase(phase("parse", 100));
         M.predict(Hash, 10);
       }
     });
@@ -177,7 +139,6 @@ TEST(CostModelUnit, ConcurrentObserversAndPredictorsStayCoherent) {
   // Every predict followed its own observe: all hits, no prior uses.
   EXPECT_EQ(S.Hits, static_cast<uint64_t>(Threads * PerThread));
   EXPECT_EQ(S.PriorUses, 0u);
-  EXPECT_EQ(M.deriveBudgets(0.95, 1.0, 1).at("parse"), 100u);
 }
 
 } // namespace

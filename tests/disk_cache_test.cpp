@@ -112,7 +112,6 @@ TEST(DiskCacheTest, RoundTripIsByteIdentical) {
   EXPECT_EQ(Loaded->Diagnostics, Fresh->Diagnostics);
   EXPECT_EQ(Loaded->Schemes, Fresh->Schemes);
   EXPECT_EQ(Loaded->schemeOf("compose"), Fresh->schemeOf("compose"));
-  EXPECT_EQ(Loaded->Cost, Fresh->Cost);
   // Phase names survive (as skipped profiles — the work was not redone).
   ASSERT_EQ(Loaded->Profiles.size(), Fresh->Profiles.size());
   for (size_t I = 0; I < Loaded->Profiles.size(); ++I) {
@@ -272,9 +271,120 @@ TEST(DiskCacheTest, HashCollisionFailsClosed) {
   // Options are part of the identity too: same source, same hash,
   // different checker toggle must also fail closed.
   CacheKey OptForged = K;
-  OptForged.Check = !OptForged.Check;
+  OptForged.Opts.Check = !OptForged.Opts.Check;
   EXPECT_EQ(Disk.load(OptForged), nullptr);
   EXPECT_EQ(Disk.counters().LoadRejects, 2u);
+}
+
+void putU64(std::string &Out, uint64_t V) {
+  for (int I = 0; I < 8; ++I)
+    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
+}
+
+void putStr(std::string &Out, std::string_view S) {
+  putU64(Out, S.size());
+  Out.append(S.data(), S.size());
+}
+
+/// The bytes of an entry file for \p V under \p K, written field by
+/// field. Version 3 carried a u64 eviction cost between the phase names
+/// and the flat presence byte; version 4 dropped it.
+std::string entryBytes(uint32_t Version, const CacheKey &K,
+                       const CachedCompile &V) {
+  std::string Out(DiskCache::Magic, sizeof(DiskCache::Magic));
+  for (int I = 0; I < 4; ++I)
+    Out.push_back(static_cast<char>((Version >> (8 * I)) & 0xff));
+  for (uint8_t B : encodeOptions(K.Opts))
+    Out.push_back(static_cast<char>(B));
+  Out.push_back(V.Ok ? 1 : 0);
+  putU64(Out, K.Hash);
+  putStr(Out, K.Source);
+  putStr(Out, V.Diagnostics);
+  putStr(Out, V.Printed);
+  putStr(Out, V.CaptureReport);
+  putU64(Out, V.Schemes.size());
+  for (const auto &[Name, Scheme] : V.Schemes) {
+    putStr(Out, Name);
+    putStr(Out, Scheme);
+  }
+  putU64(Out, V.Profiles.size());
+  for (const PhaseProfile &P : V.Profiles)
+    putStr(Out, P.Name);
+  if (Version == 3)
+    putU64(Out, 1234); // the eviction cost
+  Out.push_back(V.Flat ? 1 : 0);
+  if (V.Flat)
+    putStr(Out, flat::encodeFlat(*V.Flat));
+  return Out;
+}
+
+TEST(DiskCacheTest, WellFormedVersion3EntryIsACountedReject) {
+  ScratchDir Dir("v3");
+  DiskCache Disk(Dir.str());
+  CacheKey K;
+  fs::path File = storeComposeEntry(Disk, Dir.Path, K);
+  CachedCompileRef Fresh = compileShared(ComposeProgram, K.Opts);
+
+  // The field-by-field writer reproduces the current format exactly,
+  // so its version-3 output is a well-formed entry of that version.
+  ASSERT_EQ(readFileBytes(File),
+            entryBytes(DiskCache::FormatVersion, K, *Fresh));
+  writeFileBytes(File, entryBytes(3, K, *Fresh));
+  EXPECT_EQ(Disk.load(K), nullptr);
+  EXPECT_EQ(Disk.counters().LoadRejects, 1u);
+  EXPECT_EQ(Disk.counters().Hits, 0u);
+}
+
+TEST(DiskCacheTest, EveryOptionCombinationIsItsOwnEntry) {
+  // 3 strategies x 2 spurious modes x check x captures.
+  std::vector<CompileOptions> All;
+  for (Strategy St : {Strategy::Rg, Strategy::RgMinus, Strategy::R})
+    for (SpuriousMode Sp :
+         {SpuriousMode::FreshSecondary, SpuriousMode::IdentifyWithFun})
+      for (bool Check : {false, true})
+        for (bool Captures : {false, true}) {
+          CompileOptions O;
+          O.Strat = St;
+          O.Spurious = Sp;
+          O.Check = Check;
+          O.Captures = Captures;
+          All.push_back(O);
+        }
+  ASSERT_EQ(All.size(), 24u);
+
+  const char *Src = "let val f = fn x => x in f 1 end";
+  std::vector<CacheKey> Keys;
+  for (const CompileOptions &O : All)
+    Keys.push_back(CacheKey::of(Src, O));
+  for (size_t I = 0; I < Keys.size(); ++I)
+    for (size_t J = I + 1; J < Keys.size(); ++J) {
+      EXPECT_NE(Keys[I], Keys[J]) << I << " vs " << J;
+      EXPECT_NE(Keys[I].Hash, Keys[J].Hash) << I << " vs " << J;
+    }
+
+  // Store under each combination, then present that entry to a load
+  // under every other combination: the file sits at the other key's
+  // name and claims its hash, so only the option bytes differ.
+  ScratchDir Dir("options");
+  DiskCache Disk(Dir.str());
+  uint64_t Rejects = 0;
+  for (size_t I = 0; I < Keys.size(); ++I) {
+    CachedCompileRef CC = compileShared(Src, All[I]);
+    Disk.store(Keys[I], *CC);
+    ASSERT_NE(Disk.load(Keys[I]), nullptr) << I;
+    for (size_t J = 0; J < Keys.size(); ++J) {
+      if (J == I)
+        continue;
+      CacheKey Forged = Keys[I];
+      Forged.Hash = Keys[J].Hash;
+      fs::path Other = Dir.Path / DiskCache::entryFileName(Keys[J].Hash);
+      writeFileBytes(Other, entryBytes(DiskCache::FormatVersion, Forged, *CC));
+      EXPECT_EQ(Disk.load(Keys[J]), nullptr) << I << " loaded as " << J;
+      EXPECT_EQ(Disk.counters().LoadRejects, ++Rejects);
+      fs::remove(Other);
+    }
+  }
+  EXPECT_EQ(Disk.counters().Hits, Keys.size());
 }
 
 TEST(DiskCacheTest, UnwritableDirectoryCountsWriteErrors) {

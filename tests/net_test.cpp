@@ -695,7 +695,6 @@ TEST(NetServer, HttpHealthzStatsAnd404) {
     EXPECT_NE(Resp.find("\"uptime_seconds\":"), std::string::npos);
     // The cost-model block rides along for operators tuning admission.
     EXPECT_NE(Resp.find("\"cost_model\":{"), std::string::npos);
-    EXPECT_NE(Resp.find("\"budget_auto_derived\":"), std::string::npos);
   }
   {
     TestClient C(F.Srv.port());

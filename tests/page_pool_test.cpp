@@ -107,42 +107,6 @@ TEST(PagePoolTest, CountersStayConsistentUnderMixedTraffic) {
   EXPECT_EQ(S.AcquireHits + S.AcquireMisses, 18u);
 }
 
-TEST(PagePoolTest, PrewarmFillsToCapacityAndPinsZeroMisses) {
-  PagePool Pool(8);
-  EXPECT_EQ(Pool.prewarm(8), 8u);
-  PagePoolStats S0 = Pool.stats();
-  EXPECT_EQ(S0.Prewarmed, 8u);
-  EXPECT_EQ(S0.FreePages, 8u);
-
-  // The entire first wave of demand is served without one allocator
-  // round-trip: eight hits, zero misses.
-  for (int I = 0; I < 8; ++I)
-    EXPECT_NE(Pool.acquire(), nullptr) << "page " << I;
-  PagePoolStats S1 = Pool.stats();
-  EXPECT_EQ(S1.AcquireHits, 8u);
-  EXPECT_EQ(S1.AcquireMisses, 0u);
-  EXPECT_EQ(S1.FreePages, 0u);
-
-  // Only the ninth acquire — beyond what was prewarmed — misses.
-  EXPECT_EQ(Pool.acquire(), nullptr);
-  EXPECT_EQ(Pool.stats().AcquireMisses, 1u);
-}
-
-TEST(PagePoolTest, PrewarmRespectsTheCapacityBound) {
-  PagePool Pool(4);
-  EXPECT_EQ(Pool.prewarm(100), 4u); // clamped, not overshot
-  EXPECT_EQ(Pool.freePages(), 4u);
-  EXPECT_EQ(Pool.stats().Prewarmed, 4u);
-  EXPECT_EQ(Pool.prewarm(1), 0u); // already full
-  EXPECT_EQ(Pool.freePages(), 4u);
-
-  // Prewarmed pages and released pages share the capacity accounting:
-  // a release into the full pool is trimmed, not stacked on top.
-  Pool.release(standardBuffer());
-  EXPECT_EQ(Pool.freePages(), 4u);
-  EXPECT_EQ(Pool.stats().Trims, 1u);
-}
-
 TEST(PagePoolTest, HomeShardTrafficNeverTakesTheMutex) {
   // The v2 contract: same-thread release/acquire pairs ride the
   // lock-free home-shard fast path; the pool's one mutex is reserved
@@ -157,15 +121,30 @@ TEST(PagePoolTest, HomeShardTrafficNeverTakesTheMutex) {
 }
 
 TEST(PagePoolTest, AcquireStealsFromOtherShardsBeforeMissing) {
-  // prewarm spreads round-robin across this thread's node partition, so
-  // with one page per shard all but the home shard's page must be
-  // served by steal scans — each of which takes the mutex.
-  PagePool Pool(PagePool::NumShards);
-  ASSERT_EQ(Pool.prewarm(PagePool::NumShards), PagePool::NumShards);
-  for (size_t I = 0; I < PagePool::NumShards; ++I)
+  // A release lands on the releasing thread's home shard (its thread-id
+  // hash modulo NumShards). Sixteen live helper threads release one page
+  // each, so pages sit on several shards; every acquire on this thread
+  // must hit, and the pages off its home shard are served by steal
+  // scans, each of which takes the mutex. Keeping the helpers alive
+  // until all have released keeps their thread ids distinct.
+  constexpr size_t Helpers = 16;
+  PagePool Pool(Helpers);
+  std::atomic<size_t> Released{0};
+  std::vector<std::thread> Ts;
+  for (size_t I = 0; I < Helpers; ++I)
+    Ts.emplace_back([&] {
+      Pool.release(standardBuffer());
+      Released.fetch_add(1);
+      while (Released.load() < Helpers)
+        std::this_thread::yield();
+    });
+  for (std::thread &T : Ts)
+    T.join();
+  ASSERT_EQ(Pool.freePages(), Helpers);
+  for (size_t I = 0; I < Helpers; ++I)
     EXPECT_NE(Pool.acquire(), nullptr) << "page " << I;
   PagePoolStats S = Pool.stats();
-  EXPECT_EQ(S.AcquireHits, PagePool::NumShards);
+  EXPECT_EQ(S.AcquireHits, Helpers);
   EXPECT_EQ(S.AcquireMisses, 0u); // nothing missed while pages remained
   EXPECT_GT(S.Steals, 0u);
   EXPECT_GT(S.LockAcquires, 0u);
@@ -258,7 +237,7 @@ TEST(PagePoolTest, ConcurrentTrimNeverLosesOrDoublesAPage) {
   Trimmer.join();
 
   PagePoolStats S = Pool.stats();
-  EXPECT_EQ(S.Releases + S.Prewarmed,
+  EXPECT_EQ(S.Releases,
             S.AcquireHits + (S.Trims - (8000 - S.Releases)) + S.FreePages)
       << "pages in != pages out (trims over capacity excluded)";
   EXPECT_LE(S.FreePages, Pool.capacity());

@@ -219,63 +219,6 @@ TEST(CompileCacheTest, CapacityEvictionOrderWithinAShard) {
   EXPECT_EQ(C.Misses, 1u); // K2 after eviction
 }
 
-TEST(CompileCacheTest, CostAwareEvictionOrderWithinAShard) {
-  CompileOptions Opts;
-  // The two literals must share the big program's shard for the cost
-  // budget (a per-shard bound) to weigh them against each other.
-  std::vector<std::string> Src = sameShardSources(2, Opts, ComposeProgram);
-  CachedCompileRef Small1 = compileShared(Src[0], Opts);
-  CachedCompileRef Small2 = compileShared(Src[1], Opts);
-  CachedCompileRef Big = compileShared(ComposeProgram, Opts);
-  ASSERT_TRUE(Small1->ok() && Small2->ok() && Big->ok());
-  // Cost is the compile's arena footprint: same-shape programs
-  // weigh the same, and the real program dwarfs the literals.
-  ASSERT_EQ(Small1->Cost, Small2->Cost);
-  ASSERT_GT(Big->Cost, 2 * Small1->Cost);
-
-  // Entry capacity far above what's inserted: only the cost bound can
-  // evict. The aggregate cost capacity divides by NumShards, leaving
-  // each shard room for one small entry plus the big one.
-  CompileCache Cache(10 * CompileCache::NumShards,
-                     CompileCache::NumShards * (Small1->Cost + Big->Cost));
-  CacheKey K1 = CacheKey::of(Src[0], Opts), K2 = CacheKey::of(Src[1], Opts),
-           KBig = CacheKey::of(ComposeProgram, Opts);
-  Cache.insert(K1, Small1);
-  Cache.insert(K2, Small2);
-  EXPECT_EQ(Cache.totalCost(), 2 * Small1->Cost);
-  EXPECT_EQ(Cache.counters().Evictions, 0u);
-
-  // Touch K1 so K2 is the LRU victim, then let the big entry blow the
-  // shard's cost budget: K2 goes, K1 stays — eviction follows recency
-  // but is triggered by weight, not count.
-  EXPECT_NE(Cache.lookup(K1), nullptr);
-  Cache.insert(KBig, Big);
-  EXPECT_EQ(Cache.size(), 2u);
-  EXPECT_EQ(Cache.lookup(K2), nullptr);
-  EXPECT_NE(Cache.lookup(K1), nullptr);
-  EXPECT_NE(Cache.lookup(KBig), nullptr);
-  EXPECT_EQ(Cache.counters().Evictions, 1u);
-  EXPECT_EQ(Cache.totalCost(), Small1->Cost + Big->Cost);
-  EXPECT_LE(Cache.totalCost(), Cache.costCapacity());
-}
-
-TEST(CompileCacheTest, FreshestEntrySurvivesAnImpossibleCostBound) {
-  // A bound smaller than any entry: the newest insert in a shard still
-  // stays resident (evicting it would force a recompile per request),
-  // while every older same-shard entry is pushed out.
-  CompileOptions Opts;
-  // Aggregate NumShards -> one cost unit per shard.
-  CompileCache Cache(10 * CompileCache::NumShards, CompileCache::NumShards);
-  std::vector<std::string> Src = sameShardSources(2, Opts, "0");
-  CacheKey K1 = CacheKey::of(Src[0], Opts), K2 = CacheKey::of(Src[1], Opts);
-  Cache.insert(K1, compileShared(Src[0], Opts));
-  EXPECT_EQ(Cache.size(), 1u); // alone over budget, but kept
-  Cache.insert(K2, compileShared(Src[1], Opts));
-  EXPECT_EQ(Cache.size(), 1u);
-  EXPECT_EQ(Cache.lookup(K1), nullptr);
-  EXPECT_NE(Cache.lookup(K2), nullptr);
-}
-
 TEST(CompileCacheTest, KeysSpreadAcrossShards) {
   // Fibonacci mixing must not funnel consecutive FNV hashes into one
   // shard: a hundred tiny programs should touch most of the 8 shards.
@@ -309,15 +252,12 @@ TEST(CompileCacheTest, RecencyMergesAcrossShards) {
 }
 
 TEST(CompileCacheTest, ShardedStressUnderContention) {
-  // Eight threads hammer one sharded cache with overlapping keys and a
-  // cost bound tight enough to keep evicting. TSan-checked; afterwards
+  // Eight threads hammer one sharded cache with overlapping keys and an
+  // entry bound tight enough to keep evicting. TSan-checked; afterwards
   // the aggregate invariants must hold.
   CompileOptions Opts;
-  CachedCompileRef Probe = compileShared("0", Opts);
-  ASSERT_TRUE(Probe->ok());
-  // Room for ~3 literal-sized entries per shard by cost.
-  CompileCache Cache(4 * CompileCache::NumShards,
-                     3 * Probe->Cost * CompileCache::NumShards);
+  // Room for 3 entries per shard: 24 keys over 8 shards keep evicting.
+  CompileCache Cache(3 * CompileCache::NumShards);
 
   constexpr int Threads = 8, Iters = 120, KeySpace = 24;
   std::atomic<int> Failures{0};
@@ -878,8 +818,7 @@ TEST(ServiceTest, StatsJsonShape) {
         "\"queue_depth\":0", "\"in_flight\":0", "\"uptime_seconds\":",
         "\"utilization\":", "\"pool_hits\":", "\"pool_misses\":",
         "\"pool_releases\":", "\"pool_capacity\":1024", "\"pool_reuse\":",
-        "\"pool_prewarmed\":0", "\"budget_exceeded\":0",
-        "\"budget_auto_derived\":0", "\"shutdown_rejected\":0",
+        "\"budget_exceeded\":0", "\"shutdown_rejected\":0",
         "\"internal_errors\":0",
         "\"disk_hits\":0", "\"disk_misses\":0", "\"disk_write_errors\":0",
         "\"disk_load_rejects\":0",
@@ -997,35 +936,6 @@ TEST(ServiceTest, TrySubmitAfterShutdownResolvesNotNullopt) {
   EXPECT_FALSE(R.CompileOk);
   EXPECT_NE(R.Diagnostics.find("shut down"), std::string::npos);
   EXPECT_EQ(Svc.stats().Rejected, 0u); // not a load-shed
-}
-
-TEST(ServiceTest, PrewarmedPoolServesTheFirstWaveWithoutMisses) {
-  // One worker serialises the runs, so each run's page demand (well
-  // under the pool's capacity at the default GC threshold) is met from
-  // the prewarmed stock, and teardown restocks it before the next run.
-  ServiceConfig Cfg;
-  Cfg.Workers = 1;
-  Cfg.QueueCapacity = 8;
-  Cfg.CacheCapacity = 8;
-  Cfg.PrewarmPool = true;
-  Service Svc(Cfg);
-
-  ServiceStats S0 = Svc.stats();
-  EXPECT_EQ(S0.PoolPrewarmed, Cfg.PagePoolPages);
-  EXPECT_EQ(S0.PoolFreePages, Cfg.PagePoolPages);
-
-  Request Req;
-  Req.Source = ComposeProgram;
-  std::vector<std::future<Response>> Futures;
-  for (int I = 0; I < 4; ++I)
-    Futures.push_back(Svc.submit(Req));
-  for (auto &F : Futures)
-    ASSERT_EQ(F.get().Outcome, rt::RunOutcome::Ok);
-
-  ServiceStats S = Svc.stats();
-  EXPECT_GT(S.PoolAcquireHits, 0u);
-  EXPECT_EQ(S.PoolAcquireMisses, 0u) << "first wave hit the allocator";
-  EXPECT_EQ(S.poolReuseRatio(), 1.0);
 }
 
 TEST(ServiceTest, AggregatesGcCountsAcrossRequests) {

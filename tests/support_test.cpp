@@ -3,6 +3,7 @@
 #include "service/Stats.h"
 #include "support/Diagnostics.h"
 #include "support/Interner.h"
+#include "support/Number.h"
 #include "support/Trace.h"
 
 #include <gtest/gtest.h>
@@ -17,6 +18,31 @@
 using namespace rml;
 
 namespace {
+
+TEST(ParseUnsigned, AcceptsPlainDigits) {
+  EXPECT_EQ(parseUnsigned("0"), 0u);
+  EXPECT_EQ(parseUnsigned("2048"), 2048u);
+  EXPECT_EQ(parseUnsigned("007"), 7u);
+}
+
+TEST(ParseUnsigned, RejectsEmptySignsAndSuffixes) {
+  for (const char *Bad : {"", "-1", "+1", " 1", "1 ", "2k", "5ms", "0x10",
+                          "1e3", "1.5"})
+    EXPECT_EQ(parseUnsigned(Bad), std::nullopt) << "'" << Bad << "'";
+}
+
+TEST(ParseUnsigned, AcceptsTheExactMaximumAndNothingAbove) {
+  EXPECT_EQ(parseUnsigned("65535", 65535), 65535u);
+  EXPECT_EQ(parseUnsigned("65536", 65535), std::nullopt);
+  EXPECT_EQ(parseUnsigned("70000", 65535), std::nullopt);
+  EXPECT_EQ(parseUnsigned("0", 0), 0u);
+  EXPECT_EQ(parseUnsigned("1", 0), std::nullopt);
+  EXPECT_EQ(parseUnsigned("18446744073709551615"), UINT64_MAX);
+  // One past 2^64-1, and far past it: overflow is a rejection, not a
+  // wrap.
+  EXPECT_EQ(parseUnsigned("18446744073709551616"), std::nullopt);
+  EXPECT_EQ(parseUnsigned("99999999999999999999999"), std::nullopt);
+}
 
 TEST(Interner, InterningIsIdempotent) {
   Interner I;

@@ -13,7 +13,7 @@
 #      HTTP shim, and loopback end-to-end against a live Server),
 #      the flat runnable IR (round-trip/corruption fuzz plus the
 #      warm-restart execute-from-disk service tests), the learned
-#      cost model (prediction/EWMA/budget units plus a multi-threaded
+#      cost model (prediction/EWMA/prior units plus a multi-threaded
 #      coherence check), the memory system (GcPolicy units plus the
 #      adaptive-vs-static differential and the golden adaptive runs),
 #      and the capture-tracking analysis (report byte-identity across

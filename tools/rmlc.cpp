@@ -24,8 +24,11 @@
 
 #include "service/Service.h"
 #include "smallstep/Step.h"
+#include "support/Number.h"
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -99,9 +102,6 @@ void usage() {
       "  --page-pool N          standard pages the cross-request page\n"
       "                         pool may hold; 0 disables pooling\n"
       "                         (default 1024; --serve-batch only)\n"
-      "  --prewarm-pool         allocate the page pool eagerly so the\n"
-      "                         first wave runs on recycled pages\n"
-      "                         (--serve-batch only)\n"
       "  --sched fifo|ljf|deadline|fair\n"
       "                         service dequeue policy: submission order,\n"
       "                         longest-predicted-job-first (the learned\n"
@@ -111,10 +111,6 @@ void usage() {
       "  --phase-budget P=NS    cut requests off once static phase P\n"
       "                         (parse, infer, ...) exceeds NS nanos;\n"
       "                         repeatable (--serve-batch only)\n"
-      "  --auto-budget          derive phase budgets from the cost\n"
-      "                         model's observed distributions instead\n"
-      "                         of fixed --phase-budget values\n"
-      "                         (--serve-batch only)\n"
       "  --time-phases          print a per-phase wall-time table (per\n"
       "                         request, or aggregated in --serve-batch)\n"
       "  --trace FILE           write a Chrome trace-event JSON of every\n"
@@ -213,9 +209,8 @@ void finishTrace(const ChromeTraceSink &Sink, const std::string &Path) {
 int serveBatch(const std::string &Spec, unsigned Jobs, size_t CacheCap,
                const std::string &CacheDir, uint64_t CacheMaxBytes,
                uint64_t CacheMaxAge, uint64_t CacheSweepMs, size_t PoolPages,
-               bool PrewarmPool,
                service::SchedPolicy Policy,
-               const std::map<std::string, uint64_t> &Budgets, bool AutoBudget,
+               const std::map<std::string, uint64_t> &Budgets,
                const CompileOptions &Opts, const rt::EvalOptions &EvalOpts,
                bool Stats, bool TimePhases, const std::string &TracePath) {
   std::vector<std::string> Paths = collectBatchPaths(Spec);
@@ -235,10 +230,8 @@ int serveBatch(const std::string &Spec, unsigned Jobs, size_t CacheCap,
   if (CacheSweepMs)
     Cfg.CacheSweepIntervalMillis = CacheSweepMs;
   Cfg.PagePoolPages = PoolPages;
-  Cfg.PrewarmPool = PrewarmPool;
   Cfg.Policy = Policy;
   Cfg.PhaseBudgets = Budgets;
-  Cfg.AutoBudget = AutoBudget;
   if (!TracePath.empty())
     Cfg.Trace = &Trace;
   service::Service Svc(Cfg);
@@ -294,9 +287,6 @@ int serveBatch(const std::string &Spec, unsigned Jobs, size_t CacheCap,
   if (S.BudgetExceeded)
     std::printf("[%llu request(s) cut off over phase budget]\n",
                 static_cast<unsigned long long>(S.BudgetExceeded));
-  if (S.BudgetAutoDerived)
-    std::printf("[auto-budget engaged on %llu compile(s)]\n",
-                static_cast<unsigned long long>(S.BudgetAutoDerived));
   if (!CacheDir.empty()) {
     std::printf("[disk cache '%s': %llu hit(s), %llu miss(es), %llu "
                 "reject(s), %llu write error(s)]\n",
@@ -348,7 +338,7 @@ int main(int Argc, char **Argv) {
   std::string CacheDir;
   uint64_t CacheMaxBytes = 0, CacheMaxAge = 0, CacheSweepMs = 0;
   size_t PoolPages = rt::PagePool::DefaultMaxPages; // on by default
-  bool PrewarmPool = false, TimePhases = false, AutoBudget = false;
+  bool TimePhases = false;
   service::SchedPolicy Policy = service::SchedPolicy::Fifo;
   std::map<std::string, uint64_t> Budgets;
   std::string TracePath;
@@ -361,6 +351,14 @@ int main(int Argc, char **Argv) {
         std::exit(2);
       }
       return Argv[++I];
+    };
+    // Every numeric flag value goes through one checked parser; a
+    // malformed or out-of-range value is a usage error.
+    auto Num = [&](const char *Text, uint64_t Max) -> uint64_t {
+      if (std::optional<uint64_t> V = parseUnsigned(Text, Max))
+        return *V;
+      std::fprintf(stderr, "rmlc: %s: invalid number '%s'\n", A, Text);
+      std::exit(2);
     };
     if (!std::strcmp(A, "--strategy")) {
       const char *S = Next();
@@ -396,7 +394,7 @@ int main(int Argc, char **Argv) {
     } else if (!std::strcmp(A, "--no-check")) {
       Opts.Check = false;
     } else if (!std::strcmp(A, "--gc-threshold")) {
-      EvalOpts.GcThresholdWords = std::strtoull(Next(), nullptr, 10);
+      EvalOpts.GcThresholdWords = Num(Next(), UINT64_MAX);
     } else if (!std::strcmp(A, "--retain-pages")) {
       EvalOpts.RetainReleasedPages = true;
     } else if (!std::strcmp(A, "--generational")) {
@@ -408,27 +406,25 @@ int main(int Argc, char **Argv) {
     } else if (!std::strcmp(A, "--adaptive-gc")) {
       EvalOpts.AdaptiveGc = true;
     } else if (!std::strcmp(A, "--gc-pause-budget")) {
-      EvalOpts.GcPauseBudgetNanos = std::strtoull(Next(), nullptr, 10);
+      EvalOpts.GcPauseBudgetNanos = Num(Next(), UINT64_MAX);
     } else if (!std::strcmp(A, "--serve-batch")) {
       BatchSpec = Next();
     } else if (!std::strcmp(A, "--jobs")) {
-      Jobs = static_cast<unsigned>(std::strtoul(Next(), nullptr, 10));
+      Jobs = static_cast<unsigned>(Num(Next(), UINT_MAX));
     } else if (!std::strcmp(A, "--cache")) {
-      CacheCap = std::strtoull(Next(), nullptr, 10);
+      CacheCap = Num(Next(), SIZE_MAX);
     } else if (!std::strcmp(A, "--cache-dir")) {
       CacheDir = Next();
     } else if (!std::strcmp(A, "--cache-max-bytes")) {
-      CacheMaxBytes = std::strtoull(Next(), nullptr, 10);
+      CacheMaxBytes = Num(Next(), UINT64_MAX);
     } else if (!std::strcmp(A, "--cache-max-age")) {
-      CacheMaxAge = std::strtoull(Next(), nullptr, 10);
+      CacheMaxAge = Num(Next(), UINT64_MAX);
     } else if (!std::strcmp(A, "--cache-sweep-ms")) {
-      CacheSweepMs = std::strtoull(Next(), nullptr, 10);
+      CacheSweepMs = Num(Next(), UINT64_MAX);
     } else if (!std::strcmp(A, "--page-pool")) {
-      PoolPages = std::strtoull(Next(), nullptr, 10);
+      PoolPages = Num(Next(), SIZE_MAX);
     } else if (!std::strncmp(A, "--page-pool=", 12)) {
-      PoolPages = std::strtoull(A + 12, nullptr, 10);
-    } else if (!std::strcmp(A, "--prewarm-pool")) {
-      PrewarmPool = true;
+      PoolPages = Num(A + 12, SIZE_MAX);
     } else if (!std::strcmp(A, "--sched")) {
       const char *S = Next();
       if (!service::parseSchedPolicy(S, Policy)) {
@@ -443,9 +439,7 @@ int main(int Argc, char **Argv) {
                      "rmlc: --phase-budget wants PHASE=NANOS, got '%s'\n", S);
         return 2;
       }
-      Budgets[std::string(S, Eq)] = std::strtoull(Eq + 1, nullptr, 10);
-    } else if (!std::strcmp(A, "--auto-budget")) {
-      AutoBudget = true;
+      Budgets[std::string(S, Eq)] = Num(Eq + 1, UINT64_MAX);
     } else if (!std::strcmp(A, "--time-phases")) {
       TimePhases = true;
     } else if (!std::strcmp(A, "--trace")) {
@@ -472,9 +466,8 @@ int main(int Argc, char **Argv) {
   }
   if (!BatchSpec.empty())
     return serveBatch(BatchSpec, Jobs, CacheCap, CacheDir, CacheMaxBytes,
-                      CacheMaxAge, CacheSweepMs, PoolPages, PrewarmPool, Policy,
-                      Budgets, AutoBudget, Opts, EvalOpts, Stats, TimePhases,
-                      TracePath);
+                      CacheMaxAge, CacheSweepMs, PoolPages, Policy, Budgets,
+                      Opts, EvalOpts, Stats, TimePhases, TracePath);
   if (!HaveSource) {
     usage();
     return 2;

@@ -10,8 +10,8 @@
 //   rmld --sched fair --tenant-default legacy
 //                                      per-tenant fair share, untagged
 //                                      traffic in the "legacy" bucket
-//   rmld --sched deadline --auto-budget
-//                                      EDF dequeue + learned budgets
+//   rmld --sched deadline --phase-budget infer=50000000
+//                                      EDF dequeue + a 50 ms infer budget
 //   curl http://127.0.0.1:PORT/stats   live ServiceStats JSON
 //
 // Clients speak the length-prefixed binary protocol (net/Protocol.h) —
@@ -23,9 +23,12 @@
 
 #include "net/Server.h"
 #include "service/Service.h"
+#include "support/Number.h"
 
 #include <algorithm>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -57,7 +60,6 @@ void usage() {
       "  --cache-sweep-ms MS    sweep cadence (default 5000)\n"
       "  --page-pool N          cross-request page-pool pages; 0\n"
       "                         disables pooling (default 1024)\n"
-      "  --prewarm-pool         allocate the page pool eagerly\n"
       "  --sched fifo|ljf|deadline|fair\n"
       "                         dequeue policy (default fifo): ljf orders\n"
       "                         by the cost model's predicted nanos,\n"
@@ -68,12 +70,6 @@ void usage() {
       "  --tenant-default NAME  fair-share bucket for requests that sent\n"
       "                         no tenant (default: anonymous bucket)\n"
       "  --phase-budget P=NS    per-phase budget in nanos; repeatable\n"
-      "  --auto-budget          derive default phase budgets from the\n"
-      "                         cost model's observed distributions once\n"
-      "                         enough samples exist (ignored when any\n"
-      "                         --phase-budget is given)\n"
-      "  --budget-quantile Q    auto-budget quantile (default 0.95)\n"
-      "  --budget-multiplier M  auto-budget safety factor (default 8)\n"
       "  --step-limit N         evaluation fuel per run; 0 keeps the\n"
       "                         runtime default\n"
       "  --adaptive-gc          run every execution under the adaptive\n"
@@ -116,29 +112,35 @@ int main(int Argc, char **Argv) {
       }
       return Argv[++I];
     };
+    // Every numeric flag value goes through one checked parser; a
+    // malformed or out-of-range value is a usage error.
+    auto Num = [&](const char *Text, uint64_t Max) -> uint64_t {
+      if (std::optional<uint64_t> V = parseUnsigned(Text, Max))
+        return *V;
+      std::fprintf(stderr, "rmld: %s: invalid number '%s'\n", A, Text);
+      std::exit(2);
+    };
     if (!std::strcmp(A, "--bind")) {
       NetCfg.BindAddr = Next();
     } else if (!std::strcmp(A, "--port")) {
-      NetCfg.Port = static_cast<uint16_t>(std::strtoul(Next(), nullptr, 10));
+      NetCfg.Port = static_cast<uint16_t>(Num(Next(), UINT16_MAX));
     } else if (!std::strcmp(A, "--jobs")) {
-      SvcCfg.Workers = static_cast<unsigned>(std::strtoul(Next(), nullptr, 10));
+      SvcCfg.Workers = static_cast<unsigned>(Num(Next(), UINT_MAX));
     } else if (!std::strcmp(A, "--queue")) {
-      SvcCfg.QueueCapacity = std::strtoull(Next(), nullptr, 10);
+      SvcCfg.QueueCapacity = Num(Next(), SIZE_MAX);
     } else if (!std::strcmp(A, "--cache")) {
-      SvcCfg.CacheCapacity = std::strtoull(Next(), nullptr, 10);
+      SvcCfg.CacheCapacity = Num(Next(), SIZE_MAX);
     } else if (!std::strcmp(A, "--cache-dir")) {
       SvcCfg.CacheDir = Next();
     } else if (!std::strcmp(A, "--cache-max-bytes")) {
-      SvcCfg.CacheMaxBytes = std::strtoull(Next(), nullptr, 10);
+      SvcCfg.CacheMaxBytes = Num(Next(), UINT64_MAX);
     } else if (!std::strcmp(A, "--cache-max-age")) {
-      SvcCfg.CacheMaxAgeSeconds = std::strtoull(Next(), nullptr, 10);
+      SvcCfg.CacheMaxAgeSeconds = Num(Next(), UINT64_MAX);
     } else if (!std::strcmp(A, "--cache-sweep-ms")) {
       SvcCfg.CacheSweepIntervalMillis =
-          std::max<uint64_t>(std::strtoull(Next(), nullptr, 10), 1);
+          std::max<uint64_t>(Num(Next(), UINT64_MAX), 1);
     } else if (!std::strcmp(A, "--page-pool")) {
-      SvcCfg.PagePoolPages = std::strtoull(Next(), nullptr, 10);
-    } else if (!std::strcmp(A, "--prewarm-pool")) {
-      SvcCfg.PrewarmPool = true;
+      SvcCfg.PagePoolPages = Num(Next(), SIZE_MAX);
     } else if (!std::strcmp(A, "--sched")) {
       const char *S = Next();
       if (!service::parseSchedPolicy(S, SvcCfg.Policy)) {
@@ -146,16 +148,9 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     } else if (!std::strcmp(A, "--fair-quantum")) {
-      SvcCfg.FairShareQuantum =
-          std::max<uint64_t>(std::strtoull(Next(), nullptr, 10), 1);
+      SvcCfg.FairShareQuantum = std::max<uint64_t>(Num(Next(), UINT64_MAX), 1);
     } else if (!std::strcmp(A, "--tenant-default")) {
       NetCfg.TenantDefault = Next();
-    } else if (!std::strcmp(A, "--auto-budget")) {
-      SvcCfg.AutoBudget = true;
-    } else if (!std::strcmp(A, "--budget-quantile")) {
-      SvcCfg.BudgetQuantile = std::strtod(Next(), nullptr);
-    } else if (!std::strcmp(A, "--budget-multiplier")) {
-      SvcCfg.BudgetMultiplier = std::strtod(Next(), nullptr);
     } else if (!std::strcmp(A, "--phase-budget")) {
       const char *S = Next();
       const char *Eq = std::strchr(S, '=');
@@ -164,21 +159,19 @@ int main(int Argc, char **Argv) {
                      "rmld: --phase-budget wants PHASE=NANOS, got '%s'\n", S);
         return 2;
       }
-      SvcCfg.PhaseBudgets[std::string(S, Eq)] =
-          std::strtoull(Eq + 1, nullptr, 10);
+      SvcCfg.PhaseBudgets[std::string(S, Eq)] = Num(Eq + 1, UINT64_MAX);
     } else if (!std::strcmp(A, "--step-limit")) {
-      NetCfg.StepLimit = std::strtoull(Next(), nullptr, 10);
+      NetCfg.StepLimit = Num(Next(), UINT64_MAX);
     } else if (!std::strcmp(A, "--adaptive-gc")) {
       NetCfg.AdaptiveGc = true;
     } else if (!std::strcmp(A, "--gc-pause-budget")) {
-      NetCfg.GcPauseBudgetNanos = std::strtoull(Next(), nullptr, 10);
+      NetCfg.GcPauseBudgetNanos = Num(Next(), UINT64_MAX);
     } else if (!std::strcmp(A, "--gc-threshold")) {
-      NetCfg.GcThresholdWords = std::strtoull(Next(), nullptr, 10);
+      NetCfg.GcThresholdWords = Num(Next(), UINT64_MAX);
     } else if (!std::strcmp(A, "--max-conns")) {
-      NetCfg.MaxConnections = std::strtoull(Next(), nullptr, 10);
+      NetCfg.MaxConnections = Num(Next(), SIZE_MAX);
     } else if (!std::strcmp(A, "--drain-grace")) {
-      NetCfg.DrainGraceMs =
-          static_cast<unsigned>(std::strtoul(Next(), nullptr, 10));
+      NetCfg.DrainGraceMs = static_cast<unsigned>(Num(Next(), UINT_MAX));
     } else if (!std::strcmp(A, "--help") || !std::strcmp(A, "-h")) {
       usage();
       return 0;

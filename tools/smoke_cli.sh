@@ -1,0 +1,79 @@
+#!/usr/bin/env bash
+#===- tools/smoke_cli.sh - rmlc/rmld command-line surface smoke ----------===#
+#
+# Pins the command-line surface of both tools:
+#
+#   1. Removed flags stay removed: each is an unknown option (exit 2).
+#   2. Numeric flags fail closed: a unit suffix, a sign or an
+#      out-of-range value is a usage error (exit 2), never a silent
+#      truncation or wrap.
+#   3. Every --flag that `rmlc --help` or `rmld --help` prints is
+#      documented in README.md.
+#
+# Usage: tools/smoke_cli.sh [BUILD_DIR]     (default: ./build)
+#
+#===----------------------------------------------------------------------===#
+
+set -euo pipefail
+
+ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+BUILD="${1:-$ROOT/build}"
+RMLC="$BUILD/tools/rmlc"
+RMLD="$BUILD/tools/rmld"
+
+[ -x "$RMLC" ] || { echo "smoke_cli: missing $RMLC" >&2; exit 1; }
+[ -x "$RMLD" ] || { echo "smoke_cli: missing $RMLD" >&2; exit 1; }
+
+FAILS=0
+
+# expect STATUS CMD...: runs CMD (bounded, in case a daemon starts
+# serving) and requires exit status STATUS.
+expect() {
+  local Want="$1"
+  shift
+  local Got=0
+  timeout 20 "$@" > /dev/null 2>&1 || Got=$?
+  if [ "$Got" -ne "$Want" ]; then
+    echo "smoke_cli: FAIL: exit $Got, want $Want: $*" >&2
+    FAILS=$((FAILS + 1))
+  fi
+}
+
+cd "$ROOT"
+TUTORIAL=examples/programs/tutorial.mml
+
+# A well-formed command passes, so the rejections below are not vacuous.
+expect 0 "$RMLC" --gc-threshold 2048 -e '1 + 2'
+expect 0 "$RMLC" --serve-batch "$TUTORIAL" --phase-budget infer=5000000000
+
+# 1. Removed flags.
+for Flag in --prewarm-pool --auto-budget; do
+  expect 2 "$RMLC" "$Flag" -e '1 + 2'
+done
+expect 2 "$RMLD" --prewarm-pool
+expect 2 "$RMLD" --auto-budget
+expect 2 "$RMLD" --budget-quantile 0.95
+expect 2 "$RMLD" --budget-multiplier 8
+
+# 2. Malformed numbers.
+expect 2 "$RMLC" --serve-batch "$TUTORIAL" --phase-budget infer=5ms
+expect 2 "$RMLC" --gc-threshold 2k -e '1 + 2'
+expect 2 "$RMLC" --jobs -1 -e '1 + 2'
+expect 2 "$RMLD" --port 70000
+expect 2 "$RMLD" --jobs -1
+
+# 3. Documented flags.
+for Tool in "$RMLC" "$RMLD"; do
+  for Flag in $("$Tool" --help 2>&1 | grep -o -- '--[a-z][a-z-]*' | sort -u); do
+    if ! grep -qE -- "${Flag}([^a-z-]|\$)" README.md; then
+      echo "smoke_cli: FAIL: $(basename "$Tool") $Flag is not in README.md" >&2
+      FAILS=$((FAILS + 1))
+    fi
+  done
+done
+
+if [ "$FAILS" -ne 0 ]; then
+  echo "smoke_cli: $FAILS check(s) failed" >&2
+  exit 1
+fi
+echo "smoke_cli: ok"
