@@ -74,8 +74,8 @@ TyVarCtx Subst::apply(const TyVarCtx &Delta) const {
 }
 
 /// The free region/effect variables mentioned anywhere in \p S (domain
-/// and range) — used to detect variable capture.
-static Effect substFootprint(const Subst &S) {
+/// and range) — used to detect variable capture. Only asserts call it.
+[[maybe_unused]] static Effect substFootprint(const Subst &S) {
   Effect Out;
   for (const auto &[R, R2] : S.Sr) {
     Out.insert(AtomicEffect(R));

@@ -35,7 +35,7 @@ public:
     Heap.SharedPool = Opts.RetainReleasedPages ? nullptr : Opts.SharedPool;
     // The global region's representation follows the kind analysis like
     // any other region.
-    Heap.region(0).Kind = staticKind(0);
+    Heap.region(0).Kind = staticKind(U.regionInfo(0));
     RegionEnv.emplace_back(0u, 0u); // global region
   }
 
@@ -95,8 +95,7 @@ private:
     if (!Opts.GcEnabled || !Policy.shouldCollect(Heap.allocSinceGc()))
       return;
     GcKind Kind = Policy.nextKind();
-    std::vector<Value *> Roots;
-    Roots.reserve(Env.size() + Temps.size() + Remembered.size() + 1);
+    Roots.clear();
     for (auto &[S, V] : Env)
       Roots.push_back(&V);
     for (Value &V : Temps)
@@ -146,10 +145,10 @@ private:
     return 0;
   }
 
-  RegionKind staticKind(uint32_t StaticId) const {
+  /// The runtime representation for a region with facts \p Info.
+  RegionKind staticKind(const FlatRegion *Info) const {
     if (!Opts.TagFreePairs)
       return RegionKind::Mixed;
-    const FlatRegion *Info = U.regionInfo(StaticId);
     RegionKind K = Info ? static_cast<RegionKind>(Info->Kind)
                         : RegionKind::Empty;
     switch (K) {
@@ -460,9 +459,11 @@ private:
       size_t IC = T.push(eval(E.A));
       if (interrupted())
         return unitValue();
-      // Resolve the instantiating regions before allocating.
-      std::vector<uint64_t> Extra;
-      Extra.reserve(E.AuxCount / 2);
+      // Resolve the instantiating regions before allocating. Nothing
+      // between here and the copy below evaluates, so one scratch
+      // buffer serves every RApp.
+      std::vector<uint64_t> &Extra = RAppExtra;
+      Extra.clear();
       for (uint32_t I = 0; I < E.AuxCount; I += 2) {
         uint32_t Formal = U.Aux[E.AuxBegin + I];
         uint32_t Target = U.Aux[E.AuxBegin + I + 1];
@@ -514,7 +515,7 @@ private:
       if (Opts.UseFiniteRegions && Info && Info->Finite)
         FiniteWords = Info->Words;
       uint32_t Handle =
-          Heap.create(E.BoundRho, staticKind(E.BoundRho), FiniteWords);
+          Heap.create(E.BoundRho, staticKind(Info), FiniteWords);
       RegionEnv.emplace_back(E.BoundRho, Handle);
       Value V = eval(E.A);
       RegionEnv.pop_back();
@@ -826,6 +827,8 @@ private:
   bool Unwinding = false;
   Value ExnVal = NilValue;
   std::vector<Value *> Remembered; // old-to-young slots (write barrier)
+  std::vector<Value *> Roots;      // maybeGc's root set, reused
+  std::vector<uint64_t> RAppExtra; // RApp's instantiating regions, reused
   std::vector<GcPauseRecord> Pauses; // every collection of this run
   GcPolicy Policy{Opts.AdaptiveGc, Opts.GcThresholdWords, Opts.MinorsPerMajor,
                   Opts.Generational, Opts.GcPauseBudgetNanos};

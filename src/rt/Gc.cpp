@@ -3,8 +3,6 @@
 #include "rt/Gc.h"
 
 #include <cassert>
-#include <map>
-#include <unordered_map>
 
 using namespace rml;
 using namespace rml::rt;
@@ -32,17 +30,11 @@ public:
       ++Heap.Stats.MajorGcCount;
 
     // Detach every live region's (young, for minor collections) pages:
-    // they become from-space.
-    const std::vector<uint32_t> Live = Heap.liveRegions();
-    Result.LiveRegions = Live.size();
-    for (uint32_t Handle : Live) {
-      std::vector<RegionHeap::Page> Pages =
-          Heap.detachPages(Handle, Kind == GcKind::Minor);
-      for (const RegionHeap::Page &P : Pages) {
-        uintptr_t Start = reinterpret_cast<uintptr_t>(P.Words.get());
-        FromRanges[Start] = Start + P.Cap * 8;
-      }
-      FromSpace.emplace_back(Handle, std::move(Pages));
+    // they become from-space, flagged in the heap's page table.
+    for (uint32_t Handle = Heap.firstLive(); Handle != RegionHeap::NoRegion;
+         Handle = Heap.region(Handle).NextLive) {
+      Heap.detachPages(Handle, Kind == GcKind::Minor);
+      ++Result.LiveRegions;
     }
 
     // Evacuate roots, then scan the to-space worklist.
@@ -58,8 +50,7 @@ public:
     }
 
     // Discard from-space; in generational mode the survivors become old.
-    for (auto &[Handle, Pages] : FromSpace)
-      Heap.dropFromSpace(std::move(Pages));
+    Heap.dropFromSpace();
     if (Seal && Result.Ok)
       Heap.sealLivePages();
     Heap.Stats.CopiedWords += Result.CopiedWords;
@@ -71,15 +62,6 @@ public:
   }
 
 private:
-  bool inFromSpace(const uint64_t *P) const {
-    uintptr_t Addr = reinterpret_cast<uintptr_t>(P);
-    auto It = FromRanges.upper_bound(Addr);
-    if (It == FromRanges.begin())
-      return false;
-    --It;
-    return Addr >= It->first && Addr < It->second;
-  }
-
   /// Object layout at \p Obj in a region of kind \p Kind.
   Layout layoutOf(const uint64_t *Obj, RegionKind Kind) const {
     switch (Kind) {
@@ -125,11 +107,12 @@ private:
     if (!isPointer(Slot))
       return true;
     uint64_t *Old = asPtr(Slot);
-    if (!inFromSpace(Old)) {
+    const uint32_t PageIdx = Heap.pageOf(Old);
+    if (PageIdx == RegionHeap::NoPage || !Heap.page(PageIdx).FromSpace) {
       // Either already in to-space (shared object scanned twice) or a
       // pointer outside every live region: the dangling-pointer case.
-      std::optional<uint32_t> Owner = Heap.ownerOf(Old);
-      if (Owner && Heap.region(*Owner).Live)
+      if (PageIdx != RegionHeap::NoPage &&
+          Heap.region(Heap.page(PageIdx).Owner).Live)
         return true; // to-space
       Result.Ok = false;
       std::optional<uint32_t> Grave = Heap.graveyardOwnerOf(Old);
@@ -141,23 +124,22 @@ private:
           "escape into a live closure)";
       return false;
     }
-    auto Fwd = Forward.find(Old);
-    if (Fwd != Forward.end()) {
-      Slot = Fwd->second;
+    // An evacuated object's first word holds its forwarding address.
+    if (Heap.isForwarded(PageIdx, Old)) {
+      Slot = Old[0];
       return true;
     }
-    std::optional<uint32_t> Owner = Heap.ownerOf(Old);
-    assert(Owner && "from-space pointer without owner");
-    RegionHeap::Region &R = Heap.region(*Owner);
-    Layout L = layoutOf(Old, R.Kind);
-    uint64_t *New = Heap.alloc(*Owner, L.Words);
+    const uint32_t Owner = Heap.page(PageIdx).Owner;
+    Layout L = layoutOf(Old, Heap.region(Owner).Kind);
+    uint64_t *New = Heap.alloc(Owner, L.Words);
     for (size_t I = 0; I < L.Words; ++I)
       New[I] = Old[I];
     Result.CopiedWords += L.Words;
     Value NewV = fromPtr(New);
-    Forward.emplace(Old, NewV);
+    Heap.setForwarded(PageIdx, Old);
+    Old[0] = NewV;
     Slot = NewV;
-    Worklist.emplace_back(New, *Owner);
+    Worklist.emplace_back(New, Owner);
     return true;
   }
 
@@ -172,9 +154,6 @@ private:
   RegionHeap &Heap;
   GcKind Kind;
   bool Seal;
-  std::map<uintptr_t, uintptr_t> FromRanges;
-  std::vector<std::pair<uint32_t, std::vector<RegionHeap::Page>>> FromSpace;
-  std::unordered_map<uint64_t *, Value> Forward;
   std::vector<std::pair<uint64_t *, uint32_t>> Worklist;
 };
 

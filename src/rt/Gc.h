@@ -13,11 +13,14 @@
 /// collector derives the layout from the region kind — the partly tag-free
 /// scheme of Section 6.
 ///
-/// The collector validates every traced pointer against the live-region
-/// address map. A pointer that does not resolve to a live region is a
-/// *dangling pointer*: exactly the failure the paper's Figure 1 program
-/// provokes under the pre-paper (rg-) typing discipline, and exactly what
-/// the rg type system proves impossible (Theorem 2).
+/// The collector validates every traced pointer against the heap's page
+/// table (one probe per pointer; from-space is a flag on the page record
+/// and forwarding a bitmap beside it, so a collection allocates no
+/// per-object bookkeeping). A pointer that does not resolve to a live
+/// region is a *dangling pointer*: exactly the failure the paper's
+/// Figure 1 program provokes under the pre-paper (rg-) typing
+/// discipline, and exactly what the rg type system proves impossible
+/// (Theorem 2).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <new>
 #include <thread>
 
 using namespace rml;
@@ -29,7 +30,7 @@ PagePool::~PagePool() {
   for (Shard &S : Shards) {
     uint32_t Idx = headIndex(S.Head.load(std::memory_order_relaxed));
     while (Idx != NoNode) {
-      delete[] Nodes[Idx].Page.load(std::memory_order_relaxed);
+      PageDeleter{}(Nodes[Idx].Page.load(std::memory_order_relaxed));
       Idx = Nodes[Idx].Next.load(std::memory_order_relaxed);
     }
   }
@@ -48,6 +49,15 @@ const PagePool::ShardOrder &PagePool::shardOrder() {
     return S;
   }();
   return Cached;
+}
+
+void PagePool::PageDeleter::operator()(uint64_t *Page) const noexcept {
+  ::operator delete[](Page, std::align_val_t(PageBytes));
+}
+
+PagePool::PageBuffer PagePool::allocatePage() {
+  return PageBuffer(static_cast<uint64_t *>(
+      ::operator new[](PageBytes, std::align_val_t(PageBytes))));
 }
 
 //===----------------------------------------------------------------------===//
@@ -127,12 +137,12 @@ size_t PagePool::reserveSlots(size_t Want) {
 // Public API
 //===----------------------------------------------------------------------===//
 
-std::unique_ptr<uint64_t[]> PagePool::acquire() {
+PagePool::PageBuffer PagePool::acquire() {
   const ShardOrder &O = shardOrder();
   // Home-shard fast path: one CAS, no lock.
   if (uint64_t *Page = popPage(Shards[O[0]])) {
     Hits.fetch_add(1, std::memory_order_relaxed);
-    return std::unique_ptr<uint64_t[]>(Page);
+    return PageBuffer(Page);
   }
   // Steal path: the other shards in rotation order. The mutex only
   // serializes stealers against each other — threads hitting their
@@ -144,14 +154,14 @@ std::unique_ptr<uint64_t[]> PagePool::acquire() {
       if (uint64_t *Page = popPage(Shards[O[I]])) {
         StealCount.fetch_add(1, std::memory_order_relaxed);
         Hits.fetch_add(1, std::memory_order_relaxed);
-        return std::unique_ptr<uint64_t[]>(Page);
+        return PageBuffer(Page);
       }
   }
   Misses.fetch_add(1, std::memory_order_relaxed);
   return nullptr;
 }
 
-void PagePool::release(std::unique_ptr<uint64_t[]> Buf) {
+void PagePool::release(PageBuffer Buf) {
   if (!Buf)
     return;
   if (reserveSlots(1) == 0) {
@@ -169,7 +179,7 @@ void PagePool::release(std::unique_ptr<uint64_t[]> Buf) {
   pushChain(Shards[shardOrder()[0]].Head, Idx, Idx);
 }
 
-size_t PagePool::acquireMany(std::vector<std::unique_ptr<uint64_t[]>> &Out,
+size_t PagePool::acquireMany(std::vector<PageBuffer> &Out,
                              size_t Pages) {
   if (Pages == 0)
     return 0;
@@ -225,10 +235,10 @@ size_t PagePool::acquireMany(std::vector<std::unique_ptr<uint64_t[]>> &Out,
   return Got;
 }
 
-void PagePool::releaseMany(std::vector<std::unique_ptr<uint64_t[]>> Bufs) {
+void PagePool::releaseMany(std::vector<PageBuffer> Bufs) {
   Bufs.erase(std::remove_if(
                  Bufs.begin(), Bufs.end(),
-                 [](const std::unique_ptr<uint64_t[]> &B) { return !B; }),
+                 [](const PageBuffer &B) { return !B; }),
              Bufs.end());
   if (Bufs.empty())
     return;
@@ -277,7 +287,7 @@ void PagePool::trim() {
     size_t N = 0;
     uint32_t Idx = Chain, Last = Chain;
     while (Idx != NoNode) {
-      delete[] Nodes[Idx].Page.load(std::memory_order_relaxed);
+      PageDeleter{}(Nodes[Idx].Page.load(std::memory_order_relaxed));
       Nodes[Idx].Page.store(nullptr, std::memory_order_relaxed);
       Last = Idx;
       Idx = Nodes[Idx].Next.load(std::memory_order_relaxed);

@@ -47,9 +47,11 @@
 ///    the node arena, which is why a release that won a capacity slot
 ///    is always guaranteed a free node.
 ///
-///  * **Standard pages only.** The pool stores raw page buffers of
-///    exactly RegionHeap::PageWords words. Oversized (finite-region)
-///    blocks bypass it entirely — callers only release standard pages.
+///  * **Standard pages only.** The pool stores page buffers of exactly
+///    RegionHeap::PageWords words, allocated aligned to their own size
+///    (PageBuffer / allocatePage), so each one is exactly one chunk of
+///    RegionHeap's page table. Oversized and finite-region blocks
+///    bypass the pool entirely — callers only release standard pages.
 ///
 ///  * **Safety w.r.t. exact dangling detection.** A pooled page must
 ///    never be handed out while `RetainReleasedPages` detection could
@@ -107,6 +109,18 @@ public:
   /// RegionHeap::PageWords aliases this constant, so the pool and the
   /// heap can never disagree about the unit.
   static constexpr size_t PageWords = 256; // 2 KiB
+  static constexpr size_t PageBytes = PageWords * sizeof(uint64_t);
+
+  /// Frees a standard page buffer with the aligned operator delete that
+  /// matches allocatePage.
+  struct PageDeleter {
+    void operator()(uint64_t *Page) const noexcept;
+  };
+  /// An owned standard page buffer: PageWords words, PageBytes-aligned.
+  using PageBuffer = std::unique_ptr<uint64_t[], PageDeleter>;
+
+  /// A fresh, uninitialised standard page buffer.
+  static PageBuffer allocatePage();
 
   explicit PagePool(size_t MaxPages = DefaultMaxPages);
   ~PagePool();
@@ -116,13 +130,12 @@ public:
 
   /// A recycled standard page buffer, or null when the pool is empty
   /// (the caller then allocates fresh). Counts a hit or a miss.
-  std::unique_ptr<uint64_t[]> acquire();
+  PageBuffer acquire();
 
   /// Hands a standard page buffer back. Frees it instead when the pool
-  /// already holds MaxPages pages (counted as a trim). \p Buf must be
-  /// exactly RegionHeap::PageWords words — oversized blocks bypass the
-  /// pool by contract.
-  void release(std::unique_ptr<uint64_t[]> Buf);
+  /// already holds MaxPages pages (counted as a trim). \p Buf must come
+  /// from allocatePage — oversized blocks bypass the pool by contract.
+  void release(PageBuffer Buf);
 
   /// Appends up to \p Pages recycled buffers to \p Out, draining the
   /// home shard's chain in one detach and stealing for any shortfall.
@@ -130,13 +143,13 @@ public:
   /// (the caller allocates those fresh), so the reuse ratio means the
   /// same thing whether demand arrives singly or batched. Returns the
   /// number appended.
-  size_t acquireMany(std::vector<std::unique_ptr<uint64_t[]>> &Out,
+  size_t acquireMany(std::vector<PageBuffer> &Out,
                      size_t Pages);
 
   /// Hands a whole heap's standard pages back with a single CAS on the
   /// home shard. Pages beyond the capacity bound are freed (counted as
   /// trims), exactly as release() would.
-  void releaseMany(std::vector<std::unique_ptr<uint64_t[]>> Bufs);
+  void releaseMany(std::vector<PageBuffer> Bufs);
 
   /// Frees every pooled page (counted as trims). Never blocks the
   /// home-shard hit path: each shard's chain is detached with one CAS

@@ -5,14 +5,98 @@
 #include "rt/PagePool.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cstring>
+#include <new>
+#include <utility>
 
 using namespace rml;
 using namespace rml::rt;
 
-RegionHeap::RegionHeap() {
-  // Handle 0 is the global region, always live.
-  Regions.push_back(Region{0, RegionKind::Mixed, false, true, {}});
+namespace {
+
+/// Pages of at least a standard page are chunk-aligned, so a standard
+/// page owns exactly one page-table chunk (and can come from or go to
+/// the shared pool); smaller finite-region blocks keep their exact-size
+/// allocation. Fresh memory is zeroed.
+uint64_t *allocateWords(size_t CapWords) {
+  if (CapWords < RegionHeap::PageWords)
+    return new uint64_t[CapWords]();
+  void *Mem = ::operator new[](CapWords * sizeof(uint64_t),
+                               std::align_val_t(PagePool::PageBytes));
+  std::memset(Mem, 0, CapWords * sizeof(uint64_t));
+  return static_cast<uint64_t *>(Mem);
+}
+
+void freeWords(uint64_t *Words, size_t CapWords) {
+  if (CapWords < RegionHeap::PageWords)
+    delete[] Words;
+  else
+    ::operator delete[](Words, std::align_val_t(PagePool::PageBytes));
+}
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// Page table
+//===----------------------------------------------------------------------===//
+
+RegionHeap::PageTable::PageTable(unsigned Log2Slots)
+    : Slots(size_t{1} << Log2Slots), Mask(Slots.size() - 1),
+      Shift(64 - Log2Slots) {}
+
+void RegionHeap::PageTable::insert(uintptr_t Chunk, uint32_t Page) {
+  // Keep the load factor at or under one half.
+  if (2 * (Count + 1) > Slots.size()) {
+    std::vector<Slot> Old(Slots.size() * 2);
+    Old.swap(Slots);
+    Mask = Slots.size() - 1;
+    --Shift;
+    Count = 0;
+    for (const Slot &S : Old)
+      if (S.Page != NoPage)
+        insert(S.Chunk, S.Page);
+  }
+  size_t I = home(Chunk);
+  while (Slots[I].Page != NoPage)
+    I = (I + 1) & Mask;
+  Slots[I] = {Chunk, Page};
+  ++Count;
+}
+
+void RegionHeap::PageTable::erase(uintptr_t Chunk, uint32_t Page) {
+  size_t I = home(Chunk);
+  while (Slots[I].Chunk != Chunk || Slots[I].Page != Page) {
+    assert(Slots[I].Page != NoPage && "unmapping an unmapped page");
+    I = (I + 1) & Mask;
+  }
+  // Backward-shift deletion: pull each later entry of the probe run
+  // into the hole unless its home lies cyclically in (hole, entry].
+  for (size_t J = (I + 1) & Mask; Slots[J].Page != NoPage;
+       J = (J + 1) & Mask) {
+    size_t Home = home(Slots[J].Chunk);
+    bool Stays = I <= J ? (I < Home && Home <= J) : (I < Home || Home <= J);
+    if (Stays)
+      continue;
+    Slots[I] = Slots[J];
+    I = J;
+  }
+  Slots[I] = Slot();
+  --Count;
+}
+
+//===----------------------------------------------------------------------===//
+// Heap
+//===----------------------------------------------------------------------===//
+
+RegionHeap::RegionHeap() : Table(/*Log2Slots=*/6) {
+  // Handle 0 is the global region, always live. Its profile slot is
+  // reported only once something is allocated into it (or a region with
+  // static id 0 is created).
+  Regions.push_back(Region());
+  Regions[0].Live = true;
+  LiveFirst = LiveLast = 0;
+  Profiles.push_back(RegionProfile());
+  ProfileSlots.emplace(0, 0);
   Stats.RegionsCreated = 1;
 }
 
@@ -22,99 +106,154 @@ RegionHeap::~RegionHeap() {
   // detecting heap's pages (graveyard and live alike) never enter the
   // pool, so no other heap can be handed a page the detector could
   // still attribute to one of this heap's dead regions.
-  if (!SharedPool || RetainReleasedPages)
-    return;
-  std::vector<std::unique_ptr<uint64_t[]>> Standard;
-  Standard.reserve(Pool.size());
-  for (Region &R : Regions)
-    for (Page &P : R.Pages)
-      if (P.Cap == PageWords)
-        Standard.push_back(std::move(P.Words));
-  for (Page &P : Pool)
-    Standard.push_back(std::move(P.Words));
-  // One batched hand-off: the shared pool's shard is touched once per
-  // heap, not once per page.
-  SharedPool->releaseMany(std::move(Standard));
+  if (SharedPool && !RetainReleasedPages) {
+    std::vector<PagePool::PageBuffer> Standard;
+    auto Take = [&](uint32_t First) {
+      for (uint32_t I = First; I != NoPage; I = Pages[I].Next)
+        if (Pages[I].Cap == PageWords)
+          Standard.emplace_back(std::exchange(Pages[I].Words, nullptr));
+    };
+    for (uint32_t H = LiveFirst; H != NoRegion; H = Regions[H].NextLive)
+      Take(Regions[H].FirstPage);
+    Take(FreePages);
+    // One batched hand-off: the shared pool's shard is touched once per
+    // heap, not once per page.
+    SharedPool->releaseMany(std::move(Standard));
+  }
+  for (Page &P : Pages)
+    if (P.Words)
+      freeWords(P.Words, P.Cap);
 }
 
-RegionHeap::Page RegionHeap::newPage(size_t CapWords) {
-  if (CapWords == PageWords && !Pool.empty()) {
-    Page P = std::move(Pool.back());
-    Pool.pop_back();
+uint32_t RegionHeap::newRecord(uint64_t *Words, size_t CapWords) {
+  uint32_t Idx = FreeRecords;
+  if (Idx != NoPage) {
+    FreeRecords = Pages[Idx].Next;
+  } else {
+    Idx = static_cast<uint32_t>(Pages.size());
+    Pages.emplace_back();
+  }
+  Page &P = Pages[Idx];
+  P = Page();
+  P.Words = Words;
+  P.Cap = static_cast<uint32_t>(CapWords);
+  return Idx;
+}
+
+uint32_t RegionHeap::newPage(size_t CapWords) {
+  uint32_t Idx = NoPage;
+  if (CapWords == PageWords && FreePages != NoPage) {
+    Idx = FreePages;
+    Page &P = Pages[Idx];
+    FreePages = P.Next;
+    P.Next = NoPage;
     P.Used = 0;
     P.Old = false;
-    Stats.CurrentHeapWords += P.Cap;
-    Stats.PeakHeapWords = std::max(Stats.PeakHeapWords,
-                                   Stats.CurrentHeapWords);
-    return P;
-  }
-  // The local free list is empty: try the cross-request pool before the
-  // allocator. Standard pages only; finite-region blocks bypass it.
-  if (CapWords == PageWords && SharedPool && !RetainReleasedPages) {
-    if (std::unique_ptr<uint64_t[]> Buf = SharedPool->acquire()) {
-      Page P;
-      P.Words = std::move(Buf);
-      P.Cap = PageWords;
-      P.Used = 0;
+  } else if (CapWords == PageWords && SharedPool && !RetainReleasedPages) {
+    // The local free list is empty: try the cross-request pool before
+    // the allocator. Standard pages only; finite-region blocks bypass it.
+    if (PagePool::PageBuffer Buf = SharedPool->acquire()) {
+      Idx = newRecord(Buf.release(), PageWords);
       ++Stats.PagesFromSharedPool;
-      Stats.CurrentHeapWords += PageWords;
-      Stats.PeakHeapWords = std::max(Stats.PeakHeapWords,
-                                     Stats.CurrentHeapWords);
-      return P;
     }
   }
-  Page P;
-  P.Words = std::make_unique<uint64_t[]>(CapWords);
-  P.Cap = CapWords;
-  P.Used = 0;
-  ++Stats.PagesAllocated;
+  if (Idx == NoPage) {
+    Idx = newRecord(allocateWords(CapWords), CapWords);
+    ++Stats.PagesAllocated;
+  }
   Stats.CurrentHeapWords += CapWords;
   Stats.PeakHeapWords = std::max(Stats.PeakHeapWords,
                                  Stats.CurrentHeapWords);
-  return P;
+  return Idx;
 }
 
-void RegionHeap::retirePage(Page P) {
+void RegionHeap::retirePage(uint32_t Idx) {
+  Page &P = Pages[Idx];
   assert(Stats.CurrentHeapWords >= P.Cap && "heap accounting underflow");
   Stats.CurrentHeapWords -= P.Cap;
-  if (!RetainReleasedPages && P.Cap == PageWords) {
-    Pool.push_back(std::move(P));
+  P.FromSpace = false;
+  P.Next = NoPage;
+  // Under exact dangling detection the page stays allocated (and
+  // unmapped) until the heap is destroyed, so its address is never reused.
+  if (RetainReleasedPages)
+    return;
+  if (P.Cap == PageWords) {
+    P.Next = FreePages;
+    FreePages = Idx;
     return;
   }
-  if (RetainReleasedPages)
-    GraveyardPages.push_back(std::move(P));
-  // Non-standard (finite) pages are simply freed.
+  // Non-standard (finite or oversized) pages are simply freed.
+  freeWords(P.Words, P.Cap);
+  P.Words = nullptr;
+  P.Next = FreeRecords;
+  FreeRecords = Idx;
 }
 
-void RegionHeap::mapPage(const Page &P, uint32_t Handle) {
-  uintptr_t Start = reinterpret_cast<uintptr_t>(P.Words.get());
-  AddrMap[Start] = {Start + P.Cap * 8, Handle, P.Old};
+void RegionHeap::mapPage(uint32_t Idx, uint32_t Handle) {
+  Page &P = Pages[Idx];
+  P.Owner = Handle;
+  uintptr_t Start = reinterpret_cast<uintptr_t>(P.Words);
+  uintptr_t Last = Start + uintptr_t{P.Cap} * sizeof(uint64_t) - 1;
+  for (uintptr_t C = Start >> ChunkShift; C <= Last >> ChunkShift; ++C)
+    Table.insert(C, Idx);
 }
 
-void RegionHeap::unmapPage(const Page &P) {
-  AddrMap.erase(reinterpret_cast<uintptr_t>(P.Words.get()));
+void RegionHeap::unmapPage(uint32_t Idx) {
+  const Page &P = Pages[Idx];
+  uintptr_t Start = reinterpret_cast<uintptr_t>(P.Words);
+  uintptr_t Last = Start + uintptr_t{P.Cap} * sizeof(uint64_t) - 1;
+  for (uintptr_t C = Start >> ChunkShift; C <= Last >> ChunkShift; ++C)
+    Table.erase(C, Idx);
+}
+
+void RegionHeap::append(uint32_t &First, uint32_t &Last, uint32_t Idx) {
+  Pages[Idx].Next = NoPage;
+  if (Last == NoPage)
+    First = Idx;
+  else
+    Pages[Last].Next = Idx;
+  Last = Idx;
+}
+
+void RegionHeap::addPage(uint32_t Handle, size_t Words) {
+  uint32_t Idx = newPage(std::max(Words, PageWords));
+  mapPage(Idx, Handle);
+  Region &R = Regions[Handle];
+  append(R.FirstPage, R.LastPage, Idx);
 }
 
 uint32_t RegionHeap::create(uint32_t StaticId, RegionKind Kind,
                             unsigned FiniteWords) {
-  Region R;
-  R.StaticId = StaticId;
-  R.Kind = Kind;
-  R.Finite = FiniteWords != 0;
-  R.Live = true;
   uint32_t Handle = static_cast<uint32_t>(Regions.size());
-  Regions.push_back(std::move(R));
-  ++Stats.RegionsCreated;
-  RegionProfile &Prof = Profiles[StaticId];
+  auto [Slot, Fresh] = ProfileSlots.try_emplace(
+      StaticId, static_cast<uint32_t>(Profiles.size()));
+  if (Fresh)
+    Profiles.emplace_back();
+  RegionProfile &Prof = Profiles[Slot->second];
   Prof.StaticId = StaticId;
   Prof.Kind = Kind;
   Prof.Finite = FiniteWords != 0;
   ++Prof.Instances;
+
+  Region &R = Regions.emplace_back();
+  R.StaticId = StaticId;
+  R.Kind = Kind;
+  R.Finite = FiniteWords != 0;
+  R.Live = true;
+  R.Profile = Slot->second;
+  // Handles only grow, so appending keeps the live list ascending.
+  R.PrevLive = LiveLast;
+  if (LiveLast == NoRegion)
+    LiveFirst = Handle;
+  else
+    Regions[LiveLast].NextLive = Handle;
+  LiveLast = Handle;
+  ++Stats.RegionsCreated;
   if (FiniteWords != 0) {
     ++Stats.FiniteRegionsCreated;
-    Page P = newPage(FiniteWords);
-    mapPage(P, Handle);
-    Regions[Handle].Pages.push_back(std::move(P));
+    uint32_t Idx = newPage(FiniteWords);
+    mapPage(Idx, Handle);
+    append(R.FirstPage, R.LastPage, Idx);
   }
   return Handle;
 }
@@ -123,55 +262,22 @@ void RegionHeap::release(uint32_t Handle) {
   Region &R = Regions[Handle];
   assert(R.Live && "double release of a region");
   R.Live = false;
-  for (Page &P : R.Pages) {
+  (R.PrevLive == NoRegion ? LiveFirst : Regions[R.PrevLive].NextLive) =
+      R.NextLive;
+  (R.NextLive == NoRegion ? LiveLast : Regions[R.NextLive].PrevLive) =
+      R.PrevLive;
+  R.PrevLive = R.NextLive = NoRegion;
+  for (uint32_t Idx = R.FirstPage; Idx != NoPage;) {
+    uint32_t Next = Pages[Idx].Next;
     if (RetainReleasedPages) {
-      uintptr_t Start = reinterpret_cast<uintptr_t>(P.Words.get());
-      Graveyard[Start] = {Start + P.Cap * 8, R.StaticId};
+      uintptr_t Start = reinterpret_cast<uintptr_t>(Pages[Idx].Words);
+      Graveyard[Start] = {Start + uintptr_t{Pages[Idx].Cap} * 8, R.StaticId};
     }
-    unmapPage(P);
-    retirePage(std::move(P));
+    unmapPage(Idx);
+    retirePage(Idx);
+    Idx = Next;
   }
-  R.Pages.clear();
-}
-
-uint64_t *RegionHeap::alloc(uint32_t Handle, size_t Words) {
-  assert(Words > 0 && "empty allocation");
-  Region &R = Regions[Handle];
-  assert(R.Live && "allocation into a dead region");
-  Stats.AllocWords += Words;
-  AllocSinceGc += Words;
-  Profiles[R.StaticId].AllocWords += Words;
-  if (R.Pages.empty() || R.Pages.back().Old ||
-      R.Pages.back().Used + Words > R.Pages.back().Cap) {
-    size_t Cap = std::max(Words, PageWords);
-    Page P = newPage(Cap);
-    mapPage(P, Handle);
-    R.Pages.push_back(std::move(P));
-  }
-  Page &P = R.Pages.back();
-  uint64_t *Out = P.Words.get() + P.Used;
-  P.Used += Words;
-  return Out;
-}
-
-std::optional<uint32_t> RegionHeap::ownerOf(const uint64_t *Ptr) const {
-  uintptr_t Addr = reinterpret_cast<uintptr_t>(Ptr);
-  auto It = AddrMap.upper_bound(Addr);
-  if (It == AddrMap.begin())
-    return std::nullopt;
-  --It;
-  if (Addr >= It->first && Addr < It->second.End)
-    return It->second.Region;
-  return std::nullopt;
-}
-
-bool RegionHeap::isOldAddr(const uint64_t *Ptr) const {
-  uintptr_t Addr = reinterpret_cast<uintptr_t>(Ptr);
-  auto It = AddrMap.upper_bound(Addr);
-  if (It == AddrMap.begin())
-    return false;
-  --It;
-  return Addr >= It->first && Addr < It->second.End && It->second.Old;
+  R.FirstPage = R.LastPage = NoPage;
 }
 
 std::optional<uint32_t>
@@ -186,66 +292,76 @@ RegionHeap::graveyardOwnerOf(const uint64_t *Ptr) const {
   return std::nullopt;
 }
 
+size_t RegionHeap::numPages(uint32_t Handle) const {
+  size_t N = 0;
+  for (uint32_t Idx = Regions[Handle].FirstPage; Idx != NoPage;
+       Idx = Pages[Idx].Next)
+    ++N;
+  return N;
+}
+
 std::vector<uint32_t> RegionHeap::liveRegions() const {
   std::vector<uint32_t> Out;
-  for (uint32_t I = 0; I < Regions.size(); ++I)
-    if (Regions[I].Live)
-      Out.push_back(I);
+  for (uint32_t H = LiveFirst; H != NoRegion; H = Regions[H].NextLive)
+    Out.push_back(H);
   return Out;
 }
 
-std::vector<RegionHeap::Page> RegionHeap::detachPages(uint32_t Handle,
-                                                      bool YoungOnly) {
+void RegionHeap::detachPages(uint32_t Handle, bool YoungOnly) {
   Region &R = Regions[Handle];
-  // Pages stay in the address map so the collector can resolve from-space
-  // pointers; dropFromSpace removes them.
-  if (!YoungOnly) {
-    std::vector<Page> Out = std::move(R.Pages);
-    R.Pages.clear();
-    return Out;
+  uint32_t KeptFirst = NoPage, KeptLast = NoPage;
+  for (uint32_t Idx = R.FirstPage; Idx != NoPage;) {
+    Page &P = Pages[Idx];
+    uint32_t Next = P.Next;
+    if (YoungOnly && P.Old) {
+      append(KeptFirst, KeptLast, Idx);
+    } else {
+      P.FromSpace = true;
+      P.FwdBase = static_cast<uint32_t>(FromSpaceWords);
+      FromSpaceWords += P.Cap;
+      append(FromFirst, FromLast, Idx);
+    }
+    Idx = Next;
   }
-  std::vector<Page> Young, Kept;
-  for (Page &P : R.Pages) {
-    if (P.Old)
-      Kept.push_back(std::move(P));
-    else
-      Young.push_back(std::move(P));
+  R.FirstPage = KeptFirst;
+  R.LastPage = KeptLast;
+  Forwarded.resize((FromSpaceWords + 63) / 64, 0);
+}
+
+void RegionHeap::dropFromSpace() {
+  for (uint32_t Idx = FromFirst; Idx != NoPage;) {
+    uint32_t Next = Pages[Idx].Next;
+    unmapPage(Idx);
+    retirePage(Idx);
+    Idx = Next;
   }
-  R.Pages = std::move(Kept);
-  return Young;
+  FromFirst = FromLast = NoPage;
+  FromSpaceWords = 0;
+  Forwarded.clear(); // keeps its capacity for the next collection
 }
 
 void RegionHeap::sealLivePages() {
-  for (Region &R : Regions) {
-    if (!R.Live)
-      continue;
-    for (Page &P : R.Pages) {
-      if (P.Old)
-        continue;
-      P.Old = true;
-      uintptr_t Start = reinterpret_cast<uintptr_t>(P.Words.get());
-      auto It = AddrMap.find(Start);
-      if (It != AddrMap.end())
-        It->second.Old = true;
-    }
-  }
+  for (uint32_t H = LiveFirst; H != NoRegion; H = Regions[H].NextLive)
+    for (uint32_t Idx = Regions[H].FirstPage; Idx != NoPage;
+         Idx = Pages[Idx].Next)
+      Pages[Idx].Old = true;
 }
 
 std::vector<RegionProfile> RegionHeap::profiles() const {
   std::vector<RegionProfile> Out;
   Out.reserve(Profiles.size());
-  for (const auto &[Id, P] : Profiles)
-    Out.push_back(P);
+  for (const RegionProfile &P : Profiles)
+    if (P.Instances != 0 || P.AllocWords != 0)
+      Out.push_back(P);
+  // Static-id order first: the allocation-order sort below is not
+  // stable, so it must always start from the same sequence.
+  std::sort(Out.begin(), Out.end(),
+            [](const RegionProfile &A, const RegionProfile &B) {
+              return A.StaticId < B.StaticId;
+            });
   std::sort(Out.begin(), Out.end(),
             [](const RegionProfile &A, const RegionProfile &B) {
               return A.AllocWords > B.AllocWords;
             });
   return Out;
-}
-
-void RegionHeap::dropFromSpace(std::vector<Page> Pages) {
-  for (Page &P : Pages) {
-    unmapPage(P);
-    retirePage(std::move(P));
-  }
 }

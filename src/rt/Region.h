@@ -14,6 +14,26 @@
 /// copying and (b) detect pointers into deallocated regions — the
 /// dangling pointers whose absence the paper's type system guarantees.
 ///
+/// Everything the evaluator and collector do per step, per allocation or
+/// per letregion is constant-time and allocates nothing in steady state:
+///
+///  * **Page table.** An address resolves to its page record through an
+///    open-addressed table keyed by 2 KiB chunk number. Standard pages
+///    are chunk-aligned, so each owns one chunk; oversized pages and
+///    finite blocks are entered in every chunk they overlap. ownerOf,
+///    isOldAddr and the collector's from-space test are one probe.
+///  * **Page records, not page vectors.** Pages live in one record table
+///    and are chained per region, so a region costs no allocation of its
+///    own; released standard pages stay on a local free list.
+///  * **Live-region list.** Live handles are linked in ascending order,
+///    so the collector and sealLivePages visit live regions only, not
+///    every region ever created.
+///  * **Profile slots.** Each region holds its profile's slot, so alloc
+///    bumps the profile directly.
+///  * **Collector support.** From-space is a flag on page records, and a
+///    bitmap over from-space words marks evacuated objects, whose first
+///    word then holds the forwarding address.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RML_RT_REGION_H
@@ -23,11 +43,12 @@
 #include "rt/PagePool.h"
 #include "rt/Value.h"
 
+#include <cassert>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace rml::rt {
@@ -64,15 +85,37 @@ class RegionHeap {
 public:
   /// 2 KiB pages — the pool's buffer unit is the single source of truth.
   static constexpr size_t PageWords = PagePool::PageWords;
+  /// The page table resolves an address by its 2 KiB chunk number
+  /// (address >> ChunkShift). A standard page is exactly one chunk.
+  static constexpr unsigned ChunkShift = 11;
+  static_assert((size_t{1} << ChunkShift) == PagePool::PageBytes,
+                "a standard page must be exactly one page-table chunk");
 
+  static constexpr uint32_t NoPage = UINT32_MAX;
+  static constexpr uint32_t NoRegion = UINT32_MAX;
+
+  /// One page record. Records live in one heap-wide table and are
+  /// threaded through Next into at most one chain at a time: a region's
+  /// pages (oldest first), the local free list or the collector's
+  /// from-space. A graveyard page (RetainReleasedPages) is on none; its
+  /// memory lives until the heap is destroyed.
   struct Page {
-    std::unique_ptr<uint64_t[]> Words;
-    size_t Used = 0;
-    size_t Cap = 0;
+    /// Owned. Pages of at least PageWords words are PageBytes-aligned
+    /// (PagePool::PageBuffer for standard pages); smaller finite-region
+    /// blocks are exact-size allocations.
+    uint64_t *Words = nullptr;
+    uint32_t Used = 0;
+    uint32_t Cap = 0;
+    uint32_t Owner = 0;     // region handle while mapped
+    uint32_t Next = NoPage; // next record in the same chain
+    /// From-space only: this page's first word in the forwarding bitmap.
+    uint32_t FwdBase = 0;
     /// Generational extension: pages that survived a collection are
     /// *old*; minor collections evacuate young pages only (Elsman &
     /// Hallenberg's region+generation integration, the paper's [16,17]).
     bool Old = false;
+    /// Detached by the collector and awaiting dropFromSpace.
+    bool FromSpace = false;
   };
 
   struct Region {
@@ -80,7 +123,12 @@ public:
     RegionKind Kind = RegionKind::Mixed;
     bool Finite = false;
     bool Live = false;
-    std::vector<Page> Pages;
+    uint32_t FirstPage = NoPage; // page chain, oldest first
+    uint32_t LastPage = NoPage;  // the allocation page
+    uint32_t Profile = 0;        // slot in the profile table
+    /// Links of the live-region list (ascending handles).
+    uint32_t PrevLive = NoRegion;
+    uint32_t NextLive = NoRegion;
   };
 
   /// When set, released pages are never reused, so every dangling pointer
@@ -99,6 +147,8 @@ public:
 
   explicit RegionHeap();
   ~RegionHeap();
+  RegionHeap(const RegionHeap &) = delete;
+  RegionHeap &operator=(const RegionHeap &) = delete;
 
   /// Creates a region; returns its runtime handle. \p FiniteWords != 0
   /// requests a finite region with an exact-size block.
@@ -111,12 +161,54 @@ public:
 
   /// Bump-allocates \p Words words in \p Handle. Never GCs — the
   /// evaluator polices collection points.
-  uint64_t *alloc(uint32_t Handle, size_t Words);
+  uint64_t *alloc(uint32_t Handle, size_t Words) {
+    assert(Words > 0 && "empty allocation");
+    Region &R = Regions[Handle];
+    assert(R.Live && "allocation into a dead region");
+    Stats.AllocWords += Words;
+    AllocSinceGc += Words;
+    Profiles[R.Profile].AllocWords += Words;
+    if (R.LastPage == NoPage || Pages[R.LastPage].Old ||
+        Pages[R.LastPage].Used + Words > Pages[R.LastPage].Cap)
+      addPage(Handle, Words);
+    Page &P = Pages[R.LastPage];
+    uint64_t *Out = P.Words + P.Used;
+    P.Used += static_cast<uint32_t>(Words);
+    return Out;
+  }
+
+  /// The page record holding \p P (a live region's page, or from-space
+  /// during a collection), or NoPage for released pages and foreign
+  /// memory.
+  uint32_t pageOf(const uint64_t *P) const {
+    const uintptr_t Addr = reinterpret_cast<uintptr_t>(P);
+    const uintptr_t Chunk = Addr >> ChunkShift;
+    for (size_t I = Table.home(Chunk);; I = (I + 1) & Table.Mask) {
+      const PageTable::Slot &S = Table.Slots[I];
+      if (S.Page == NoPage)
+        return NoPage;
+      if (S.Chunk == Chunk &&
+          Addr - reinterpret_cast<uintptr_t>(Pages[S.Page].Words) <
+              uintptr_t{Pages[S.Page].Cap} * sizeof(uint64_t))
+        return S.Page;
+    }
+  }
 
   /// The region owning \p P, if P points into a live region's pages.
   /// Returns std::nullopt for unknown addresses (released-and-unreused
   /// pages, foreign memory).
-  std::optional<uint32_t> ownerOf(const uint64_t *P) const;
+  std::optional<uint32_t> ownerOf(const uint64_t *P) const {
+    uint32_t Idx = pageOf(P);
+    if (Idx == NoPage)
+      return std::nullopt;
+    return Pages[Idx].Owner;
+  }
+
+  /// True when \p P points into an old page (the write-barrier test).
+  bool isOldAddr(const uint64_t *P) const {
+    uint32_t Idx = pageOf(P);
+    return Idx != NoPage && Pages[Idx].Old;
+  }
 
   /// For dangling-pointer diagnostics: the static region id a released
   /// page belonged to (graveyard mode only).
@@ -125,23 +217,38 @@ public:
   Region &region(uint32_t Handle) { return Regions[Handle]; }
   const Region &region(uint32_t Handle) const { return Regions[Handle]; }
   size_t numRegions() const { return Regions.size(); }
+  const Page &page(uint32_t Idx) const { return Pages[Idx]; }
+  /// Pages currently held by \p Handle.
+  size_t numPages(uint32_t Handle) const;
 
-  /// Live regions' handles (for the collector).
+  /// Live regions' handles, ascending.
   std::vector<uint32_t> liveRegions() const;
+  /// The live-region list, for walking without a copy: the first live
+  /// handle, then region(H).NextLive until NoRegion.
+  uint32_t firstLive() const { return LiveFirst; }
 
-  /// Collector support: detaches a region's pages (from-space) and leaves
-  /// it empty for evacuation; with \p YoungOnly, old pages stay in place
-  /// (minor collection). The detached pages stay in the address map
-  /// (marked from-space) until dropFromSpace.
-  std::vector<Page> detachPages(uint32_t Handle, bool YoungOnly = false);
-  void dropFromSpace(std::vector<Page> Pages);
+  /// Collector support: moves a region's pages (with \p YoungOnly, its
+  /// young pages only — a minor collection) onto from-space and leaves
+  /// the region to be refilled by evacuation. From-space pages stay in
+  /// the page table, flagged, until dropFromSpace.
+  void detachPages(uint32_t Handle, bool YoungOnly = false);
+  /// Unmaps and retires every from-space page.
+  void dropFromSpace();
+  /// The forwarding bitmap: one bit per from-space word, set on the
+  /// first word of every object already evacuated (the object's first
+  /// word then holds its forwarding address).
+  bool isForwarded(uint32_t PageIdx, const uint64_t *Obj) const {
+    size_t Bit = fwdBit(PageIdx, Obj);
+    return (Forwarded[Bit / 64] >> (Bit % 64)) & 1;
+  }
+  void setForwarded(uint32_t PageIdx, const uint64_t *Obj) {
+    size_t Bit = fwdBit(PageIdx, Obj);
+    Forwarded[Bit / 64] |= uint64_t{1} << (Bit % 64);
+  }
 
   /// Marks every live page old (after a collection, survivors only) and
   /// forces the next allocation in each region onto a fresh young page.
   void sealLivePages();
-
-  /// True when \p P points into an old page (the write-barrier test).
-  bool isOldAddr(const uint64_t *P) const;
 
   /// Words allocated since the last collection (GC trigger input).
   uint64_t allocSinceGc() const { return AllocSinceGc; }
@@ -154,26 +261,67 @@ public:
   std::vector<RegionProfile> profiles() const;
 
 private:
-  Page newPage(size_t CapWords);
-  void retirePage(Page P);
-  void mapPage(const Page &P, uint32_t Handle);
-  void unmapPage(const Page &P);
+  /// Open-addressed (linear probing) multimap from chunk number to the
+  /// page records overlapping that chunk. A standard page owns its
+  /// chunk; oversized pages and finite blocks are entered once per
+  /// chunk they overlap, and several finite blocks may share a chunk,
+  /// so a lookup checks each candidate's address range. Deletion shifts
+  /// later entries back (no tombstones); the table only grows, so
+  /// steady-state mapping and unmapping never allocate.
+  struct PageTable {
+    struct Slot {
+      uintptr_t Chunk = 0;
+      uint32_t Page = NoPage; // NoPage marks an empty slot
+    };
+    std::vector<Slot> Slots;
+    size_t Mask = 0;
+    unsigned Shift = 0; // 64 - log2(Slots.size())
+    size_t Count = 0;
+
+    explicit PageTable(unsigned Log2Slots);
+    size_t home(uintptr_t Chunk) const {
+      return static_cast<size_t>((Chunk * 0x9E3779B97F4A7C15ull) >> Shift);
+    }
+    void insert(uintptr_t Chunk, uint32_t Page);
+    void erase(uintptr_t Chunk, uint32_t Page);
+  };
+
+  size_t fwdBit(uint32_t PageIdx, const uint64_t *Obj) const {
+    const Page &P = Pages[PageIdx];
+    assert(P.FromSpace && "forwarding outside from-space");
+    return P.FwdBase + static_cast<size_t>(Obj - P.Words);
+  }
+
+  /// A fresh or recycled page of \p CapWords words (not yet mapped).
+  uint32_t newPage(size_t CapWords);
+  /// Opens a new allocation page of at least \p Words words in \p Handle.
+  void addPage(uint32_t Handle, size_t Words);
+  uint32_t newRecord(uint64_t *Words, size_t CapWords);
+  void retirePage(uint32_t Idx);
+  void mapPage(uint32_t Idx, uint32_t Handle);
+  void unmapPage(uint32_t Idx);
+  /// Appends record \p Idx to the chain [First, Last].
+  void append(uint32_t &First, uint32_t &Last, uint32_t Idx);
 
   std::vector<Region> Regions;
-  /// Address map: page start -> (page end, region handle, old?).
-  struct PageInfo {
-    uintptr_t End;
-    uint32_t Region;
-    bool Old;
-  };
-  std::map<uintptr_t, PageInfo> AddrMap;
+  uint32_t LiveFirst = NoRegion, LiveLast = NoRegion;
+  std::vector<Page> Pages; // every page record, by index
+  PageTable Table;
+  uint32_t FreePages = NoPage;   // local free list of standard pages
+  uint32_t FreeRecords = NoPage; // records without a buffer
+  uint32_t FromFirst = NoPage, FromLast = NoPage;
+  size_t FromSpaceWords = 0;
+  std::vector<uint64_t> Forwarded; // bitmap over from-space words
   /// Released page memory kept alive for exact dangling detection:
-  /// page start -> (page end, static region id).
+  /// page start -> (page end, static region id). Read only to name the
+  /// region of a dangling pointer.
   std::map<uintptr_t, std::pair<uintptr_t, uint32_t>> Graveyard;
-  std::vector<Page> GraveyardPages;
-  std::vector<Page> Pool; // reusable standard pages
   uint64_t AllocSinceGc = 0;
-  std::map<uint32_t, RegionProfile> Profiles; // keyed by static id
+  /// Profiles by slot; each region holds its slot, so allocation
+  /// indexes this directly. ProfileSlots maps a static id to its slot
+  /// once per letregion.
+  std::vector<RegionProfile> Profiles;
+  std::unordered_map<uint32_t, uint32_t> ProfileSlots;
 };
 
 } // namespace rml::rt

@@ -420,4 +420,33 @@ TEST_P(FuzzTest, PipelineAgreementAndGcSafety) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest,
                          ::testing::Values(11u, 23u, 37u, 53u, 71u, 97u));
 
+TEST(FuzzTorture, RgNeverDanglesWithGcAtEveryAllocationPoint) {
+  // Theorem 2 quantifies over every collection point: with threshold 1
+  // the collector runs at every allocation point, with exact dangling
+  // detection, and rg must never trace a dangling pointer. The value
+  // must not depend on the schedule either.
+  const uint32_t Seed = 131;
+  const int Programs = 200;
+  uint64_t Collections = 0;
+  for (int I = 0; I < Programs; ++I) {
+    std::string Src = ProgGen(Seed * 1000 + I).program();
+    Compiler C;
+    auto Unit = C.compile(Src);
+    ASSERT_NE(Unit, nullptr) << C.diagnostics().str() << "\n" << Src;
+    rt::EvalOptions Torture;
+    Torture.GcThresholdWords = 1;
+    Torture.RetainReleasedPages = true;
+    rt::RunResult R = C.run(*Unit, Torture);
+    ASSERT_EQ(R.Outcome, rt::RunOutcome::Ok) << R.Error << "\n" << Src;
+    rt::EvalOptions NoGc;
+    NoGc.GcEnabled = false;
+    rt::RunResult Ref = C.run(*Unit, NoGc);
+    ASSERT_EQ(Ref.Outcome, rt::RunOutcome::Ok) << Ref.Error << "\n" << Src;
+    EXPECT_EQ(R.ResultText, Ref.ResultText) << Src;
+    Collections += R.Heap.GcCount;
+  }
+  // The batch really collects (the claim is vacuous otherwise).
+  EXPECT_GT(Collections, static_cast<uint64_t>(Programs));
+}
+
 } // namespace

@@ -97,6 +97,27 @@ TEST(GcSafetySuite, OrdinaryBenchmarksNeverCrashUnderRgMinus) {
   }
 }
 
+TEST(GcSafetySuite, RgMinusDiesUnderGcAtEveryAllocationPoint) {
+  // Threshold 1 collects at every allocation point, the strongest
+  // schedule the theorem quantifies over. rg- must still die, and do so
+  // within a few dozen collections. (rg stays on the thresholds above:
+  // at threshold 1, Figure 1's `work` list is copied by every one of
+  // its many thousand collections.)
+  const Case Cases[] = {
+      {"figure1", &bench::danglingPointerProgram()},
+      {"figure8", &bench::spuriousChainProgram()},
+      {"section44", &bench::exnDanglingProgram()},
+  };
+  for (const Case &C : Cases) {
+    rt::RunResult R = runWith(*C.Source, Strategy::RgMinus, 1);
+    EXPECT_EQ(R.Outcome, rt::RunOutcome::DanglingPointer)
+        << C.Name << " unexpectedly survived (" << R.Error << ")";
+    EXPECT_NE(R.Error.find("dangling"), std::string::npos) << C.Name;
+    EXPECT_GT(R.Heap.GcCount, 0u) << C.Name;
+    EXPECT_LE(R.Heap.GcCount, 100u) << C.Name;
+  }
+}
+
 TEST(GcSafetySuite, GcCountsAreNonTrivialForTheCrashPrograms) {
   // Make sure rg really interleaves collections (the safety claim is
   // vacuous otherwise).

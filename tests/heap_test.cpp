@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 using namespace rml;
 using namespace rml::rt;
 
@@ -67,7 +69,7 @@ TEST(Heap, MultiplePagesGrow) {
   uint32_t R = H.create(1, RegionKind::Mixed, 0);
   for (int I = 0; I < 1000; ++I)
     H.alloc(R, 3); // 3000 words > one 256-word page
-  EXPECT_GT(H.region(R).Pages.size(), 1u);
+  EXPECT_GT(H.numPages(R), 1u);
   EXPECT_EQ(H.Stats.AllocWords, 3000u);
 }
 
@@ -126,6 +128,169 @@ TEST(Heap, AllocSinceGcAccumulates) {
   EXPECT_EQ(H.allocSinceGc(), 15u);
   H.resetAllocSinceGc();
   EXPECT_EQ(H.allocSinceGc(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Page-table contract: every word of a mapped page resolves to its region
+// in O(1), whatever the page's size or alignment.
+//===----------------------------------------------------------------------===//
+
+/// Expects [First, First + Words) to resolve to \p R, and the word one
+/// past the end not to.
+void expectResolvesExactly(const RegionHeap &H, const uint64_t *First,
+                           size_t Words, uint32_t R) {
+  EXPECT_EQ(H.ownerOf(First), std::optional<uint32_t>(R));
+  EXPECT_EQ(H.ownerOf(First + Words - 1), std::optional<uint32_t>(R));
+  EXPECT_EQ(H.ownerOf(First + Words), std::nullopt);
+}
+
+TEST(HeapPageTable, StandardPageBoundsResolve) {
+  RegionHeap H;
+  uint32_t R = H.create(1, RegionKind::Mixed, 0);
+  uint64_t *P = H.alloc(R, 1);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(P) % (RegionHeap::PageWords * 8), 0u)
+      << "standard pages are chunk-aligned";
+  EXPECT_EQ(H.ownerOf(P - 1), std::nullopt);
+  expectResolvesExactly(H, P, RegionHeap::PageWords, R);
+}
+
+TEST(HeapPageTable, OversizedPageBoundsResolve) {
+  RegionHeap H;
+  uint32_t R = H.create(1, RegionKind::Mixed, 0);
+  const size_t Words = 5 * RegionHeap::PageWords + 3;
+  uint64_t *P = H.alloc(R, Words);
+  EXPECT_EQ(H.ownerOf(P - 1), std::nullopt);
+  expectResolvesExactly(H, P, Words, R);
+  // Every chunk the page spans resolves, not only its ends.
+  for (size_t I = 0; I < Words; I += RegionHeap::PageWords / 2)
+    EXPECT_EQ(H.ownerOf(P + I), std::optional<uint32_t>(R)) << I;
+}
+
+TEST(HeapPageTable, FiniteBlockBoundsResolve) {
+  RegionHeap H;
+  uint32_t R = H.create(1, RegionKind::Mixed, /*FiniteWords=*/3);
+  uint64_t *P = H.alloc(R, 3);
+  EXPECT_EQ(H.ownerOf(P - 1), std::nullopt);
+  expectResolvesExactly(H, P, 3, R);
+}
+
+TEST(HeapPageTable, FiniteBlocksSharingAChunkResolveToTheirOwnRegions) {
+  RegionHeap H;
+  std::vector<std::pair<uint32_t, uint64_t *>> Blocks;
+  for (uint32_t I = 0; I < 64; ++I) {
+    uint32_t R = H.create(100 + I, RegionKind::Pair, /*FiniteWords=*/2);
+    Blocks.emplace_back(R, H.alloc(R, 2));
+  }
+  size_t Sharing = 0;
+  for (size_t I = 0; I < Blocks.size(); ++I) {
+    const auto &[R, P] = Blocks[I];
+    EXPECT_EQ(H.ownerOf(P), std::optional<uint32_t>(R));
+    EXPECT_EQ(H.ownerOf(P + 1), std::optional<uint32_t>(R));
+    for (size_t J = 0; J < I; ++J)
+      if (reinterpret_cast<uintptr_t>(Blocks[J].second) >>
+              RegionHeap::ChunkShift ==
+          reinterpret_cast<uintptr_t>(P) >> RegionHeap::ChunkShift)
+        ++Sharing;
+  }
+  // 64 two-word blocks cannot all sit in distinct 2 KiB chunks.
+  EXPECT_GT(Sharing, 0u);
+  // Releasing every other block leaves its chunk-mates resolvable.
+  for (size_t I = 0; I < Blocks.size(); I += 2)
+    H.release(Blocks[I].first);
+  for (size_t I = 0; I < Blocks.size(); ++I)
+    EXPECT_EQ(H.ownerOf(Blocks[I].second),
+              I % 2 ? std::optional<uint32_t>(Blocks[I].first)
+                    : std::nullopt);
+}
+
+TEST(HeapPageTable, ReusedPageResolvesToItsNewRegionAndIsYoung) {
+  RegionHeap H;
+  uint32_t R1 = H.create(1, RegionKind::Mixed, 0);
+  uint64_t *P = H.alloc(R1, 4);
+  H.sealLivePages();
+  ASSERT_TRUE(H.isOldAddr(P));
+  H.release(R1);
+  EXPECT_EQ(H.ownerOf(P), std::nullopt);
+  EXPECT_FALSE(H.isOldAddr(P));
+
+  uint32_t R2 = H.create(2, RegionKind::Mixed, 0);
+  uint64_t *Q = H.alloc(R2, 4);
+  ASSERT_EQ(Q, P) << "the local free list hands the page back";
+  EXPECT_EQ(H.ownerOf(Q), std::optional<uint32_t>(R2));
+  EXPECT_FALSE(H.isOldAddr(Q));
+}
+
+TEST(HeapPageTable, RetainedPagesAreKnownOnlyToTheGraveyard) {
+  RegionHeap H;
+  H.RetainReleasedPages = true;
+  uint32_t Std = H.create(11, RegionKind::Mixed, 0);
+  uint32_t Big = H.create(12, RegionKind::Mixed, 0);
+  uint32_t Fin = H.create(13, RegionKind::Mixed, /*FiniteWords=*/5);
+  const size_t BigWords = 3 * RegionHeap::PageWords;
+  struct Span {
+    uint32_t Region, StaticId;
+    uint64_t *First;
+    size_t Words;
+  } Spans[] = {{Std, 11, H.alloc(Std, 1), RegionHeap::PageWords},
+               {Big, 12, H.alloc(Big, BigWords), BigWords},
+               {Fin, 13, H.alloc(Fin, 5), 5}};
+  for (const Span &S : Spans)
+    H.release(S.Region);
+  for (const Span &S : Spans) {
+    for (const uint64_t *P : {S.First, S.First + S.Words - 1}) {
+      EXPECT_EQ(H.ownerOf(P), std::nullopt) << S.StaticId;
+      EXPECT_EQ(H.graveyardOwnerOf(P), std::optional<uint32_t>(S.StaticId));
+    }
+  }
+  // Nothing is recycled: a new region gets a fresh page.
+  uint32_t R = H.create(14, RegionKind::Mixed, 0);
+  EXPECT_NE(H.alloc(R, 1), Spans[0].First);
+}
+
+TEST(HeapPageTable, ManyPagesSurviveGrowthAndDeletion) {
+  // Enough pages to grow the table several times (finite blocks first,
+  // so that many share chunks and so table keys), then unmap every
+  // other region: the survivors must all still resolve.
+  RegionHeap H;
+  std::vector<std::pair<uint32_t, std::vector<uint64_t *>>> Regions;
+  for (uint32_t I = 0; I < 300; ++I) {
+    const bool Finite = I < 100;
+    uint32_t R = H.create(I + 1, RegionKind::Mixed, Finite ? 7 : 0);
+    std::vector<uint64_t *> Ptrs;
+    if (Finite) {
+      Ptrs.push_back(H.alloc(R, 7));
+    } else {
+      for (int K = 0; K < 3; ++K)
+        Ptrs.push_back(H.alloc(R, RegionHeap::PageWords - 1));
+      Ptrs.push_back(H.alloc(R, 2 * RegionHeap::PageWords));
+    }
+    Regions.emplace_back(R, std::move(Ptrs));
+  }
+  for (size_t I = 0; I < Regions.size(); I += 2)
+    H.release(Regions[I].first);
+  for (size_t I = 0; I < Regions.size(); ++I)
+    for (uint64_t *P : Regions[I].second)
+      EXPECT_EQ(H.ownerOf(P),
+                I % 2 ? std::optional<uint32_t>(Regions[I].first)
+                      : std::nullopt);
+}
+
+TEST(HeapPageTable, LiveRegionsStayAscendingAfterOutOfOrderReleases) {
+  RegionHeap H;
+  std::vector<uint32_t> R;
+  for (uint32_t I = 0; I < 6; ++I)
+    R.push_back(H.create(I + 1, RegionKind::Mixed, 0));
+  H.release(R[2]);
+  H.release(R[0]);
+  H.release(R[5]);
+  EXPECT_EQ(H.liveRegions(), (std::vector<uint32_t>{0, R[1], R[3], R[4]}));
+  uint32_t Late = H.create(7, RegionKind::Mixed, 0);
+  H.release(R[4]);
+  EXPECT_EQ(H.liveRegions(), (std::vector<uint32_t>{0, R[1], R[3], Late}));
+  H.release(R[1]);
+  H.release(R[3]);
+  H.release(Late);
+  EXPECT_EQ(H.liveRegions(), std::vector<uint32_t>{0});
 }
 
 } // namespace

@@ -25,8 +25,8 @@ using namespace rml::rt;
 
 namespace {
 
-std::unique_ptr<uint64_t[]> standardBuffer() {
-  return std::make_unique<uint64_t[]>(RegionHeap::PageWords);
+PagePool::PageBuffer standardBuffer() {
+  return PagePool::allocatePage();
 }
 
 //===----------------------------------------------------------------------===//
@@ -45,12 +45,12 @@ TEST(PagePoolTest, AcquireOnEmptyPoolMisses) {
 
 TEST(PagePoolTest, ReleaseThenAcquireReturnsTheSameBuffer) {
   PagePool Pool(8);
-  std::unique_ptr<uint64_t[]> Buf = standardBuffer();
+  PagePool::PageBuffer Buf = standardBuffer();
   const uint64_t *Raw = Buf.get();
   Pool.release(std::move(Buf));
   EXPECT_EQ(Pool.freePages(), 1u);
 
-  std::unique_ptr<uint64_t[]> Again = Pool.acquire();
+  PagePool::PageBuffer Again = Pool.acquire();
   ASSERT_NE(Again, nullptr);
   EXPECT_EQ(Again.get(), Raw); // same thread => same shard => same page
   EXPECT_EQ(Pool.freePages(), 0u);
@@ -153,7 +153,7 @@ TEST(PagePoolTest, AcquireStealsFromOtherShardsBeforeMissing) {
 
 TEST(PagePoolTest, AcquireManyOnEmptyPoolCountsOneMissPerSlot) {
   PagePool Pool(8);
-  std::vector<std::unique_ptr<uint64_t[]>> Out;
+  std::vector<PagePool::PageBuffer> Out;
   EXPECT_EQ(Pool.acquireMany(Out, 5), 0u);
   EXPECT_TRUE(Out.empty());
   PagePoolStats S = Pool.stats();
@@ -164,7 +164,7 @@ TEST(PagePoolTest, AcquireManyOnEmptyPoolCountsOneMissPerSlot) {
 
 TEST(PagePoolTest, BatchReleaseThenBatchAcquireRoundTrips) {
   PagePool Pool(16);
-  std::vector<std::unique_ptr<uint64_t[]>> Bufs;
+  std::vector<PagePool::PageBuffer> Bufs;
   for (int I = 0; I < 6; ++I)
     Bufs.push_back(standardBuffer());
   Pool.releaseMany(std::move(Bufs));
@@ -173,7 +173,7 @@ TEST(PagePoolTest, BatchReleaseThenBatchAcquireRoundTrips) {
   EXPECT_EQ(S0.Releases, 6u); // accounted page-by-page
   EXPECT_EQ(S0.FreePages, 6u);
 
-  std::vector<std::unique_ptr<uint64_t[]>> Out;
+  std::vector<PagePool::PageBuffer> Out;
   EXPECT_EQ(Pool.acquireMany(Out, 6), 6u);
   ASSERT_EQ(Out.size(), 6u);
   for (const auto &B : Out)
@@ -188,7 +188,7 @@ TEST(PagePoolTest, BatchReleaseThenBatchAcquireRoundTrips) {
 
 TEST(PagePoolTest, BatchReleaseRespectsTheCapacityBound) {
   PagePool Pool(4);
-  std::vector<std::unique_ptr<uint64_t[]>> Bufs;
+  std::vector<PagePool::PageBuffer> Bufs;
   for (int I = 0; I < 7; ++I)
     Bufs.push_back(standardBuffer());
   Pool.releaseMany(std::move(Bufs));
@@ -200,12 +200,12 @@ TEST(PagePoolTest, BatchReleaseRespectsTheCapacityBound) {
 
 TEST(PagePoolTest, AcquireManyPartialFillCountsTheShortfallAsMisses) {
   PagePool Pool(16);
-  std::vector<std::unique_ptr<uint64_t[]>> Bufs;
+  std::vector<PagePool::PageBuffer> Bufs;
   for (int I = 0; I < 3; ++I)
     Bufs.push_back(standardBuffer());
   Pool.releaseMany(std::move(Bufs));
 
-  std::vector<std::unique_ptr<uint64_t[]>> Out;
+  std::vector<PagePool::PageBuffer> Out;
   EXPECT_EQ(Pool.acquireMany(Out, 5), 3u);
   EXPECT_EQ(Out.size(), 3u);
   PagePoolStats S = Pool.stats();
