@@ -119,10 +119,18 @@ bool Compiler::phaseFlatten(std::string_view, CompiledUnit &Unit) {
   // The last static phase: every analysis the runtime consults is
   // resolved into the self-contained flat form the caches persist —
   // including, when the captures phase ran, its per-closure table.
-  Unit.Flat = std::make_shared<flat::FlatUnit>(flat::flattenProgram(
+  std::string Problem;
+  auto Flat = std::make_shared<flat::FlatUnit>(flat::flattenProgram(
       Unit.Inferred.Prog, Unit.Inferred.RootMu, Unit.Mult, Unit.Kinds,
       Unit.Drops, Names, Unit.Options.Strat,
-      Unit.Captures ? &*Unit.Captures : nullptr));
+      Unit.Captures ? &*Unit.Captures : nullptr, &Problem));
+  if (!Problem.empty()) {
+    Diags.error(Unit.Inferred.Prog.Root ? Unit.Inferred.Prog.Root->Loc
+                                        : SrcLoc(),
+                Problem);
+    return false;
+  }
+  Unit.Flat = std::move(Flat);
   return true;
 }
 

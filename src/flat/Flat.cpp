@@ -3,26 +3,15 @@
 #include "flat/Flat.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 #include <set>
+#include <type_traits>
 #include <unordered_map>
 
 using namespace rml;
 using namespace rml::flat;
-
-//===----------------------------------------------------------------------===//
-// FlatUnit queries
-//===----------------------------------------------------------------------===//
-
-const FlatRegion *FlatUnit::regionInfo(uint32_t Id) const {
-  auto It = std::lower_bound(
-      Regions.begin(), Regions.end(), Id,
-      [](const FlatRegion &R, uint32_t Id) { return R.Id < Id; });
-  if (It == Regions.end() || It->Id != Id)
-    return nullptr;
-  return &*It;
-}
 
 //===----------------------------------------------------------------------===//
 // Flattening
@@ -55,6 +44,9 @@ public:
       RAppArgs;
   std::unordered_map<Symbol, uint32_t> ExnIds;
   uint32_t NextExnId = 0;
+  /// Static ids with a Regions entry: the global region and every
+  /// letregion binder.
+  std::set<uint32_t> RegionIds{0};
 
   void run(const RProgram &P) {
     for (const auto &[Name, Sig] : P.ExnSigs)
@@ -118,6 +110,10 @@ private:
       FunScope.resize(Mark);
       return;
     }
+    case RExpr::Kind::LetRegion:
+      RegionIds.insert(E->BoundRho.Id);
+      walk(E->A);
+      return;
     case RExpr::Kind::RApp: {
       assert(E->A->K == RExpr::Kind::Var && "region application target");
       const RExpr *Callee = lookupFun(E->A->Name);
@@ -194,7 +190,9 @@ private:
 };
 
 /// The second pass: rewrites the RExpr web into the index tables,
-/// consulting the FnPass results for fn links, RApp pairs and exn ids.
+/// consulting the FnPass results for fn links, RApp pairs and exn ids,
+/// and resolving every variable and region occurrence to a frame slot
+/// against two scope stacks (see Flat.h for the frame layouts).
 class Flattener {
 public:
   Flattener(const FnPass &FP, const MultiplicityInfo &Mult,
@@ -202,16 +200,30 @@ public:
       : FP(FP), Mult(Mult), Kinds(Kinds), Names(Names) {}
 
   FlatUnit take(const RProgram &P, const Mu *RootMu, Strategy Strat,
-                const CaptureInfo *Caps) {
+                const CaptureInfo *Caps, std::string &ErrorOut) {
     U.Strat = static_cast<uint8_t>(Strat);
-    RegionIds.insert(0); // the global region always has an entry
+    // Region facts first, ascending by id (LetRegion nodes carry their
+    // index); the global region always has an entry.
+    for (uint32_t Id : FP.RegionIds) {
+      FlatRegion R;
+      R.Id = Id;
+      R.Kind = static_cast<uint8_t>(Kinds.kindOf(RegionVar(Id)));
+      R.Finite = Mult.isFinite(RegionVar(Id)) ? 1 : 0;
+      auto It = Mult.FiniteWords.find(Id);
+      R.Words = It != Mult.FiniteWords.end() ? It->second : 0;
+      U.Regions.push_back(R);
+    }
+    FnBodies.assign(FP.Fns.size(), NoIndex);
     U.Root = flatten(P.Root);
     U.RootMu = flattenMu(RootMu);
-    // Fn table: bodies and captures were flattened/interned while
-    // walking the root (every body is a descendant of the root).
-    for (const FnInfo &F : FP.Fns) {
+    // Fn table: bodies were flattened in their own frames while walking
+    // the root (every fn site is a descendant of the root).
+    for (size_t I = 0; I < FP.Fns.size(); ++I) {
+      const FnInfo &F = FP.Fns[I];
       FlatFn FF;
-      FF.Body = NodeIndex.at(F.Body);
+      FF.Body = FnBodies[I];
+      if (FF.Body == NoIndex)
+        fail("internal: function body never flattened");
       FF.Param = nameId(F.Param);
       FF.Self = nameId(F.SelfName);
       FF.CapturesBegin = static_cast<uint32_t>(U.Aux.size());
@@ -220,8 +232,11 @@ public:
         U.Aux.push_back(nameId(S));
       FF.FreeRegionsBegin = static_cast<uint32_t>(U.Aux.size());
       FF.FreeRegionsCount = static_cast<uint32_t>(F.FreeRegions.size());
-      for (uint32_t R : F.FreeRegions)
-        U.Aux.push_back(R);
+      U.Aux.insert(U.Aux.end(), F.FreeRegions.begin(), F.FreeRegions.end());
+      FF.FormalsBegin = static_cast<uint32_t>(U.Aux.size());
+      FF.FormalsCount = static_cast<uint32_t>(F.RuntimeFormals.size());
+      U.Aux.insert(U.Aux.end(), F.RuntimeFormals.begin(),
+                   F.RuntimeFormals.end());
       U.Fns.push_back(FF);
     }
     // Capture table: the analysis enumerates closures in this pass's
@@ -243,16 +258,6 @@ public:
         U.Caps.push_back(FC);
       }
     }
-    // Region facts, ascending by id (regionInfo binary-searches).
-    for (uint32_t Id : RegionIds) {
-      FlatRegion R;
-      R.Id = Id;
-      R.Kind = static_cast<uint8_t>(Kinds.kindOf(RegionVar(Id)));
-      R.Finite = Mult.isFinite(RegionVar(Id)) ? 1 : 0;
-      auto It = Mult.FiniteWords.find(Id);
-      R.Words = It != Mult.FiniteWords.end() ? It->second : 0;
-      U.Regions.push_back(R);
-    }
     // Exception names in id order (ids were assigned sequentially).
     // Intern in id order too — iterating the unordered map directly
     // would make string-table order (and the encoding) nondeterministic.
@@ -262,10 +267,16 @@ public:
     U.ExnNames.reserve(ById.size());
     for (Symbol Name : ById)
       U.ExnNames.push_back(nameId(Name));
+    ErrorOut = std::move(Error);
     return std::move(U);
   }
 
 private:
+  void fail(std::string Msg) {
+    if (Error.empty())
+      Error = std::move(Msg);
+  }
+
   uint32_t stringId(std::string_view S) {
     auto It = StringIndex.find(std::string(S));
     if (It != StringIndex.end())
@@ -287,6 +298,92 @@ private:
     auto It = FP.ExnIds.find(Name);
     return It != FP.ExnIds.end() ? It->second : UINT32_MAX - 2;
   }
+
+  //===--------------------------------------------------------------------===//
+  // Scopes
+  //===--------------------------------------------------------------------===//
+
+  /// Everything a scope change saves: stack heights, frame bases and the
+  /// scope id. Restoring one pops back to it without copying a stack.
+  struct Mark {
+    size_t Vars, Regions, VarBase, RegionBase;
+    uint32_t Scope;
+  };
+  Mark mark() const {
+    return {VarScope.size(), RegionScope.size(), VarBase, RegionBase, Scope};
+  }
+  void restore(const Mark &M) {
+    VarScope.resize(M.Vars);
+    RegionScope.resize(M.Regions);
+    VarBase = M.VarBase;
+    RegionBase = M.RegionBase;
+    Scope = M.Scope;
+  }
+  void bindVar(Symbol S) {
+    VarScope.push_back(S);
+    Scope = ++NextScope;
+  }
+  void bindRegion(uint32_t Id) {
+    RegionScope.push_back(Id);
+    Scope = ++NextScope;
+  }
+  void enterFrame() {
+    VarBase = VarScope.size();
+    RegionBase = RegionScope.size();
+    Scope = ++NextScope;
+  }
+
+  /// The nearest binder of \p S in the current frame.
+  uint32_t varSlot(Symbol S) {
+    for (size_t I = VarScope.size(); I-- > VarBase;)
+      if (VarScope[I] == S)
+        return static_cast<uint32_t>(I - VarBase);
+    fail("internal: unbound variable '" + std::string(Names.text(S)) + "'");
+    return NoIndex;
+  }
+
+  /// The ref of static region \p Id in the current frame.
+  uint32_t regionRef(uint32_t Id) {
+    if (Id == 0)
+      return GlobalRegionRef;
+    for (size_t I = RegionScope.size(); I-- > RegionBase;)
+      if (RegionScope[I] == Id)
+        return static_cast<uint32_t>(I - RegionBase);
+    fail("internal: unbound region r" + std::to_string(Id));
+    return NoIndex;
+  }
+
+  /// An allocation site's ref and static id.
+  void site(FlatNode &N, RegionVar Rho) {
+    if (!Rho.isValid())
+      return;
+    N.X = regionRef(Rho.Id);
+    N.Y = Rho.Id;
+  }
+
+  /// Flattens fn \p Fi's body once, in the frame its FlatFn fixes.
+  void flattenBody(uint32_t Fi) {
+    if (FnBodies[Fi] != NoIndex)
+      return;
+    const FnInfo &F = FP.Fns[Fi];
+    Mark M = mark();
+    enterFrame();
+    for (Symbol S : F.Captures)
+      bindVar(S);
+    if (F.SelfName.isValid())
+      bindVar(F.SelfName);
+    bindVar(F.Param);
+    for (uint32_t R : F.FreeRegions)
+      bindRegion(R);
+    for (uint32_t R : F.RuntimeFormals)
+      bindRegion(R);
+    FnBodies[Fi] = flatten(F.Body);
+    restore(M);
+  }
+
+  //===--------------------------------------------------------------------===//
+  // Types and nodes
+  //===--------------------------------------------------------------------===//
 
   uint32_t flattenMu(const Mu *M) {
     if (!M)
@@ -331,128 +428,211 @@ private:
   }
 
   uint32_t flatten(const RExpr *E) {
-    if (!E)
+    if (!E) {
+      fail("internal: absent operand");
       return NoIndex;
-    // Substitution shares subtrees; flatten each node once so the flat
-    // form keeps the DAG (and the table stays linear in program size).
-    auto It = NodeIndex.find(E);
+    }
+    // Substitution may share subtrees: flatten a node once per scope, so
+    // the flat form keeps the DAG while every slot in it stays right.
+    auto It = NodeIndex.find({E, Scope});
     if (It != NodeIndex.end())
       return It->second;
 
     FlatNode N;
     N.Kind = static_cast<uint8_t>(E->K);
     switch (E->K) {
-    case RExpr::Kind::IntLit:
-      N.Int = E->IntValue;
+    case RExpr::Kind::IntLit: {
+      uint64_t V = static_cast<uint64_t>(E->IntValue);
+      N.A = static_cast<uint32_t>(V);
+      N.B = static_cast<uint32_t>(V >> 32);
       break;
+    }
     case RExpr::Kind::BoolLit:
-      N.Int = E->BoolValue ? 1 : 0;
+      N.A = E->BoolValue ? 1 : 0;
       break;
     case RExpr::Kind::StrE:
-      N.Str = stringId(E->StrValue);
-      N.AtRho = E->AtRho.Id;
+      N.A = stringId(E->StrValue);
+      site(N, E->AtRho);
       break;
     case RExpr::Kind::Var:
-      N.Name = nameId(E->Name);
+      N.A = varSlot(E->Name);
+      N.B = nameId(E->Name);
       break;
     case RExpr::Kind::Lam:
-    case RExpr::Kind::FunBind:
-      N.Fn = FP.FnIndex.at(E);
-      N.AtRho = E->AtRho.Id;
-      N.A = flatten(E->A);
+    case RExpr::Kind::FunBind: {
+      // The closure site: captures and free regions resolved in the
+      // defining frame, then the body in the function's own frame.
+      uint32_t Fi = FP.FnIndex.at(E);
+      const FnInfo &F = FP.Fns[Fi];
+      N.A = Fi;
+      N.B = static_cast<uint32_t>(U.Aux.size());
+      for (Symbol S : F.Captures)
+        U.Aux.push_back(varSlot(S));
+      for (uint32_t R : F.FreeRegions)
+        U.Aux.push_back(regionRef(R));
+      site(N, E->AtRho);
+      flattenBody(Fi);
       break;
-    case RExpr::Kind::Let:
-      N.Name = nameId(E->Name);
+    }
+    case RExpr::Kind::Let: {
       N.A = flatten(E->A);
+      Mark M = mark();
+      bindVar(E->Name);
       N.B = flatten(E->B);
+      restore(M);
+      N.C = nameId(E->Name);
       break;
+    }
     case RExpr::Kind::RApp: {
-      N.AtRho = E->AtRho.Id;
       const auto &Args = FP.RAppArgs.at(E);
-      N.AuxBegin = static_cast<uint32_t>(U.Aux.size());
-      N.AuxCount = static_cast<uint32_t>(2 * Args.size());
+      N.A = flatten(E->A);
+      N.B = static_cast<uint32_t>(U.Aux.size());
+      N.C = static_cast<uint32_t>(Args.size());
       for (const auto &[Formal, Target] : Args) {
         U.Aux.push_back(Formal);
         U.Aux.push_back(Target);
+        U.Aux.push_back(regionRef(Target));
       }
-      N.A = flatten(E->A);
+      site(N, E->AtRho);
       break;
     }
-    case RExpr::Kind::LetRegion:
-      N.BoundRho = E->BoundRho.Id;
-      RegionIds.insert(E->BoundRho.Id);
+    case RExpr::Kind::LetRegion: {
+      uint32_t Id = E->BoundRho.Id;
+      Mark M = mark();
+      bindRegion(Id);
       N.A = flatten(E->A);
+      restore(M);
+      N.B = static_cast<uint32_t>(
+          std::lower_bound(U.Regions.begin(), U.Regions.end(), Id,
+                           [](const FlatRegion &R, uint32_t Id) {
+                             return R.Id < Id;
+                           }) -
+          U.Regions.begin());
+      N.C = Id;
       break;
+    }
     case RExpr::Kind::Sel:
-      N.Sel = static_cast<uint8_t>(E->SelIndex);
+      N.Sub = static_cast<uint8_t>(E->SelIndex);
       N.A = flatten(E->A);
       break;
     case RExpr::Kind::BinOp:
-      N.Op = static_cast<uint8_t>(E->Op);
-      N.AtRho = E->AtRho.Id; // Concat allocates
+      N.Sub = static_cast<uint8_t>(E->Op);
       N.A = flatten(E->A);
       N.B = flatten(E->B);
+      site(N, E->AtRho); // Concat allocates
       break;
-    case RExpr::Kind::ListCase:
-      N.HeadName = nameId(E->HeadName);
-      N.TailName = nameId(E->TailName);
+    case RExpr::Kind::ListCase: {
       N.A = flatten(E->A);
       N.B = flatten(E->B);
+      Mark M = mark();
+      bindVar(E->HeadName);
+      bindVar(E->TailName);
       N.C = flatten(E->C);
+      restore(M);
+      N.X = nameId(E->HeadName);
+      N.Y = nameId(E->TailName);
       break;
+    }
     case RExpr::Kind::Seq: {
-      N.AuxBegin = static_cast<uint32_t>(U.Aux.size());
-      N.AuxCount = static_cast<uint32_t>(E->Items.size());
+      N.B = static_cast<uint32_t>(U.Aux.size());
+      N.C = static_cast<uint32_t>(E->Items.size());
       // Reserve the span before recursing: nested Seqs interleave
       // their own entries otherwise.
       size_t Base = U.Aux.size();
       U.Aux.resize(Base + E->Items.size(), NoIndex);
-      for (size_t I = 0; I < E->Items.size(); ++I)
-        U.Aux[Base + I] = flatten(E->Items[I]);
+      for (size_t I = 0; I < E->Items.size(); ++I) {
+        uint32_t Item = flatten(E->Items[I]);
+        U.Aux[Base + I] = Item;
+      }
       break;
     }
-    case RExpr::Kind::Handle:
-      N.ExnId = E->ExnName.isValid() ? exnIdOf(E->ExnName) : NoIndex;
-      N.BindName = nameId(E->BindName);
+    case RExpr::Kind::Handle: {
+      N.A = flatten(E->A);
+      Mark M = mark();
+      if (E->BindName.isValid())
+        bindVar(E->BindName);
+      N.B = flatten(E->B);
+      restore(M);
+      N.C = E->ExnName.isValid() ? exnIdOf(E->ExnName) : NoIndex;
+      N.X = nameId(E->BindName);
+      break;
+    }
+    case RExpr::Kind::ExnConE:
+      N.A = E->A ? flatten(E->A) : NoIndex;
+      N.B = exnIdOf(E->ExnName);
+      break;
+    case RExpr::Kind::Prim:
+      N.Sub = static_cast<uint8_t>(E->PrimK);
+      N.A = flatten(E->A);
+      site(N, E->AtRho); // Itos allocates
+      break;
+    case RExpr::Kind::PairE:
+    case RExpr::Kind::ConsE:
+      N.A = flatten(E->A);
+      N.B = flatten(E->B);
+      site(N, E->AtRho);
+      break;
+    case RExpr::Kind::RefE:
+      N.A = flatten(E->A);
+      site(N, E->AtRho);
+      break;
+    case RExpr::Kind::App:
+    case RExpr::Kind::Assign:
       N.A = flatten(E->A);
       N.B = flatten(E->B);
       break;
-    case RExpr::Kind::ExnConE:
-      N.ExnId = exnIdOf(E->ExnName);
-      N.A = flatten(E->A);
-      break;
-    case RExpr::Kind::Prim:
-      N.Prim = static_cast<uint8_t>(E->PrimK);
-      N.AtRho = E->AtRho.Id; // Itos allocates
-      N.A = flatten(E->A);
-      break;
-    default:
-      // PairE/ConsE/RefE (allocation site), App/If/Deref/Assign/Raise
-      // (plain children), UnitLit/NilVal (no payload), and the value
-      // forms the evaluator rejects at runtime.
-      N.AtRho = E->AtRho.Id;
+    case RExpr::Kind::If:
       N.A = flatten(E->A);
       N.B = flatten(E->B);
       N.C = flatten(E->C);
+      break;
+    case RExpr::Kind::Deref:
+    case RExpr::Kind::Raise:
+      N.A = flatten(E->A);
+      break;
+    default:
+      // UnitLit/NilVal (no payload) and the value forms the evaluator
+      // rejects at runtime.
       break;
     }
 
     uint32_t Id = static_cast<uint32_t>(U.Nodes.size());
     U.Nodes.push_back(N);
-    NodeIndex.emplace(E, Id);
+    NodeIndex.emplace(NodeKey{E, Scope}, Id);
     return Id;
   }
+
+  struct NodeKey {
+    const RExpr *E;
+    uint32_t Scope;
+    bool operator==(const NodeKey &O) const {
+      return E == O.E && Scope == O.Scope;
+    }
+  };
+  struct NodeKeyHash {
+    size_t operator()(const NodeKey &K) const {
+      return std::hash<const void *>()(K.E) ^ (size_t{K.Scope} << 1);
+    }
+  };
 
   const FnPass &FP;
   const MultiplicityInfo &Mult;
   const RegionKindInfo &Kinds;
   const Interner &Names;
   FlatUnit U;
-  std::unordered_map<const RExpr *, uint32_t> NodeIndex;
+  std::string Error;
+  std::vector<uint32_t> FnBodies;
+  std::vector<Symbol> VarScope;
+  std::vector<uint32_t> RegionScope;
+  size_t VarBase = 0, RegionBase = 0;
+  /// Identifies the current scope: every binder and frame entry takes a
+  /// fresh id and every restore returns to the saved one, so two visits
+  /// share an id exactly when they see the same binders.
+  uint32_t Scope = 0, NextScope = 0;
+  std::unordered_map<NodeKey, uint32_t, NodeKeyHash> NodeIndex;
   std::unordered_map<const Mu *, uint32_t> MuIndex;
   std::unordered_map<const Tau *, uint32_t> TauIndex;
   std::unordered_map<std::string, uint32_t> StringIndex;
-  std::set<uint32_t> RegionIds;
 };
 
 } // namespace
@@ -462,11 +642,16 @@ FlatUnit rml::flat::flattenProgram(const RProgram &P, const Mu *RootMu,
                                    const RegionKindInfo &Kinds,
                                    const DropInfo &Drops,
                                    const Interner &Names, Strategy Strat,
-                                   const CaptureInfo *Caps) {
+                                   const CaptureInfo *Caps,
+                                   std::string *Error) {
   FnPass FP(Drops);
   FP.run(P);
   Flattener F(FP, Mult, Kinds, Names);
-  return F.take(P, RootMu, Strat, Caps);
+  std::string Problem;
+  FlatUnit U = F.take(P, RootMu, Strat, Caps, Problem);
+  if (Error)
+    *Error = std::move(Problem);
+  return U;
 }
 
 std::string rml::flat::renderCaptureReport(const FlatUnit &U) {
@@ -499,9 +684,11 @@ std::string rml::flat::renderCaptureReport(const FlatUnit &U) {
 namespace {
 
 constexpr char Magic[8] = {'R', 'M', 'L', 'F', 'L', 'A', 'T', '1'};
-/// v2 added the HasCaptures flag and the Caps table; v1 bytes are
-/// version-rejected (the disk cache degrades that to a counted miss).
-constexpr uint32_t FlatVersion = 2;
+/// v2 added the HasCaptures flag and the Caps table; v3 resolved every
+/// variable and region to a frame slot and packed each node into one
+/// 24-byte record. Older bytes are version-rejected (the disk cache
+/// degrades that to a counted miss).
+constexpr uint32_t FlatVersion = 3;
 
 uint64_t fnv1a(std::string_view Bytes) {
   uint64_t H = 0xcbf29ce484222325ull;
@@ -568,54 +755,30 @@ struct Reader {
   bool done() const { return Ok && Pos == Bytes.size(); }
 };
 
-void encodeNode(std::string &B, const FlatNode &N) {
-  putU8(B, N.Kind);
-  putU8(B, N.Op);
-  putU8(B, N.Prim);
-  putU8(B, N.Sel);
-  putU32(B, N.A);
-  putU32(B, N.B);
-  putU32(B, N.C);
-  putU32(B, N.AuxBegin);
-  putU32(B, N.AuxCount);
-  putU32(B, N.Name);
-  putU32(B, N.HeadName);
-  putU32(B, N.TailName);
-  putU32(B, N.BindName);
-  putU32(B, N.ExnId);
-  putU32(B, N.Str);
-  putU64(B, static_cast<uint64_t>(N.Int));
-  putU32(B, N.AtRho);
-  putU32(B, N.BoundRho);
-  putU32(B, N.Fn);
-}
-constexpr size_t NodeBytes = 4 + 14 * 4 + 8;
+/// Nodes and Aux travel as raw little-endian images of their in-memory
+/// arrays: the node record is laid out to be its own encoding.
+static_assert(std::endian::native == std::endian::little,
+              "the flat encoding is the in-memory image of a "
+              "little-endian host");
+static_assert(std::is_trivially_copyable_v<FlatNode> &&
+                  sizeof(FlatNode) == 24,
+              "FlatNode is a padding-free 24-byte record");
 
-FlatNode decodeNode(Reader &R) {
-  FlatNode N;
-  N.Kind = R.u8();
-  N.Op = R.u8();
-  N.Prim = R.u8();
-  N.Sel = R.u8();
-  N.A = R.u32();
-  N.B = R.u32();
-  N.C = R.u32();
-  N.AuxBegin = R.u32();
-  N.AuxCount = R.u32();
-  N.Name = R.u32();
-  N.HeadName = R.u32();
-  N.TailName = R.u32();
-  N.BindName = R.u32();
-  N.ExnId = R.u32();
-  N.Str = R.u32();
-  N.Int = static_cast<int64_t>(R.u64());
-  N.AtRho = R.u32();
-  N.BoundRho = R.u32();
-  N.Fn = R.u32();
-  return N;
+template <typename T> void putArray(std::string &B, const std::vector<T> &V) {
+  putU64(B, V.size());
+  if (!V.empty())
+    B.append(reinterpret_cast<const char *>(V.data()), V.size() * sizeof(T));
 }
 
-constexpr size_t FnBytes = 7 * 4;
+template <typename T> bool takeArray(Reader &R, std::vector<T> &V) {
+  uint64_t N = R.u64();
+  if (!R.fits(N, sizeof(T)))
+    return false;
+  V.resize(N);
+  return N == 0 || R.take(V.data(), N * sizeof(T));
+}
+
+constexpr size_t FnBytes = 9 * 4;
 constexpr size_t CapBytes = 4 * 4;
 constexpr size_t MuBytes = 1 + 4;
 constexpr size_t TauBytes = 1 + 2 * 4;
@@ -625,7 +788,7 @@ constexpr size_t RegionBytes = 4 + 1 + 1 + 4;
 // Validation
 //===----------------------------------------------------------------------===//
 
-bool spanOk(uint32_t Begin, uint32_t Count, size_t Limit) {
+bool spanOk(uint32_t Begin, uint64_t Count, size_t Limit) {
   return static_cast<uint64_t>(Begin) + Count <= Limit;
 }
 
@@ -633,12 +796,184 @@ bool strOk(uint32_t Id, const FlatUnit &U) {
   return Id == NoIndex || Id < U.StringSpans.size();
 }
 
-bool nodeRefOk(uint32_t Id, const FlatUnit &U) {
-  return Id == NoIndex || Id < U.Nodes.size();
-}
+/// The scoped walk: from Root in the empty frame and from each fn body
+/// in the frame its FlatFn fixes, every node is checked once at the
+/// frame depths it is reached with. A slot or region ref at or beyond
+/// its depth, a child cycle, or a node reached at two different depths
+/// fails the unit — so the evaluator can index frames unchecked.
+class ScopedWalk {
+public:
+  explicit ScopedWalk(const FlatUnit &U)
+      : U(U), Seen(U.Nodes.size()) {}
+
+  bool run() {
+    if (!visit(U.Root, 0, 0))
+      return false;
+    for (const FlatFn &F : U.Fns)
+      if (!visit(F.Body, F.varFrame(), F.regionFrame()))
+        return false;
+    return true;
+  }
+
+private:
+  struct State {
+    uint32_t Vars = 0, Regions = 0;
+    uint8_t Mark = 0; ///< 0 unseen, 1 on the current path, 2 done
+  };
+  struct Item {
+    uint32_t Node, Vars, Regions;
+    bool Exit;
+  };
+
+  bool node(uint32_t I) const { return I < U.Nodes.size(); }
+  static bool ref(uint32_t R, uint32_t Regions) {
+    return R == GlobalRegionRef || R < Regions;
+  }
+
+  bool visit(uint32_t Root, uint32_t Vars, uint32_t Regions) {
+    Stack.clear();
+    Stack.push_back({Root, Vars, Regions, false});
+    while (!Stack.empty()) {
+      Item It = Stack.back();
+      Stack.pop_back();
+      if (It.Exit) {
+        Seen[It.Node].Mark = 2;
+        continue;
+      }
+      if (!node(It.Node))
+        return false;
+      State &S = Seen[It.Node];
+      if (S.Mark == 1)
+        return false; // a cycle
+      if (S.Mark == 2) {
+        if (S.Vars != It.Vars || S.Regions != It.Regions)
+          return false; // one node, two frame depths
+        continue;
+      }
+      S = {It.Vars, It.Regions, 1};
+      Stack.push_back({It.Node, 0, 0, true});
+      if (!check(U.Nodes[It.Node], It.Vars, It.Regions))
+        return false;
+    }
+    return true;
+  }
+
+  void child(uint32_t I, uint32_t Vars, uint32_t Regions) {
+    Stack.push_back({I, Vars, Regions, false});
+  }
+
+  /// Checks \p N's operands at depths (\p V, \p R) and queues its
+  /// children at theirs.
+  bool check(const FlatNode &N, uint32_t V, uint32_t R) {
+    if (N.Kind > static_cast<uint8_t>(RExpr::Kind::Prim) || N.Pad != 0)
+      return false;
+    auto Kind = static_cast<RExpr::Kind>(N.Kind);
+    uint8_t MaxSub = 0;
+    if (Kind == RExpr::Kind::BinOp)
+      MaxSub = static_cast<uint8_t>(BinOpKind::StrEq);
+    else if (Kind == RExpr::Kind::Prim)
+      MaxSub = static_cast<uint8_t>(Expr::PrimKind::Global);
+    if (Kind == RExpr::Kind::Sel ? N.Sub != 1 && N.Sub != 2 : N.Sub > MaxSub)
+      return false;
+    switch (Kind) {
+    case RExpr::Kind::StrE:
+      return N.A < U.StringSpans.size() && ref(N.X, R);
+    case RExpr::Kind::Var:
+      return N.A < V && strOk(N.B, U);
+    case RExpr::Kind::Lam:
+    case RExpr::Kind::FunBind: {
+      if (N.A >= U.Fns.size() || !ref(N.X, R))
+        return false;
+      const FlatFn &F = U.Fns[N.A];
+      uint64_t Caps = F.CapturesCount, Frees = F.FreeRegionsCount;
+      if (!spanOk(N.B, Caps + Frees, U.Aux.size()))
+        return false;
+      for (uint64_t I = 0; I < Caps; ++I)
+        if (U.Aux[N.B + I] >= V)
+          return false;
+      for (uint64_t I = 0; I < Frees; ++I)
+        if (!ref(U.Aux[N.B + Caps + I], R))
+          return false;
+      return true;
+    }
+    case RExpr::Kind::Let:
+      child(N.A, V, R);
+      child(N.B, V + 1, R);
+      return strOk(N.C, U);
+    case RExpr::Kind::RApp:
+      if (!spanOk(N.B, 3 * uint64_t{N.C}, U.Aux.size()) || !ref(N.X, R))
+        return false;
+      for (uint32_t I = 0; I < N.C; ++I)
+        if (!ref(U.Aux[N.B + 3 * I + 2], R))
+          return false;
+      child(N.A, V, R);
+      return true;
+    case RExpr::Kind::LetRegion:
+      child(N.A, V, R + 1);
+      return N.B < U.Regions.size() && U.Regions[N.B].Id == N.C;
+    case RExpr::Kind::BinOp:
+      child(N.A, V, R);
+      child(N.B, V, R);
+      return N.Sub != static_cast<uint8_t>(BinOpKind::Concat) || ref(N.X, R);
+    case RExpr::Kind::Prim:
+      child(N.A, V, R);
+      return N.Sub != static_cast<uint8_t>(Expr::PrimKind::Itos) ||
+             ref(N.X, R);
+    case RExpr::Kind::ListCase:
+      child(N.A, V, R);
+      child(N.B, V, R);
+      child(N.C, V + 2, R);
+      return strOk(N.X, U) && strOk(N.Y, U);
+    case RExpr::Kind::Seq:
+      if (!spanOk(N.B, N.C, U.Aux.size()))
+        return false;
+      for (uint32_t I = 0; I < N.C; ++I)
+        child(U.Aux[N.B + I], V, R);
+      return true;
+    case RExpr::Kind::Handle:
+      child(N.A, V, R);
+      child(N.B, V + (N.X != NoIndex ? 1 : 0), R);
+      return strOk(N.X, U);
+    case RExpr::Kind::ExnConE:
+      if (N.A != NoIndex)
+        child(N.A, V, R);
+      return true;
+    case RExpr::Kind::PairE:
+    case RExpr::Kind::ConsE:
+      child(N.A, V, R);
+      child(N.B, V, R);
+      return ref(N.X, R);
+    case RExpr::Kind::RefE:
+      child(N.A, V, R);
+      return ref(N.X, R);
+    case RExpr::Kind::App:
+    case RExpr::Kind::Assign:
+      child(N.A, V, R);
+      child(N.B, V, R);
+      return true;
+    case RExpr::Kind::If:
+      child(N.A, V, R);
+      child(N.B, V, R);
+      child(N.C, V, R);
+      return true;
+    case RExpr::Kind::Sel:
+    case RExpr::Kind::Deref:
+    case RExpr::Kind::Raise:
+      child(N.A, V, R);
+      return true;
+    default:
+      return true; // literals, unit, nil, value forms: no operands read
+    }
+  }
+
+  const FlatUnit &U;
+  std::vector<State> Seen;
+  std::vector<Item> Stack;
+};
 
 /// Full structural validation: every cross-reference lands inside its
-/// table, so the interpreter can index without bounds checks.
+/// table and every slot inside its frame, so the interpreter can index
+/// without bounds checks.
 bool validate(const FlatUnit &U) {
   if (U.Strat > static_cast<uint8_t>(Strategy::R))
     return false;
@@ -648,60 +983,15 @@ bool validate(const FlatUnit &U) {
   // is set, absent when it is not.
   if (U.Caps.size() != (U.HasCaptures ? U.Fns.size() : 0))
     return false;
-  if (U.Root >= U.Nodes.size())
-    return false;
   if (U.RootMu != NoIndex && U.RootMu >= U.Mus.size())
     return false;
 
-  for (const FlatNode &N : U.Nodes) {
-    if (N.Kind > static_cast<uint8_t>(RExpr::Kind::Prim))
-      return false;
-    if (N.Op > static_cast<uint8_t>(BinOpKind::StrEq))
-      return false;
-    if (N.Prim > static_cast<uint8_t>(Expr::PrimKind::Global))
-      return false;
-    if (N.Sel != 1 && N.Sel != 2)
-      return false;
-    if (!nodeRefOk(N.A, U) || !nodeRefOk(N.B, U) || !nodeRefOk(N.C, U))
-      return false;
-    if (!spanOk(N.AuxBegin, N.AuxCount, U.Aux.size()))
-      return false;
-    if (!strOk(N.Name, U) || !strOk(N.HeadName, U) || !strOk(N.TailName, U) ||
-        !strOk(N.BindName, U) || !strOk(N.Str, U))
-      return false;
-    if (N.Fn != NoIndex && N.Fn >= U.Fns.size())
-      return false;
-    switch (static_cast<RExpr::Kind>(N.Kind)) {
-    case RExpr::Kind::StrE:
-      if (N.Str == NoIndex)
-        return false;
-      break;
-    case RExpr::Kind::Lam:
-    case RExpr::Kind::FunBind:
-      if (N.Fn == NoIndex)
-        return false;
-      break;
-    case RExpr::Kind::Seq:
-      for (uint32_t I = 0; I < N.AuxCount; ++I)
-        if (U.Aux[N.AuxBegin + I] >= U.Nodes.size())
-          return false;
-      break;
-    case RExpr::Kind::RApp:
-      if (N.AuxCount % 2 != 0)
-        return false;
-      break;
-    default:
-      break;
-    }
-  }
-
   for (const FlatFn &F : U.Fns) {
-    if (F.Body >= U.Nodes.size())
-      return false;
     if (!strOk(F.Param, U) || !strOk(F.Self, U))
       return false;
     if (!spanOk(F.CapturesBegin, F.CapturesCount, U.Aux.size()) ||
-        !spanOk(F.FreeRegionsBegin, F.FreeRegionsCount, U.Aux.size()))
+        !spanOk(F.FreeRegionsBegin, F.FreeRegionsCount, U.Aux.size()) ||
+        !spanOk(F.FormalsBegin, F.FormalsCount, U.Aux.size()))
       return false;
     for (uint32_t I = 0; I < F.CapturesCount; ++I)
       if (U.Aux[F.CapturesBegin + I] >= U.StringSpans.size())
@@ -730,31 +1020,36 @@ bool validate(const FlatUnit &U) {
       return false;
   }
 
+  // Strictly ascending, starting with the global region the runtime
+  // reads as Regions[0].
+  if (U.Regions.empty() || U.Regions[0].Id != 0)
+    return false;
   for (size_t I = 0; I < U.Regions.size(); ++I) {
     if (U.Regions[I].Kind > static_cast<uint8_t>(RegionKind::Mixed))
       return false;
     if (I != 0 && U.Regions[I - 1].Id >= U.Regions[I].Id)
-      return false; // must be strictly ascending for binary search
+      return false;
   }
 
   for (uint32_t S : U.ExnNames)
     if (S >= U.StringSpans.size())
       return false;
 
-  return true;
+  return ScopedWalk(U).run();
 }
 
 } // namespace
 
 std::string rml::flat::encodeFlat(const FlatUnit &U) {
   std::string Body;
+  Body.reserve(64 + U.Nodes.size() * sizeof(FlatNode) + U.Aux.size() * 4 +
+               U.Fns.size() * FnBytes + U.StringBlob.size() +
+               U.StringSpans.size() * 4);
   putU8(Body, U.Strat);
   putU8(Body, U.HasCaptures);
   putU32(Body, U.Root);
   putU32(Body, U.RootMu);
-  putU64(Body, U.Nodes.size());
-  for (const FlatNode &N : U.Nodes)
-    encodeNode(Body, N);
+  putArray(Body, U.Nodes);
   putU64(Body, U.Fns.size());
   for (const FlatFn &F : U.Fns) {
     putU32(Body, F.Body);
@@ -764,6 +1059,8 @@ std::string rml::flat::encodeFlat(const FlatUnit &U) {
     putU32(Body, F.CapturesCount);
     putU32(Body, F.FreeRegionsBegin);
     putU32(Body, F.FreeRegionsCount);
+    putU32(Body, F.FormalsBegin);
+    putU32(Body, F.FormalsCount);
   }
   putU64(Body, U.Caps.size());
   for (const FlatCapture &C : U.Caps) {
@@ -772,9 +1069,7 @@ std::string rml::flat::encodeFlat(const FlatUnit &U) {
     putU32(Body, C.EffectBegin);
     putU32(Body, C.EffectCount);
   }
-  putU64(Body, U.Aux.size());
-  for (uint32_t V : U.Aux)
-    putU32(Body, V);
+  putArray(Body, U.Aux);
   putU64(Body, U.Mus.size());
   for (const FlatMu &M : U.Mus) {
     putU8(Body, M.Kind);
@@ -793,9 +1088,7 @@ std::string rml::flat::encodeFlat(const FlatUnit &U) {
     putU8(Body, R.Finite);
     putU32(Body, R.Words);
   }
-  putU64(Body, U.ExnNames.size());
-  for (uint32_t S : U.ExnNames)
-    putU32(Body, S);
+  putArray(Body, U.ExnNames);
   // String section: lengths in table order, then the blob. Spans are
   // contiguous and ascending (the flattener appends), so the blob *is*
   // the concatenation — decode rebuilds identical offsets.
@@ -838,12 +1131,8 @@ std::shared_ptr<const FlatUnit> rml::flat::decodeFlat(std::string_view Bytes) {
   U->Root = R.u32();
   U->RootMu = R.u32();
 
-  uint64_t NumNodes = R.u64();
-  if (!R.fits(NumNodes, NodeBytes))
+  if (!takeArray(R, U->Nodes))
     return nullptr;
-  U->Nodes.reserve(NumNodes);
-  for (uint64_t I = 0; I < NumNodes && R.Ok; ++I)
-    U->Nodes.push_back(decodeNode(R));
 
   uint64_t NumFns = R.u64();
   if (!R.fits(NumFns, FnBytes))
@@ -858,6 +1147,8 @@ std::shared_ptr<const FlatUnit> rml::flat::decodeFlat(std::string_view Bytes) {
     F.CapturesCount = R.u32();
     F.FreeRegionsBegin = R.u32();
     F.FreeRegionsCount = R.u32();
+    F.FormalsBegin = R.u32();
+    F.FormalsCount = R.u32();
     U->Fns.push_back(F);
   }
 
@@ -874,12 +1165,8 @@ std::shared_ptr<const FlatUnit> rml::flat::decodeFlat(std::string_view Bytes) {
     U->Caps.push_back(C);
   }
 
-  uint64_t NumAux = R.u64();
-  if (!R.fits(NumAux, 4))
+  if (!takeArray(R, U->Aux))
     return nullptr;
-  U->Aux.reserve(NumAux);
-  for (uint64_t I = 0; I < NumAux && R.Ok; ++I)
-    U->Aux.push_back(R.u32());
 
   uint64_t NumMus = R.u64();
   if (!R.fits(NumMus, MuBytes))
@@ -917,12 +1204,8 @@ std::shared_ptr<const FlatUnit> rml::flat::decodeFlat(std::string_view Bytes) {
     U->Regions.push_back(G);
   }
 
-  uint64_t NumExn = R.u64();
-  if (!R.fits(NumExn, 4))
+  if (!takeArray(R, U->ExnNames))
     return nullptr;
-  U->ExnNames.reserve(NumExn);
-  for (uint64_t I = 0; I < NumExn && R.Ok; ++I)
-    U->ExnNames.push_back(R.u32());
 
   uint64_t NumStrings = R.u64();
   if (!R.fits(NumStrings, 4))

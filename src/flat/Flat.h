@@ -17,13 +17,16 @@
 /// Layout — six tables plus a string section, all cross-referenced by
 /// u32 indices (UINT32_MAX = absent), never by pointer:
 ///
-///   Nodes    flattened RExpr tree: kind + child indices + per-kind
-///            payload (literal, name ids, region ids, fn/rapp links)
+///   Nodes    flattened RExpr tree, one fixed 24-byte FlatNode record
+///            per node: kind, one sub-op byte and five u32 operands
+///            whose meaning depends on the kind (see FlatNode)
 ///   Fns      one entry per lambda / fun binding: body node, parameter
-///            and self name ids, capture name-id span, free-region span
+///            and self name ids, and the static spans that fix its
+///            frames: capture names, free regions, runtime formals
 ///   Aux      a shared u32 pool holding the variable-length spans:
-///            Seq item lists, RApp (formal,target) pairs, fn captures
-///            and free-region sets
+///            Seq item lists, RApp (formal, target, target ref)
+///            triples, closure-site capture slots and free-region refs,
+///            fn captures, free-region and formal sets
 ///   Mus/Taus the result type reachable from RootMu, for rendering the
 ///            final value
 ///   Regions  per static region id: kind (tag-free layout decisions)
@@ -33,18 +36,35 @@
 ///   Strings  one deduplicated blob; name ids ARE string-table indices,
 ///            so a FlatUnit never needs the Compiler's interner
 ///
+/// **Frames (lexical addressing).** Every variable and region occurrence
+/// is resolved to a frame slot at flatten time, so the evaluator indexes
+/// instead of searching by name. A function's variable frame is its
+/// captures (in freeVars order), then self for a `fun`, then the
+/// parameter, then the let / case / handle binders in nesting order; the
+/// root frame starts empty. A function's region frame is its free
+/// regions, then its runtime formals, then its letregion binders. A
+/// region ref is a slot in the current region frame or GlobalRegionRef
+/// (region 0). A closure site resolves its captures and free regions in
+/// the *defining* frame. The names and static ids stay in the unit
+/// beside their slots: the runtime resolves through the slots (static
+/// ids only label closure region pairs and errors); the renderer and
+/// the scope tests read the names.
+///
 /// Everything semantic the runtime consults — drop analysis (absorbed
-/// into RApp pairs and free-region sets), multiplicity, region kinds,
+/// into RApp triples and free-region sets), multiplicity, region kinds,
 /// exception ids — is resolved at flatten time, so executing a FlatUnit
 /// needs no analysis structures at all.
 ///
 /// **Determinism and verification.** flattenProgram walks the program in
 /// one fixed order, so equal compiled units flatten to equal tables and
 /// encodeFlat is bit-deterministic. The encoding carries a checksum over
-/// its body; decodeFlat verifies it, then validates every index and
-/// span against its table before returning — truncation, bit flips,
-/// out-of-range indices and section-length overruns all fail closed to
-/// a null return (the disk cache counts that as a load rejection).
+/// its body; decodeFlat verifies it, then validates every index, span
+/// and slot before returning: a scoped walk from Root and from each fn
+/// body checks every slot and region ref against its frame depth and
+/// rejects a child cycle or a node reached at two depths. Truncation,
+/// bit flips, out-of-range indices and section-length overruns all fail
+/// closed to a null return (the disk cache counts that as a load
+/// rejection).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,32 +91,49 @@ namespace rml::flat {
 /// "No index" for any u32 cross-reference (node, string, fn, type).
 inline constexpr uint32_t NoIndex = UINT32_MAX;
 
-/// One flattened RExpr. Fixed-size; the per-kind payload overlaps in
-/// the obvious way (a node only reads the fields its kind defines).
+/// The region ref of region 0, which no frame holds.
+inline constexpr uint32_t GlobalRegionRef = UINT32_MAX - 1;
+
+/// One flattened RExpr: a fixed 24-byte record, identical in memory and
+/// in the encoding. Operands a kind does not list hold NoIndex (Pad and
+/// Sub are then 0). "slot" is a variable-frame slot, "ref" a region ref,
+/// "rho" the static region id a ref was resolved from.
+///
+///   IntLit    A,B = low, high 32 bits of the value
+///   BoolLit   A = 0 or 1
+///   StrE      A = string id, X = ref, Y = rho
+///   Var       A = slot, B = name id
+///   Lam/FunBind  A = Fns index, B = Aux span start of the closure site:
+///             Fns[A].CapturesCount capture slots, then
+///             Fns[A].FreeRegionsCount region refs; X = ref, Y = rho
+///   Let       A = bound expr, B = body (binds one slot), C = name id
+///   App       A = function, B = argument
+///   RApp      A = callee (a Var), B,C = Aux span of C triples
+///             (formal rho, target rho, target ref), X = ref, Y = rho
+///   LetRegion A = body (binds one region slot), B = Regions index,
+///             C = bound rho
+///   Sel       A = pair; Sub = field (1 or 2)
+///   If        A = condition, B = then, C = else
+///   BinOp     A,B = operands; Sub = BinOpKind; X = ref, Y = rho (Concat)
+///   ListCase  A = scrutinee, B = nil branch, C = cons branch (binds two
+///             slots), X = head name id, Y = tail name id
+///   RefE      A = contents, X = ref, Y = rho
+///   PairE/ConsE  A,B = fields, X = ref, Y = rho
+///   Deref     A;  Assign A = ref, B = value;  Raise A
+///   Seq       B,C = Aux span of item nodes
+///   Handle    A = body, B = handler (binds one slot iff X != NoIndex),
+///             C = matched exn id (NoIndex: catch-all), X = binder name
+///   ExnConE   A = argument (NoIndex: none), B = exn id (an unregistered
+///             constructor resolves to the UINT32_MAX-2 sentinel)
+///   Prim      A = argument; Sub = PrimKind; X = ref, Y = rho (Itos)
+///   UnitLit, NilVal and the value forms carry nothing.
 struct FlatNode {
   uint8_t Kind = 0; ///< RExpr::Kind
-  uint8_t Op = 0;   ///< BinOpKind (BinOp)
-  uint8_t Prim = 0; ///< Expr::PrimKind (Prim)
-  uint8_t Sel = 1;  ///< Sel field index (1 or 2)
-  uint32_t A = NoIndex, B = NoIndex, C = NoIndex; ///< child nodes
-  /// Span into FlatUnit::Aux — Seq: item node indices; RApp: resolved
-  /// (formal, target) static region id pairs, flattened (count is the
-  /// number of u32 entries, i.e. 2x the pair count).
-  uint32_t AuxBegin = 0, AuxCount = 0;
-  uint32_t Name = NoIndex;     ///< Var ref / Let binder (string index)
-  uint32_t HeadName = NoIndex; ///< ListCase head binder
-  uint32_t TailName = NoIndex; ///< ListCase tail binder
-  uint32_t BindName = NoIndex; ///< Handle argument binder
-  /// ExnConE: the resolved exception id (an unregistered constructor
-  /// resolves to the UINT32_MAX-2 sentinel). Handle:
-  /// the id the handler matches, or NoIndex for a catch-all.
-  uint32_t ExnId = NoIndex;
-  uint32_t Str = NoIndex; ///< StrE literal (string index)
-  int64_t Int = 0;        ///< IntLit value; BoolLit as 0/1
-  uint32_t AtRho = NoIndex;    ///< allocation destination static id
-  uint32_t BoundRho = NoIndex; ///< LetRegion binder static id
-  uint32_t Fn = NoIndex;       ///< Lam/FunBind: FlatUnit::Fns index
+  uint8_t Sub = 0;  ///< BinOpKind / Expr::PrimKind / Sel field
+  uint16_t Pad = 0;
+  uint32_t A = NoIndex, B = NoIndex, C = NoIndex, X = NoIndex, Y = NoIndex;
 };
+static_assert(sizeof(FlatNode) == 24, "the node record is 24 bytes");
 
 /// One closure's captured-region sets (rinfer/Captures.h), spans into
 /// Aux holding ascending static region ids. Present (Caps parallel to
@@ -107,7 +144,8 @@ struct FlatCapture {
 };
 
 /// One compiled lambda / fun binding, with the drop analysis already
-/// applied to the free-region set.
+/// applied to the free-region set. The spans fix the function's frames
+/// (see the file comment); all three hold name or static region ids.
 struct FlatFn {
   uint32_t Body = NoIndex;  ///< body node
   uint32_t Param = NoIndex; ///< parameter name id
@@ -117,6 +155,15 @@ struct FlatFn {
   /// Free static region ids to pack into closures (span into Aux;
   /// ascending).
   uint32_t FreeRegionsBegin = 0, FreeRegionsCount = 0;
+  /// Runtime formal static ids (the undropped quantified regions), in
+  /// the order RApp appends their instantiations (span into Aux).
+  uint32_t FormalsBegin = 0, FormalsCount = 0;
+
+  /// Depths of the frames the body runs in.
+  uint32_t varFrame() const {
+    return CapturesCount + (Self != NoIndex ? 1 : 0) + 1;
+  }
+  uint32_t regionFrame() const { return FreeRegionsCount + FormalsCount; }
 };
 
 /// Flattened result types: only what rendering reads (kind + children).
@@ -167,16 +214,14 @@ struct FlatUnit {
     const auto &[Off, Len] = StringSpans[I];
     return std::string_view(StringBlob).substr(Off, Len);
   }
-
-  /// Region facts for \p Id (binary search), or null when the id has no
-  /// entry — then the kind is RegionKind::Empty and the region is
-  /// infinite.
-  const FlatRegion *regionInfo(uint32_t Id) const;
 };
 
 /// Flattens a compiled program. Deterministic: the node, function and
 /// string tables are filled in one fixed pre-order walk, so identical
-/// inputs yield identical (and identically serialisable) units.
+/// inputs yield identical (and identically serialisable) units. A
+/// variable or region with no binder in its frame, or an absent
+/// operand, cannot be given a slot: the unit is then unusable and
+/// \p Error (when non-null) receives the first such problem.
 /// \p Caps, when non-null, is the capture-tracking table for \p P in
 /// the same closure pre-order this pass discovers functions in; it is
 /// embedded as the Caps/Aux sections so the report survives
@@ -185,7 +230,8 @@ FlatUnit flattenProgram(const RProgram &P, const Mu *RootMu,
                         const MultiplicityInfo &Mult,
                         const RegionKindInfo &Kinds, const DropInfo &Drops,
                         const Interner &Names, Strategy Strat,
-                        const CaptureInfo *Caps = nullptr);
+                        const CaptureInfo *Caps = nullptr,
+                        std::string *Error = nullptr);
 
 /// Renders the capture report from a flat unit's embedded table —
 /// byte-identical to Compiler::captureReport on the compiled unit (same

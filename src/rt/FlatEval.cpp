@@ -25,6 +25,9 @@ using flat::NoIndex;
 namespace {
 
 constexpr uint32_t ScratchStaticId = UINT32_MAX - 1;
+/// What a formal's slot holds when its closure was never instantiated
+/// by a region application (no heap ever hands out this handle).
+constexpr uint32_t UnboundHandle = UINT32_MAX;
 
 class FlatMachine {
 public:
@@ -35,8 +38,7 @@ public:
     Heap.SharedPool = Opts.RetainReleasedPages ? nullptr : Opts.SharedPool;
     // The global region's representation follows the kind analysis like
     // any other region.
-    Heap.region(0).Kind = staticKind(U.regionInfo(0));
-    RegionEnv.emplace_back(0u, 0u); // global region
+    Heap.region(0).Kind = staticKind(U.Regions[0]);
   }
 
   RunResult run() {
@@ -69,7 +71,8 @@ private:
   // Error handling and rooting
   //===--------------------------------------------------------------------===//
 
-  Value fatal(RunOutcome Kind, std::string Msg) {
+  [[gnu::cold, gnu::noinline]] Value fatal(RunOutcome Kind,
+                                           std::string Msg) {
     if (!Fatal) {
       Fatal = true;
       FatalKind = Kind;
@@ -91,12 +94,26 @@ private:
     }
   };
 
-  void maybeGc() {
-    if (!Opts.GcEnabled || !Policy.shouldCollect(Heap.allocSinceGc()))
+  bool gcDue() const {
+    return Opts.GcEnabled && Policy.shouldCollect(Heap.allocSinceGc());
+  }
+
+  /// Collects if a collection is due. \p Keep are operands held in no
+  /// root yet: they are rooted (and read back, moved) only then.
+  template <typename... Vs> void maybeGc(Vs &...Keep) {
+    if (!gcDue()) [[likely]]
       return;
+    TempScope T(*this);
+    (T.push(Keep), ...);
+    collect();
+    size_t I = T.Mark;
+    ((Keep = Temps[I++]), ...);
+  }
+
+  [[gnu::noinline]] void collect() {
     GcKind Kind = Policy.nextKind();
     Roots.clear();
-    for (auto &[S, V] : Env)
+    for (Value &V : Env)
       Roots.push_back(&V);
     for (Value &V : Temps)
       Roots.push_back(&V);
@@ -134,23 +151,25 @@ private:
   // Regions and allocation
   //===--------------------------------------------------------------------===//
 
-  uint32_t resolveRegion(uint32_t StaticId) {
-    if (StaticId == 0)
+  /// The runtime handle behind region ref \p Ref; \p Rho is its static
+  /// id, for the error when the slot holds an uninstantiated formal.
+  uint32_t regionOf(uint32_t Ref, uint32_t Rho) {
+    if (Ref == flat::GlobalRegionRef)
       return 0;
-    for (size_t I = RegionEnv.size(); I-- > 0;)
-      if (RegionEnv[I].first == StaticId)
-        return RegionEnv[I].second;
-    fatal(RunOutcome::RuntimeError,
-          "internal: unbound region r" + std::to_string(StaticId));
-    return 0;
+    uint32_t Handle = RegionEnv[RBase + Ref];
+    if (Handle == UnboundHandle) [[unlikely]] {
+      fatal(RunOutcome::RuntimeError,
+            "internal: unbound region r" + std::to_string(Rho));
+      return 0;
+    }
+    return Handle;
   }
 
   /// The runtime representation for a region with facts \p Info.
-  RegionKind staticKind(const FlatRegion *Info) const {
+  RegionKind staticKind(const FlatRegion &Info) const {
     if (!Opts.TagFreePairs)
       return RegionKind::Mixed;
-    RegionKind K = Info ? static_cast<RegionKind>(Info->Kind)
-                        : RegionKind::Empty;
+    RegionKind K = static_cast<RegionKind>(Info.Kind);
     switch (K) {
     case RegionKind::Pair:
     case RegionKind::Cons:
@@ -183,19 +202,21 @@ private:
            KindOut == RegionKind::Ref;
   }
 
-  uint64_t *allocAt(uint32_t StaticRho, size_t Words) {
+  /// Allocates \p Words in the region behind \p Ref after any due
+  /// collection; null once the run has failed.
+  uint64_t *allocAt(uint32_t Ref, uint32_t Rho, size_t Words) {
     maybeGc();
     if (Fatal)
       return nullptr;
-    uint32_t Handle = resolveRegion(StaticRho);
+    uint32_t Handle = regionOf(Ref, Rho);
     if (Fatal)
       return nullptr;
     return Heap.alloc(Handle, Words);
   }
 
-  Value makeString(uint32_t StaticRho, std::string_view S) {
+  Value makeString(uint32_t Ref, uint32_t Rho, std::string_view S) {
     size_t DataWords = (S.size() + 7) / 8;
-    uint64_t *Obj = allocAt(StaticRho, 1 + DataWords);
+    uint64_t *Obj = allocAt(Ref, Rho, 1 + DataWords);
     if (!Obj)
       return unitValue();
     Obj[0] = makeHeader(ObjKind::String, S.size());
@@ -217,25 +238,21 @@ private:
   /// region's kind allows (a formal region variable may be instantiated
   /// with a mixed-kind region, so the decision is per region, not per
   /// allocation site).
-  Value makeCell(uint32_t StaticRho, ObjKind Kind, Value A, Value B) {
-    TempScope T(*this);
-    size_t IA = T.push(A), IB = T.push(B);
-    maybeGc();
+  Value makeCell(const FlatNode &E, ObjKind Kind, Value A, Value B) {
+    maybeGc(A, B);
     if (Fatal)
       return unitValue();
-    uint32_t Handle = resolveRegion(StaticRho);
+    uint32_t Handle = regionOf(E.X, E.Y);
     if (Fatal)
       return unitValue();
     RegionKind RK = Heap.region(Handle).Kind;
     bool TagFree = RK == RegionKind::Pair || RK == RegionKind::Cons;
     uint64_t *Obj = Heap.alloc(Handle, TagFree ? 2 : 3);
-    if (!Obj)
-      return unitValue();
     size_t Off = 0;
     if (!TagFree)
       Obj[Off++] = makeHeader(Kind, 0);
-    Obj[Off] = Temps[IA];
-    Obj[Off + 1] = Temps[IB];
+    Obj[Off] = A;
+    Obj[Off + 1] = B;
     return fromPtr(Obj);
   }
 
@@ -252,42 +269,30 @@ private:
   // Closures
   //===--------------------------------------------------------------------===//
 
-  std::string nameText(uint32_t NameId) const {
-    return NameId < U.StringSpans.size() ? std::string(U.str(NameId))
-                                         : "<name>";
-  }
-
-  Value lookupEnv(uint32_t NameId) {
-    for (size_t I = Env.size(); I-- > 0;)
-      if (Env[I].first == NameId)
-        return Env[I].second;
-    fatal(RunOutcome::RuntimeError,
-          "internal: unbound variable '" + nameText(NameId) + "'");
-    return unitValue();
-  }
-
   static uint64_t packRegion(uint32_t StaticId, uint32_t Handle) {
     return (static_cast<uint64_t>(StaticId) << 32) | Handle;
   }
 
-  Value makeClosure(uint32_t FnIdx, uint32_t AtRho) {
-    const FlatFn &F = U.Fns[FnIdx];
+  /// The closure for site \p E: its captures and free regions read
+  /// from the slots the site resolved them to in the defining frame.
+  Value makeClosure(const FlatNode &E) {
+    const FlatFn &F = U.Fns[E.A];
     size_t NRegions = F.FreeRegionsCount;
     size_t NCaptures = F.CapturesCount;
     size_t Words = 3 + NRegions + NCaptures;
-    uint64_t *Obj = allocAt(AtRho, Words);
+    uint64_t *Obj = allocAt(E.X, E.Y, Words);
     if (!Obj)
       return unitValue();
+    const uint32_t *Site = U.Aux.data() + E.B;
     Obj[0] = makeHeader(ObjKind::Closure, Words - 1);
-    Obj[1] = FnIdx;
+    Obj[1] = E.A;
     Obj[2] = NRegions;
     for (size_t I = 0; I < NRegions; ++I) {
       uint32_t Static = U.Aux[F.FreeRegionsBegin + I];
-      uint32_t Handle = resolveRegion(Static);
-      Obj[3 + I] = packRegion(Static, Handle);
+      Obj[3 + I] = packRegion(Static, regionOf(Site[NCaptures + I], Static));
     }
     for (size_t I = 0; I < NCaptures; ++I)
-      Obj[3 + NRegions + I] = lookupEnv(U.Aux[F.CapturesBegin + I]);
+      Obj[3 + NRegions + I] = Env[EBase + Site[I]];
     return fromPtr(Obj);
   }
 
@@ -369,7 +374,40 @@ private:
   // Evaluation
   //===--------------------------------------------------------------------===//
 
-  Value eval(uint32_t NodeIdx) {
+  /// Evaluates node \p I. A leaf — a variable or a literal — is read in
+  /// place, with the same interrupt and step accounting as any node;
+  /// every other kind goes through evalNode.
+  [[gnu::always_inline]] Value eval(uint32_t I) {
+    const FlatNode &E = U.Nodes[I];
+    switch (static_cast<RExpr::Kind>(E.Kind)) {
+    case RExpr::Kind::Var:
+    case RExpr::Kind::IntLit:
+    case RExpr::Kind::BoolLit:
+    case RExpr::Kind::UnitLit:
+    case RExpr::Kind::NilVal:
+      if (interrupted())
+        return unitValue();
+      if (++Steps > Opts.StepLimit)
+        return fatal(RunOutcome::RuntimeError, "step limit exceeded");
+      switch (static_cast<RExpr::Kind>(E.Kind)) {
+      case RExpr::Kind::Var:
+        return Env[EBase + E.A];
+      case RExpr::Kind::IntLit:
+        return boxScalar(static_cast<int64_t>(uint64_t{E.A} |
+                                              uint64_t{E.B} << 32));
+      case RExpr::Kind::BoolLit:
+        return boxBool(E.A != 0);
+      case RExpr::Kind::UnitLit:
+        return unitValue();
+      default:
+        return NilValue;
+      }
+    default:
+      return evalNode(E);
+    }
+  }
+
+  Value evalNode(const FlatNode &E) {
     if (interrupted())
       return unitValue();
     if (++Steps > Opts.StepLimit)
@@ -384,33 +422,20 @@ private:
       return fatal(RunOutcome::RuntimeError,
                    "recursion exhausted the interpreter stack budget "
                    "(no tail-call optimisation)");
-    if (NodeIdx == NoIndex) // unreachable for flattener output
-      return fatal(RunOutcome::RuntimeError, "internal: absent node");
 
-    const FlatNode &E = U.Nodes[NodeIdx];
     switch (static_cast<RExpr::Kind>(E.Kind)) {
-    case RExpr::Kind::IntLit:
-      return boxScalar(E.Int);
-    case RExpr::Kind::BoolLit:
-      return boxBool(E.Int != 0);
-    case RExpr::Kind::UnitLit:
-      return unitValue();
-    case RExpr::Kind::NilVal:
-      return NilValue;
     case RExpr::Kind::StrE:
-      return makeString(E.AtRho, U.str(E.Str));
-    case RExpr::Kind::Var:
-      return lookupEnv(E.Name);
+      return makeString(E.X, E.Y, U.str(E.A));
 
     case RExpr::Kind::Lam:
     case RExpr::Kind::FunBind:
-      return makeClosure(E.Fn, E.AtRho);
+      return makeClosure(E);
 
     case RExpr::Kind::Let: {
       Value V = eval(E.A);
       if (interrupted())
         return unitValue();
-      Env.emplace_back(E.Name, V);
+      Env.push_back(V);
       Value R = eval(E.B);
       Env.pop_back();
       return R;
@@ -435,28 +460,53 @@ private:
         return fatal(RunOutcome::RuntimeError,
                      "internal: application of a non-closure");
       const FlatFn &F = U.Fns[FnIdx];
-      size_t RMark = RegionEnv.size();
-      for (size_t I = 0; I < NRegions; ++I) {
-        uint64_t W = Obj[3 + I];
-        RegionEnv.emplace_back(static_cast<uint32_t>(W >> 32),
-                               static_cast<uint32_t>(W));
+      // The callee's region frame: the closure's free regions, then its
+      // formals as the latest region application appended them, or
+      // unbound when none did. Each application appends (formal, handle)
+      // pairs in formal order, so the last NFormals pairs must name
+      // exactly the formals; anything else is a closure this function
+      // cannot have produced.
+      size_t NFree = F.FreeRegionsCount, NFormals = F.FormalsCount;
+      size_t FormalsAt = 0;
+      if (NRegions != NFree) {
+        FormalsAt = 3 + NRegions - NFormals;
+        bool Fits = NFormals != 0 && NRegions >= NFree + NFormals;
+        for (size_t I = 0; Fits && I < NFormals; ++I)
+          Fits = Obj[FormalsAt + I] >> 32 == U.Aux[F.FormalsBegin + I];
+        if (!Fits)
+          return fatal(RunOutcome::RuntimeError,
+                       "internal: closure carries " +
+                           std::to_string(NRegions) +
+                           " regions, not its function's " +
+                           std::to_string(NFree) + " free and " +
+                           std::to_string(NFormals) + " formal regions");
       }
-      size_t EMark = Env.size();
+      size_t RMark = RegionEnv.size(), SavedRBase = RBase;
+      for (size_t I = 0; I < NFree; ++I)
+        RegionEnv.push_back(static_cast<uint32_t>(Obj[3 + I]));
+      for (size_t I = 0; I < NFormals; ++I)
+        RegionEnv.push_back(FormalsAt != 0
+                                ? static_cast<uint32_t>(Obj[FormalsAt + I])
+                                : UnboundHandle);
+      size_t EMark = Env.size(), SavedEBase = EBase;
       for (size_t I = 0; I < F.CapturesCount; ++I)
-        Env.emplace_back(U.Aux[F.CapturesBegin + I], Obj[3 + NRegions + I]);
+        Env.push_back(Obj[3 + NRegions + I]);
       if (F.Self != NoIndex)
-        Env.emplace_back(F.Self, FV);
-      Env.emplace_back(F.Param, Temps[IX]);
+        Env.push_back(FV);
+      Env.push_back(Temps[IX]);
       // Obj may move from here on; no further reads.
+      RBase = RMark;
+      EBase = EMark;
       Value R = eval(F.Body);
       Env.resize(EMark);
       RegionEnv.resize(RMark);
+      EBase = SavedEBase;
+      RBase = SavedRBase;
       return R;
     }
 
     case RExpr::Kind::RApp: {
-      TempScope T(*this);
-      size_t IC = T.push(eval(E.A));
+      Value C = eval(E.A);
       if (interrupted())
         return unitValue();
       // Resolve the instantiating regions before allocating. Nothing
@@ -464,15 +514,14 @@ private:
       // buffer serves every RApp.
       std::vector<uint64_t> &Extra = RAppExtra;
       Extra.clear();
-      for (uint32_t I = 0; I < E.AuxCount; I += 2) {
-        uint32_t Formal = U.Aux[E.AuxBegin + I];
-        uint32_t Target = U.Aux[E.AuxBegin + I + 1];
-        uint32_t Handle = resolveRegion(Target);
+      const uint32_t *Arg = U.Aux.data() + E.B;
+      for (uint32_t I = 0; I < E.C; ++I, Arg += 3) {
+        uint32_t Handle = regionOf(Arg[2], Arg[1]);
         if (Fatal)
           return unitValue();
-        Extra.push_back(packRegion(Formal, Handle));
+        Extra.push_back(packRegion(Arg[0], Handle));
       }
-      uint64_t *Old = asPtr(Temps[IC]);
+      uint64_t *Old = asPtr(C);
       size_t NRegions = Old[2];
       size_t Total = headerPayload(Old[0]) + 1;
       size_t NCaptures = Total - 3 - NRegions;
@@ -491,12 +540,16 @@ private:
         }
       }
       if (Redundant)
-        return Temps[IC];
+        return C;
       size_t Words = Total + Extra.size();
-      uint64_t *Obj = allocAt(E.AtRho, Words);
-      if (!Obj)
+      maybeGc(C);
+      if (Fatal)
         return unitValue();
-      Old = asPtr(Temps[IC]); // may have moved during allocation
+      uint32_t Handle = regionOf(E.X, E.Y);
+      if (Fatal)
+        return unitValue();
+      uint64_t *Obj = Heap.alloc(Handle, Words);
+      Old = asPtr(C); // may have moved during the collection
       Obj[0] = makeHeader(ObjKind::Closure, Words - 1);
       Obj[1] = Old[1];
       Obj[2] = NRegions + Extra.size();
@@ -510,13 +563,11 @@ private:
     }
 
     case RExpr::Kind::LetRegion: {
-      const FlatRegion *Info = U.regionInfo(E.BoundRho);
-      unsigned FiniteWords = 0;
-      if (Opts.UseFiniteRegions && Info && Info->Finite)
-        FiniteWords = Info->Words;
-      uint32_t Handle =
-          Heap.create(E.BoundRho, staticKind(Info), FiniteWords);
-      RegionEnv.emplace_back(E.BoundRho, Handle);
+      const FlatRegion &Info = U.Regions[E.B];
+      unsigned FiniteWords =
+          Opts.UseFiniteRegions && Info.Finite ? Info.Words : 0;
+      uint32_t Handle = Heap.create(E.C, staticKind(Info), FiniteWords);
+      RegionEnv.push_back(Handle);
       Value V = eval(E.A);
       RegionEnv.pop_back();
       Heap.release(Handle);
@@ -524,18 +575,7 @@ private:
       return V;
     }
 
-    case RExpr::Kind::PairE: {
-      Value A = eval(E.A);
-      if (interrupted())
-        return unitValue();
-      TempScope T(*this);
-      size_t IA = T.push(A);
-      Value B = eval(E.B);
-      if (interrupted())
-        return unitValue();
-      return makeCell(E.AtRho, ObjKind::Pair, Temps[IA], B);
-    }
-
+    case RExpr::Kind::PairE:
     case RExpr::Kind::ConsE: {
       Value A = eval(E.A);
       if (interrupted())
@@ -545,7 +585,11 @@ private:
       Value B = eval(E.B);
       if (interrupted())
         return unitValue();
-      return makeCell(E.AtRho, ObjKind::Cons, Temps[IA], B);
+      return makeCell(E,
+                      E.Kind == static_cast<uint8_t>(RExpr::Kind::PairE)
+                          ? ObjKind::Pair
+                          : ObjKind::Cons,
+                      Temps[IA], B);
     }
 
     case RExpr::Kind::Sel: {
@@ -554,7 +598,7 @@ private:
         return unitValue();
       Value A, B;
       readCell(V, A, B);
-      return E.Sel == 1 ? A : B;
+      return E.Sub == 1 ? A : B;
     }
 
     case RExpr::Kind::If: {
@@ -575,8 +619,8 @@ private:
         return eval(E.B);
       Value Head, Tail;
       readCell(V, Head, Tail);
-      Env.emplace_back(E.HeadName, Head);
-      Env.emplace_back(E.TailName, Tail);
+      Env.push_back(Head);
+      Env.push_back(Tail);
       Value R = eval(E.C);
       Env.pop_back();
       Env.pop_back();
@@ -587,22 +631,18 @@ private:
       Value V = eval(E.A);
       if (interrupted())
         return unitValue();
-      TempScope T(*this);
-      size_t IV = T.push(V);
-      maybeGc();
+      maybeGc(V);
       if (Fatal)
         return unitValue();
-      uint32_t Handle = resolveRegion(E.AtRho);
+      uint32_t Handle = regionOf(E.X, E.Y);
       if (Fatal)
         return unitValue();
       bool TagFree = Heap.region(Handle).Kind == RegionKind::Ref;
       uint64_t *Obj = Heap.alloc(Handle, TagFree ? 1 : 2);
-      if (!Obj)
-        return unitValue();
       size_t Off = 0;
       if (!TagFree)
         Obj[Off++] = makeHeader(ObjKind::Ref, 0);
-      Obj[Off] = Temps[IV];
+      Obj[Off] = V;
       return fromPtr(Obj);
     }
 
@@ -638,8 +678,8 @@ private:
 
     case RExpr::Kind::Seq: {
       Value V = unitValue();
-      for (uint32_t I = 0; I < E.AuxCount; ++I) {
-        V = eval(U.Aux[E.AuxBegin + I]);
+      for (uint32_t I = 0; I < E.C; ++I) {
+        V = eval(U.Aux[E.B + I]);
         if (interrupted())
           return unitValue();
       }
@@ -662,17 +702,16 @@ private:
       if (!Unwinding)
         return V;
       // Match the handler (the want-id was resolved at flatten time).
-      bool HasFilter = E.ExnId != NoIndex;
+      bool HasFilter = E.C != NoIndex;
       uint64_t *Obj = isPointer(ExnVal) ? asPtr(ExnVal) : nullptr;
       uint32_t GotId = Obj ? static_cast<uint32_t>(Obj[1]) : UINT32_MAX - 3;
-      if (HasFilter && E.ExnId != GotId)
+      if (HasFilter && E.C != GotId)
         return unitValue(); // keep unwinding
       Unwinding = false;
       size_t EMark = Env.size();
-      if (E.BindName != NoIndex && Obj && headerPayload(Obj[0]) == 1)
-        Env.emplace_back(E.BindName, Obj[2]);
-      else if (E.BindName != NoIndex)
-        Env.emplace_back(E.BindName, unitValue());
+      if (E.X != NoIndex)
+        Env.push_back(Obj && headerPayload(Obj[0]) == 1 ? Obj[2]
+                                                         : unitValue());
       ExnVal = NilValue;
       Value R = eval(E.B);
       Env.resize(EMark);
@@ -687,15 +726,14 @@ private:
         if (interrupted())
           return unitValue();
       }
-      TempScope T(*this);
-      size_t IA = T.push(Arg);
-      uint64_t *Obj = allocAt(0, HasArg ? 3 : 2); // the global region
-      if (!Obj)
+      maybeGc(Arg);
+      if (Fatal)
         return unitValue();
+      uint64_t *Obj = Heap.alloc(0, HasArg ? 3 : 2); // the global region
       Obj[0] = makeHeader(ObjKind::Exn, HasArg ? 1 : 0);
-      Obj[1] = E.ExnId;
+      Obj[1] = E.B;
       if (HasArg)
-        Obj[2] = Temps[IA];
+        Obj[2] = Arg;
       return fromPtr(Obj);
     }
 
@@ -709,7 +747,7 @@ private:
   }
 
   Value evalBinOp(const FlatNode &E) {
-    BinOpKind Op = static_cast<BinOpKind>(E.Op);
+    BinOpKind Op = static_cast<BinOpKind>(E.Sub);
     // andalso / orelse are lazy.
     if (Op == BinOpKind::AndAlso || Op == BinOpKind::OrElse) {
       Value L = eval(E.A);
@@ -766,7 +804,7 @@ private:
     case BinOpKind::Concat: {
       std::string S(readString(L));
       S += readString(R);
-      return makeString(E.AtRho, S);
+      return makeString(E.X, E.Y, S);
     }
     case BinOpKind::Cons:
     case BinOpKind::AndAlso:
@@ -780,14 +818,14 @@ private:
     Value V = eval(E.A);
     if (interrupted())
       return unitValue();
-    switch (static_cast<Expr::PrimKind>(E.Prim)) {
+    switch (static_cast<Expr::PrimKind>(E.Sub)) {
     case Expr::PrimKind::Print:
       Output += readString(V);
       return unitValue();
     case Expr::PrimKind::Size:
       return boxScalar(static_cast<int64_t>(readString(V).size()));
     case Expr::PrimKind::Itos:
-      return makeString(E.AtRho, std::to_string(unboxScalar(V)));
+      return makeString(E.X, E.Y, std::to_string(unboxScalar(V)));
     case Expr::PrimKind::Global:
       return V; // purely a region-inference directive
     case Expr::PrimKind::Work: {
@@ -821,9 +859,13 @@ private:
   EvalOptions Opts;
 
   RegionHeap Heap;
-  std::vector<std::pair<uint32_t, Value>> Env; // keyed by name (string) id
+  /// The two frame stacks. A function's frames start at EBase / RBase
+  /// and slots index from there; App saves and restores both bases.
+  /// Every Env entry is a GC root, in stack order.
+  std::vector<Value> Env;
+  std::vector<uint32_t> RegionEnv; // region handles
+  size_t EBase = 0, RBase = 0;
   std::vector<Value> Temps;
-  std::vector<std::pair<uint32_t, uint32_t>> RegionEnv;
   bool Unwinding = false;
   Value ExnVal = NilValue;
   std::vector<Value *> Remembered; // old-to-young slots (write barrier)

@@ -18,6 +18,19 @@
 /// The small-step machine of Section 3.10 (smallstep/Step.h) stays the
 /// independent semantic oracle on the pure fragment it covers.
 ///
+/// **Frames.** The evaluator keeps two stacks — values and region
+/// handles — and reads every variable and region through the slot the
+/// flattener resolved it to (flat/Flat.h), relative to the current
+/// function's frame base; it never searches by name. An application
+/// saves both bases, pushes the callee's frames (captures, self,
+/// parameter; free regions, then formals) and restores the bases on
+/// return. The formals come from the closure's last region
+/// application; a closure never instantiated gets an "unbound" handle
+/// there, and using one fails the run with "internal: unbound region
+/// rN". A closure whose region count fits neither shape ends the run
+/// with a RuntimeError. The value stack is the GC root set in stack
+/// order, followed by the temporaries and the exception slot.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RML_RT_FLATEVAL_H

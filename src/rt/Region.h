@@ -160,7 +160,10 @@ public:
   void release(uint32_t Handle);
 
   /// Bump-allocates \p Words words in \p Handle. Never GCs — the
-  /// evaluator polices collection points.
+  /// evaluator polices collection points — and never returns null: a
+  /// full page is replaced by a fresh one (addPage), whose allocator
+  /// throws rather than fail quietly, so callers write through the
+  /// result unchecked.
   uint64_t *alloc(uint32_t Handle, size_t Words) {
     assert(Words > 0 && "empty allocation");
     Region &R = Regions[Handle];

@@ -155,8 +155,9 @@ public:
   /// files fail closed to a miss instead of being misparsed. Version 2
   /// appended the embedded flat unit; version 3 added the Captures
   /// option byte and the persisted capture report; version 4 dropped
-  /// the per-entry eviction cost; v1–v3 files are version-rejected.
-  static constexpr uint32_t FormatVersion = 4;
+  /// the per-entry eviction cost; version 5 embeds flat v3 (slot-
+  /// resolved 24-byte nodes); v1–v4 files are version-rejected.
+  static constexpr uint32_t FormatVersion = 5;
   /// First bytes of every entry file.
   static constexpr char Magic[8] = {'R', 'M', 'L', 'D', 'C', 'A', 'C', 'H'};
 

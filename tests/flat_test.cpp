@@ -6,15 +6,19 @@
 // garbage, out-of-range indices — fails closed to a null decode, the
 // disk tier counts a damaged flat section as a load rejection, a warm
 // service restart executes Run=true straight from disk with zero compile
-// phases, and the runs match the runtime golden file. Labelled `flat` in
-// ctest and expected to be clean under -DRML_SANITIZE=thread.
+// phases, and the runs match the runtime golden file. Every variable and
+// region slot names the binder the old name scan finds, and a slot or
+// ref outside its frame fails closed at decode. Labelled `flat` in ctest
+// and expected to be clean under -DRML_SANITIZE=thread.
 //
 //===----------------------------------------------------------------------===//
 
 #include "flat/Flat.h"
 
+#include "bench/Programs.h"
 #include "core/Pipeline.h"
 #include "runtime_golden.h"
+#include "scope_oracle.h"
 #include "service/DiskCache.h"
 #include "service/Service.h"
 
@@ -276,6 +280,148 @@ TEST(FlatCorruption, StructurallyInvalidUnitsRejectAtDecode) {
   // The uncorrupted original still decodes — the probes above failed
   // for the planted reason, not some latent one.
   EXPECT_NE(flat::decodeFlat(flat::encodeFlat(Good)), nullptr);
+}
+
+TEST(FlatCorruption, SlotsOutsideTheirFramesRejectAtDecode) {
+  // The scoped walk's rejections, each planted exactly at the edge of
+  // its frame (the depths come from the scope oracle's own walk).
+  Compiler C;
+  auto Unit = C.compile(RichProgram);
+  ASSERT_NE(Unit, nullptr);
+  const flat::FlatUnit &Good = *Unit->Flat;
+  scope_oracle::Report Scopes = scope_oracle::checkScopes(Good);
+  ASSERT_EQ(Scopes.Problem, "");
+  auto Find = [&](RExpr::Kind K, auto Pred) {
+    for (uint32_t I = 0; I < Good.Nodes.size(); ++I)
+      if (Good.Nodes[I].Kind == static_cast<uint8_t>(K) &&
+          Scopes.Depth[I].first != flat::NoIndex && Pred(Good.Nodes[I]))
+        return I;
+    ADD_FAILURE() << "no such node";
+    return flat::NoIndex;
+  };
+  auto Any = [](const flat::FlatNode &) { return true; };
+  auto Decodes = [](const flat::FlatUnit &U) {
+    return flat::decodeFlat(flat::encodeFlat(U)) != nullptr;
+  };
+
+  {
+    flat::FlatUnit Bad = Good; // a Var slot equal to its frame depth
+    uint32_t I = Find(RExpr::Kind::Var, Any);
+    ASSERT_NE(I, flat::NoIndex);
+    Bad.Nodes[I].A = Scopes.Depth[I].first;
+    EXPECT_FALSE(Decodes(Bad));
+  }
+  {
+    flat::FlatUnit Bad = Good; // an allocation ref one past its depth
+    uint32_t I = Find(RExpr::Kind::ConsE, Any);
+    ASSERT_NE(I, flat::NoIndex);
+    Bad.Nodes[I].X = Scopes.Depth[I].second;
+    EXPECT_FALSE(Decodes(Bad));
+  }
+  {
+    flat::FlatUnit Bad = Good; // a closure capture slot outside the frame
+    uint32_t I = Find(RExpr::Kind::Lam, [&](const flat::FlatNode &N) {
+      return Good.Fns[N.A].CapturesCount != 0;
+    });
+    ASSERT_NE(I, flat::NoIndex);
+    Bad.Aux[Bad.Nodes[I].B] = Scopes.Depth[I].first;
+    EXPECT_FALSE(Decodes(Bad));
+  }
+  {
+    flat::FlatUnit Bad = Good; // an RApp target ref outside the frame
+    uint32_t I = Find(RExpr::Kind::RApp, [](const flat::FlatNode &N) {
+      return N.C != 0;
+    });
+    ASSERT_NE(I, flat::NoIndex);
+    Bad.Aux[Bad.Nodes[I].B + 2] = Scopes.Depth[I].second;
+    EXPECT_FALSE(Decodes(Bad));
+  }
+  {
+    flat::FlatUnit Bad = Good; // a Regions index out of range
+    uint32_t I = Find(RExpr::Kind::LetRegion, Any);
+    ASSERT_NE(I, flat::NoIndex);
+    Bad.Nodes[I].B = static_cast<uint32_t>(Bad.Regions.size());
+    EXPECT_FALSE(Decodes(Bad));
+  }
+  {
+    flat::FlatUnit Bad = Good; // a child cycle
+    uint32_t I = Find(RExpr::Kind::App, Any);
+    ASSERT_NE(I, flat::NoIndex);
+    Bad.Nodes[I].A = I;
+    EXPECT_FALSE(Decodes(Bad));
+  }
+  {
+    flat::FlatUnit Bad = Good; // one node reached at two depths
+    uint32_t I = Find(RExpr::Kind::Let, Any);
+    ASSERT_NE(I, flat::NoIndex);
+    Bad.Nodes[I].A = Bad.Nodes[I].B;
+    EXPECT_FALSE(Decodes(Bad));
+  }
+  EXPECT_TRUE(Decodes(Good));
+}
+
+//===----------------------------------------------------------------------===//
+// Lexical addressing: every slot names the binder the name scan finds
+//===----------------------------------------------------------------------===//
+
+/// The corpus: the Figure 9 suite, the paper's crash programs and every
+/// shipped example, as (name, source) pairs.
+std::vector<std::pair<std::string, std::string>> corpus() {
+  std::vector<std::pair<std::string, std::string>> Out;
+  for (const bench::BenchProgram &P : bench::benchmarkSuite())
+    Out.emplace_back(P.Name, P.Source);
+  Out.emplace_back("figure1", bench::danglingPointerProgram());
+  Out.emplace_back("figure8", bench::spuriousChainProgram());
+  Out.emplace_back("section4.4", bench::exnDanglingProgram());
+  for (const auto &Entry : fs::directory_iterator(
+           std::string(RML_SOURCE_DIR) + "/examples/programs"))
+    if (Entry.path().extension() == ".mml")
+      Out.emplace_back(Entry.path().filename().string(),
+                       readFileBytes(Entry.path()));
+  Out.emplace_back("rich", RichProgram);
+  return Out;
+}
+
+TEST(FlatScopes, EverySlotNamesTheBinderTheNameScanFinds) {
+  size_t Checked = 0;
+  for (const auto &[Name, Src] : corpus())
+    for (Strategy Strat : {Strategy::Rg, Strategy::RgMinus, Strategy::R}) {
+      SCOPED_TRACE(Name + "/" + strategyName(Strat));
+      Compiler C;
+      CompileOptions Opts;
+      Opts.Strat = Strat;
+      auto Unit = C.compile(Src, Opts);
+      ASSERT_NE(Unit, nullptr) << C.diagnostics().str();
+      scope_oracle::Report R = scope_oracle::checkScopes(*Unit->Flat);
+      EXPECT_EQ(R.Problem, "");
+      Checked += R.Checked;
+    }
+  EXPECT_GT(Checked, 10000u) << "the oracle compared next to nothing";
+}
+
+TEST(FlatRuntime, ClosureRegionArityMismatchIsARuntimeError) {
+  // A structurally valid unit whose function claims one more runtime
+  // formal than its region applications supply: applying the closure
+  // must fail the run, never read a free region as a formal.
+  Compiler C;
+  auto Unit = C.compile(RichProgram);
+  ASSERT_NE(Unit, nullptr);
+  flat::FlatUnit Bad = *Unit->Flat;
+  bool Planted = false;
+  for (flat::FlatFn &F : Bad.Fns)
+    if (F.FormalsCount != 0 &&
+        F.FormalsBegin + F.FormalsCount + 1 <= Bad.Aux.size()) {
+      ++F.FormalsCount;
+      Planted = true;
+    }
+  ASSERT_TRUE(Planted);
+  std::shared_ptr<const flat::FlatUnit> Decoded =
+      flat::decodeFlat(flat::encodeFlat(Bad));
+  ASSERT_NE(Decoded, nullptr) << "the frames still fit: only running shows it";
+  rt::RunResult R = Compiler::runFlat(*Decoded);
+  EXPECT_EQ(R.Outcome, rt::RunOutcome::RuntimeError);
+  EXPECT_NE(R.Error.find("internal: closure carries"), std::string::npos)
+      << R.Error;
 }
 
 //===----------------------------------------------------------------------===//

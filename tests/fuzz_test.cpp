@@ -22,6 +22,7 @@
 #include "core/Pipeline.h"
 
 #include "runtime_golden.h"
+#include "scope_oracle.h"
 #include "smallstep/Step.h"
 
 #include <gtest/gtest.h>
@@ -326,6 +327,8 @@ TEST_P(FuzzTest, PipelineAgreementAndGcSafety) {
     auto Unit = C.compile(Src);
     ASSERT_NE(Unit, nullptr)
         << "rg compile failed:\n" << C.diagnostics().str() << "\n" << Src;
+    // Every slot names the binder the old name scan finds.
+    EXPECT_EQ(scope_oracle::checkScopes(*Unit->Flat).Problem, "") << Src;
     rt::EvalOptions Aggressive;
     Aggressive.GcThresholdWords = 256; // collect constantly
     Aggressive.RetainReleasedPages = true;
@@ -391,6 +394,8 @@ TEST_P(FuzzTest, PipelineAgreementAndGcSafety) {
       auto U2 = C2.compile(Src, Opts);
       ASSERT_NE(U2, nullptr) << Cfg.Name << " compile failed:\n"
                              << C2.diagnostics().str() << "\n" << Src;
+      EXPECT_EQ(scope_oracle::checkScopes(*U2->Flat).Problem, "")
+          << Cfg.Name << "\n" << Src;
       rt::EvalOptions E = Aggressive;
       E.Generational = Cfg.Generational;
       rt::RunResult R = C2.run(*U2, E);
