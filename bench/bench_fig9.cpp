@@ -12,6 +12,10 @@
 // memory, spurious functions rare, diff only with spurious functions —
 // is the reproduced claim. See EXPERIMENTS.md.
 //
+// A second table follows (not in --csv mode): per program, the closures
+// the capture analysis found, their distinct captured region variables,
+// and the escaped residue under rg and rg-.
+//
 // Usage: bench_fig9 [--reps N] [--bench NAME] [--csv]
 //
 //===----------------------------------------------------------------------===//
@@ -19,10 +23,13 @@
 #include "bench/Programs.h"
 #include "core/Pipeline.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -97,6 +104,57 @@ Measurement measure(const std::string &Source, Strategy S, unsigned Reps) {
                     : 0;
   M.Ok = true;
   return M;
+}
+
+/// Figure-9-style capture-tracking counts per corpus program: closure
+/// count, distinct captured region variables, and the escaped residue
+/// (value-captured regions missing from the latent effect) under rg and
+/// rg-. The capture sets are a static product of the shared region
+/// inference, so the two strategy columns agree — what differs is what
+/// the number means: rg's containment side conditions pin every escaped
+/// region's letregion outside the closure's lifetime, while under rg-
+/// the same (closure, region) pairs are exactly the dangling-pointer
+/// window the paper closes (the figure1 demo dies tracing into one).
+void captureTable(const std::string &Only) {
+  struct Counts {
+    size_t Closures = 0, Regions = 0, Escaped = 0;
+  };
+  auto countsOf = [](const std::string &Source, Strategy S) {
+    Compiler C;
+    CompileOptions Opts;
+    Opts.Strat = S;
+    Opts.Captures = true;
+    auto Unit = C.compile(Source, Opts);
+    Counts N;
+    if (!Unit || !Unit->Captures)
+      return N;
+    std::set<uint32_t> Distinct;
+    for (const ClosureCapture &CC : Unit->Captures->Closures) {
+      ++N.Closures;
+      Distinct.insert(CC.ViaValue.begin(), CC.ViaValue.end());
+      Distinct.insert(CC.ViaEffect.begin(), CC.ViaEffect.end());
+      std::vector<uint32_t> Residue;
+      std::set_difference(CC.ViaValue.begin(), CC.ViaValue.end(),
+                          CC.ViaEffect.begin(), CC.ViaEffect.end(),
+                          std::back_inserter(Residue));
+      N.Escaped += Residue.size();
+    }
+    N.Regions = Distinct.size();
+    return N;
+  };
+
+  std::printf("\ncapture tracking (closures, captured region variables, "
+              "escaped = value \\ latent)\n");
+  std::printf("%-12s %9s %12s %12s %12s\n", "program", "closures",
+              "regions(rg)", "escaped(rg)", "escaped(rg-)");
+  for (const bench::BenchProgram &P : bench::benchmarkSuite()) {
+    if (!Only.empty() && P.Name != Only)
+      continue;
+    Counts Rg = countsOf(P.Source, Strategy::Rg);
+    Counts RgMinus = countsOf(P.Source, Strategy::RgMinus);
+    std::printf("%-12s %9zu %12zu %12zu %12zu\n", P.Name.c_str(),
+                Rg.Closures, Rg.Regions, Rg.Escaped, RgMinus.Escaped);
+  }
 }
 
 } // namespace
@@ -206,5 +264,7 @@ int main(int Argc, char **Argv) {
         static_cast<unsigned long long>(MRg.GcCount),
         static_cast<unsigned long long>(MRgm.GcCount));
   }
+  if (!Csv)
+    captureTable(Only);
   return 0;
 }

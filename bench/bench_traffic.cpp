@@ -487,26 +487,22 @@ int main(int Argc, char **Argv) {
               "clamped %llu; scheduled-arrival basis)\n",
               P50, P95, P99, Lat.count(),
               static_cast<unsigned long long>(Lat.clamped()));
-  // The server-side view: GC pause shape (the figure an operator reads
-  // against rmld --gc-pause-budget) and, for tenant runs, the daemon's
-  // own per-tenant admitted/completed/shed ledger.
+  // The server-side view: GC pause shape (the stats JSON's "gc_pauses"
+  // block) and, for tenant runs, the daemon's own per-tenant
+  // admitted/completed/shed ledger.
   std::string StatsBody = httpGetStats(Opt.Host, Opt.Port);
   if (!StatsBody.empty()) {
     uint64_t PauseCount = jsonU64(StatsBody, "\"pause_count\":");
     if (PauseCount) {
       std::printf("  server gc pauses: %llu, p50 %.3fms p99 %.3fms "
-                  "max %.3fms, over budget %llu, adaptive runs %llu\n",
+                  "max %.3fms\n",
                   static_cast<unsigned long long>(PauseCount),
                   static_cast<double>(jsonU64(StatsBody, "\"pause_p50_ns\":")) /
                       1e6,
                   static_cast<double>(jsonU64(StatsBody, "\"pause_p99_ns\":")) /
                       1e6,
                   static_cast<double>(jsonU64(StatsBody, "\"pause_max_ns\":")) /
-                      1e6,
-                  static_cast<unsigned long long>(
-                      jsonU64(StatsBody, "\"over_budget_pauses\":")),
-                  static_cast<unsigned long long>(
-                      jsonU64(StatsBody, "\"adaptive_runs\":")));
+                      1e6);
     }
     if (Opt.Tenants >= 2) {
       std::string ServerTenants = jsonObject(StatsBody, "\"tenants\":");

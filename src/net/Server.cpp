@@ -244,9 +244,6 @@ void Server::onRequest(Connection &C, WireRequest Req) {
   SR.DeadlineNanos = Req.DeadlineNanos;
   if (Cfg.StepLimit)
     SR.EvalOpts.StepLimit = Cfg.StepLimit;
-  SR.EvalOpts.AdaptiveGc = Cfg.AdaptiveGc;
-  if (Cfg.GcPauseBudgetNanos)
-    SR.EvalOpts.GcPauseBudgetNanos = Cfg.GcPauseBudgetNanos;
   if (Cfg.GcThresholdWords)
     SR.EvalOpts.GcThresholdWords = Cfg.GcThresholdWords;
   switch (Req.Kind) {

@@ -98,18 +98,10 @@ struct ServerConfig {
   /// --step-limit); 0 keeps rt::EvalOptions' own default. A network
   /// service should not let one hostile loop pin a worker forever.
   uint64_t StepLimit = 0;
-  /// Run every admitted execution under the adaptive GC policy (rmld
-  /// --adaptive-gc; see rt/GcPolicy.h). Results and diagnostics are
-  /// unchanged by contract — only pause shape moves.
-  bool AdaptiveGc = false;
-  /// GC pause-time budget in nanoseconds applied to every run (rmld
-  /// --gc-pause-budget); 0 = none.
-  uint64_t GcPauseBudgetNanos = 0;
   /// Collection trigger in words applied to every run (rmld
   /// --gc-threshold); 0 keeps rt::EvalOptions' own default. Mostly a
   /// load-testing knob: small thresholds make short requests collect,
-  /// so the pause histogram and the adaptive policy have something to
-  /// chew on.
+  /// so the pause histogram has something to show.
   uint64_t GcThresholdWords = 0;
   /// Tenant label substituted for requests that sent none (rmld
   /// --tenant-default): lets an operator fold untagged legacy traffic

@@ -28,7 +28,6 @@
 #ifndef RML_RT_EVAL_H
 #define RML_RT_EVAL_H
 
-#include "rt/GcPolicy.h"
 #include "rt/Region.h"
 #include "support/Trace.h"
 
@@ -40,7 +39,7 @@ namespace rml::rt {
 /// Evaluator configuration.
 struct EvalOptions {
   bool GcEnabled = true;
-  uint64_t GcThresholdWords = 32 * 1024; // collect when exceeded
+  uint64_t GcThresholdWords = 32 * 1024; // collect when reached (0 as 1)
   bool TagFreePairs = true;              // partly tag-free representation
   bool UseFiniteRegions = true;          // multiplicity-driven sizing
   bool RetainReleasedPages = false;      // exact dangling detection
@@ -55,19 +54,9 @@ struct EvalOptions {
   /// Generational collection (the paper's [16,17] integration): minor
   /// collections evacuate only pages younger than the last collection,
   /// with a write barrier on assignments recording old-to-young slots; a
-  /// major collection runs every MinorsPerMajor-th time.
+  /// major collection runs every MinorsPerMajor-th time (0 counts as 1).
   bool Generational = false;
   unsigned MinorsPerMajor = 8;
-  /// Adaptive GC policy (see rt/GcPolicy.h): the run's GcPolicy moves
-  /// the trigger threshold (and, in generational mode, the major
-  /// cadence) from the pause history instead of holding them at the
-  /// configured constants. Never changes results or diagnostics — only
-  /// pause shape.
-  bool AdaptiveGc = false;
-  /// Pause-time budget in nanoseconds (0 = none): pauses that overrun
-  /// it are counted, and in adaptive mode the policy backs collection
-  /// frequency off until pauses fit.
-  uint64_t GcPauseBudgetNanos = 0;
   /// Optional cross-request page pool (non-owning; must outlive the
   /// run). The run's heap draws standard pages from it and recycles
   /// them back on teardown. Ignored while RetainReleasedPages is on —
@@ -103,9 +92,6 @@ struct RunResult {
   /// Every collector stall of the run, in pause order (begin time, wall
   /// nanos, kind, copied words, live regions).
   std::vector<GcPauseRecord> GcPauses;
-  /// What the run's GC policy did (threshold moves, budget overruns,
-  /// final knob positions). Static-mode runs report zero moves.
-  GcPolicyStats Policy;
   /// The runtime phase's profile (name Compiler::RunPhaseName, wall
   /// time, HeapStats fold-in, GcPauses fold-in). Filled by
   /// Compiler::runFlat, which times the whole execution; empty when

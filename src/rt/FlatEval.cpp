@@ -11,6 +11,7 @@
 
 #include "rt/Gc.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -51,7 +52,6 @@ public:
     R.Output = std::move(Output);
     R.Steps = Steps;
     R.GcPauses = std::move(Pauses);
-    R.Policy = Policy.stats();
     if (Fatal) {
       R.Outcome = FatalKind;
       R.Error = FatalMsg;
@@ -95,7 +95,7 @@ private:
   };
 
   bool gcDue() const {
-    return Opts.GcEnabled && Policy.shouldCollect(Heap.allocSinceGc());
+    return Opts.GcEnabled && Heap.allocSinceGc() >= GcThreshold;
   }
 
   /// Collects if a collection is due. \p Keep are operands held in no
@@ -111,7 +111,9 @@ private:
   }
 
   [[gnu::noinline]] void collect() {
-    GcKind Kind = Policy.nextKind();
+    GcKind Kind = Opts.Generational && ++GcTick % MinorsPerMajor != 0
+                      ? GcKind::Minor
+                      : GcKind::Major;
     Roots.clear();
     for (Value &V : Env)
       Roots.push_back(&V);
@@ -134,12 +136,6 @@ private:
     Pauses.push_back(Pause);
     if (Opts.PauseSink)
       Opts.PauseSink->recordGcPause(Pause);
-    if (Policy.observe(Pause) && Opts.PauseSink) {
-      Opts.PauseSink->recordCounter("gc_threshold_words",
-                                    Policy.thresholdWords());
-      Opts.PauseSink->recordCounter("gc_minors_per_major",
-                                    Policy.minorsPerMajor());
-    }
     // After any collection every survivor is old: remembered slots are
     // obsolete (and, after a major, dangling into from-space).
     Remembered.clear();
@@ -872,8 +868,12 @@ private:
   std::vector<Value *> Roots;      // maybeGc's root set, reused
   std::vector<uint64_t> RAppExtra; // RApp's instantiating regions, reused
   std::vector<GcPauseRecord> Pauses; // every collection of this run
-  GcPolicy Policy{Opts.AdaptiveGc, Opts.GcThresholdWords, Opts.MinorsPerMajor,
-                  Opts.Generational, Opts.GcPauseBudgetNanos};
+  /// The static trigger: collect once GcThreshold words were allocated
+  /// since the last collection; in generational mode every
+  /// MinorsPerMajor-th collection is major.
+  const uint64_t GcThreshold = std::max<uint64_t>(1, Opts.GcThresholdWords);
+  const unsigned MinorsPerMajor = std::max(1u, Opts.MinorsPerMajor);
+  uint64_t GcTick = 0;
   bool Fatal = false;
   RunOutcome FatalKind = RunOutcome::Ok;
   std::string FatalMsg;

@@ -23,12 +23,6 @@ namespace rml::service {
 enum class SchedPolicy : uint8_t {
   /// Strict submission order — the default, and the fairness baseline.
   Fifo,
-  /// Longest-job-first by cost key (the CostModel's predicted
-  /// processing nanos once history exists, source length before): on a
-  /// heterogeneous batch the long compiles start first and the short
-  /// ones fill the trailing capacity, shrinking the tail (p95/p99) the
-  /// way LPT scheduling shrinks makespan.
-  Ljf,
   /// Earliest-deadline-first on Request::DeadlineNanos; deadline-free
   /// requests sort after every dated one.
   Deadline,
@@ -38,10 +32,10 @@ enum class SchedPolicy : uint8_t {
   FairShare,
 };
 
-/// \returns "fifo" / "ljf" / "deadline" / "fair".
+/// \returns "fifo" / "deadline" / "fair".
 const char *schedPolicyName(SchedPolicy P);
 
-/// Parses "fifo"/"ljf"/"deadline"/"fair"; false on anything else
+/// Parses "fifo"/"deadline"/"fair"; false on anything else
 /// (\p Out untouched).
 bool parseSchedPolicy(std::string_view Name, SchedPolicy &Out);
 
@@ -85,7 +79,7 @@ struct ServiceConfig {
   /// thread-safe (workers record concurrently) and outlive the service.
   /// Null disables forwarding.
   TraceSink *Trace = nullptr;
-  /// Dequeue policy (rmlc --sched fifo|ljf).
+  /// Dequeue policy (rmlc/rmld --sched fifo|deadline|fair).
   SchedPolicy Policy = SchedPolicy::Fifo;
   /// Per-phase wall-clock budgets in nanoseconds, keyed by static phase
   /// name ("parse", "infer", ...; see Compiler::staticPhaseNames()). A

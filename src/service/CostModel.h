@@ -12,18 +12,19 @@
 /// content hash the compile cache uses — and two consumers read the
 /// accumulated state:
 ///
-///   - the Scheduler's cost provider calls predict() so Ljf orders by
-///     *predicted* processing nanos instead of raw source length;
+///   - the Scheduler's cost provider calls predict() so FairShare
+///     charges each tenant *predicted* processing nanos instead of raw
+///     source length;
 ///   - net::Server admission calls predict() to shed work whose learned
 ///     cost already exceeds the client's deadline.
 ///
 /// Never-seen sources fall back to a global *per-byte* prior (EWMA of
 /// cost/byte over cold compiles), so a cold prediction is PerByte x
-/// sourceBytes — proportional to length, which preserves Ljf's
-/// longest-source-first ordering before any key has history. Before the
-/// first observation the bootstrap prediction is the byte count itself:
-/// the units are wrong but the *order* (all the scheduler needs) is
-/// right, and Prediction::FromPrior tells admission never to shed on it.
+/// sourceBytes — proportional to length, so longer sources cost more
+/// before any key has history. Before the first observation the
+/// bootstrap prediction is the byte count itself: the units are wrong
+/// but the *order* is right, and Prediction::FromPrior tells admission
+/// never to shed on it.
 ///
 /// Thread-safe: one mutex guards all state. Observations are O(phases),
 /// predictions O(1), and both are negligible next to a parse.

@@ -140,7 +140,6 @@ Response Executor::processImpl(const Request &Req) const {
     Resp.Error = std::move(R.Error);
     Resp.Heap = R.Heap;
     Resp.Steps = R.Steps;
-    Resp.GcPolicy = R.Policy;
     Resp.Profiles.push_back(std::move(R.Phase));
   }
   return Resp;

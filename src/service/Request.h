@@ -102,9 +102,6 @@ struct Response {
   std::string Error;      // non-Ok outcome explanation
   rt::HeapStats Heap;
   uint64_t Steps = 0;
-  /// What the run's GC policy did (knob moves, budget overruns, final
-  /// positions). Zero-valued for requests that never ran.
-  rt::GcPolicyStats GcPolicy;
   /// Per-phase profiles for this request: the static phases in registry
   /// order (on a cache hit they are present but Skipped with zero
   /// nanos — the work was reused, not redone; on a Budget cut-off the

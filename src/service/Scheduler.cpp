@@ -17,8 +17,6 @@ const char *rml::service::schedPolicyName(SchedPolicy P) {
   switch (P) {
   case SchedPolicy::Fifo:
     return "fifo";
-  case SchedPolicy::Ljf:
-    return "ljf";
   case SchedPolicy::Deadline:
     return "deadline";
   case SchedPolicy::FairShare:
@@ -30,10 +28,6 @@ const char *rml::service::schedPolicyName(SchedPolicy P) {
 bool rml::service::parseSchedPolicy(std::string_view Name, SchedPolicy &Out) {
   if (Name == "fifo") {
     Out = SchedPolicy::Fifo;
-    return true;
-  }
-  if (Name == "ljf") {
-    Out = SchedPolicy::Ljf;
     return true;
   }
   if (Name == "deadline") {
@@ -67,40 +61,10 @@ private:
   std::deque<ScheduledJob> Jobs;
 };
 
-/// Longest-job-first: a binary max-heap on (CostKey, earliest Seq).
+/// Earliest-deadline-first: a min-heap on (DeadlineAt, earliest Seq).
 /// std::priority_queue cannot hand out its move-only top, so the heap
 /// lives in a plain vector driven by push_heap/pop_heap — pop_heap
-/// rotates the maximum to the back, where it can be moved from.
-class LjfScheduler final : public Scheduler {
-public:
-  void push(ScheduledJob J) override {
-    Jobs.push_back(std::move(J));
-    std::push_heap(Jobs.begin(), Jobs.end(), Before);
-  }
-
-  ScheduledJob pop() override {
-    std::pop_heap(Jobs.begin(), Jobs.end(), Before);
-    ScheduledJob J = std::move(Jobs.back());
-    Jobs.pop_back();
-    return J;
-  }
-
-  size_t size() const override { return Jobs.size(); }
-  const char *policyName() const override { return "ljf"; }
-
-private:
-  /// Heap "less-than": the top is the largest CostKey; equal costs go
-  /// to the earliest Seq (a larger Seq orders lower).
-  static bool Before(const ScheduledJob &A, const ScheduledJob &B) {
-    if (A.CostKey != B.CostKey)
-      return A.CostKey < B.CostKey;
-    return A.Seq > B.Seq;
-  }
-
-  std::vector<ScheduledJob> Jobs;
-};
-
-/// Earliest-deadline-first: a min-heap on (DeadlineAt, earliest Seq).
+/// rotates the minimum to the back, where it can be moved from.
 /// Requests without a deadline carry ScheduledJob::NoDeadline and sort
 /// after every dated request, degrading to FIFO among themselves.
 class DeadlineScheduler final : public Scheduler {
@@ -229,8 +193,6 @@ std::unique_ptr<Scheduler> rml::service::makeScheduler(SchedPolicy P,
   switch (P) {
   case SchedPolicy::Fifo:
     return std::make_unique<FifoScheduler>();
-  case SchedPolicy::Ljf:
-    return std::make_unique<LjfScheduler>();
   case SchedPolicy::Deadline:
     return std::make_unique<DeadlineScheduler>();
   case SchedPolicy::FairShare:

@@ -13,14 +13,11 @@
 /// structure code with no locking of its own (and is trivially
 /// exchangeable for experiments).
 ///
-/// Four policies ship today: Fifo (submission order, the fairness
-/// baseline), Ljf (longest-predicted-job-first by cost key — LPT
-/// scheduling, which on a heterogeneous batch starts the long jobs
-/// first so the short ones pack the trailing capacity, shrinking tail
-/// latency), Deadline (earliest-deadline-first on the admission-stamped
-/// absolute deadline), and FairShare (per-tenant deficit round-robin,
-/// so one tenant's expensive sources cannot starve another's cheap
-/// ones).
+/// Three policies ship today: Fifo (submission order, the fairness
+/// baseline), Deadline (earliest-deadline-first on the
+/// admission-stamped absolute deadline), and FairShare (per-tenant
+/// deficit round-robin, so one tenant's expensive sources cannot starve
+/// another's cheap ones).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,12 +54,11 @@ struct ScheduledJob {
   /// Scheduling weight, stamped once at admission by Scheduler::admit():
   /// the cost provider's predicted processing nanos when one is set
   /// (Service wires the CostModel here), the raw source length
-  /// otherwise. Ljf orders on it; FairShare charges it against the
-  /// tenant's deficit.
+  /// otherwise. FairShare charges it against the tenant's deficit.
   uint64_t CostKey = 0;
-  /// Admission sequence number: ties in CostKey resolve to the earliest
-  /// submission, keeping every policy deterministic and starvation-free
-  /// within a batch.
+  /// Admission sequence number: ties in DeadlineAt resolve to the
+  /// earliest submission, keeping every policy deterministic and
+  /// starvation-free within a batch.
   uint64_t Seq = 0;
   /// Absolute deadline in traceNowNanos() time, stamped at admission
   /// from Request::DeadlineNanos (NoDeadline when the request set
@@ -118,7 +114,7 @@ public:
   /// Removes and returns the next job; undefined when empty.
   virtual ScheduledJob pop() = 0;
   virtual size_t size() const = 0;
-  /// The policy's stable name ("fifo", "ljf", "deadline", "fair").
+  /// The policy's stable name ("fifo", "deadline", "fair").
   virtual const char *policyName() const = 0;
 
   bool empty() const { return size() == 0; }

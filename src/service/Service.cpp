@@ -303,13 +303,6 @@ void Service::workerMain() {
         Counters.TotalGcCount += Resp.Heap.GcCount;
         Counters.TotalAllocWords += Resp.Heap.AllocWords;
         Counters.TotalCopiedWords += Resp.Heap.CopiedWords;
-        Counters.GcAdaptiveRuns += Resp.GcPolicy.Adaptive ? 1 : 0;
-        Counters.GcThresholdRaises += Resp.GcPolicy.ThresholdRaises;
-        Counters.GcThresholdDrops += Resp.GcPolicy.ThresholdDrops;
-        Counters.GcBudgetBackoffs += Resp.GcPolicy.BudgetBackoffs;
-        Counters.GcOverBudgetPauses += Resp.GcPolicy.OverBudgetPauses;
-        Counters.GcMinorsPerMajorRaises += Resp.GcPolicy.MinorsPerMajorRaises;
-        Counters.GcMinorsPerMajorDrops += Resp.GcPolicy.MinorsPerMajorDrops;
         // Pause histogram: the run phase's GcPauses (static phases
         // carry none), bucketed by floor(log2(wall nanos)).
         for (const PhaseProfile &P : Resp.Profiles)

@@ -12,10 +12,10 @@
 ///
 ///   admission            policy                 execution
 ///   submit/trySubmit ──> Scheduler ──────────> N workers x Executor
-///     (backpressure,      (Fifo | Ljf,           (compile cache,
-///      future- or          externally             per-phase budgets,
-///      callback-style      synchronized)          region runtime + GC,
-///      completion)                                shared PagePool)
+///     (backpressure,      (Fifo | Deadline |     (compile cache,
+///      future- or          FairShare,             per-phase budgets,
+///      callback-style      externally             region runtime + GC,
+///      completion)         synchronized)          shared PagePool)
 ///
 /// This file owns the thread-pool mechanics only: the bounded queue
 /// lives behind a Scheduler (service/Scheduler.h) that decides dequeue

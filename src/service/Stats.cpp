@@ -63,14 +63,7 @@ std::string ServiceStats::json() const {
       << ",\"pool_free_pages\":" << PoolFreePages
       << ",\"pool_capacity\":" << PoolCapacity
       << ",\"pool_reuse\":" << jsonFixed(poolReuseRatio())
-      << ",\"gc_policy\":{\"adaptive_runs\":" << GcAdaptiveRuns
-      << ",\"threshold_raises\":" << GcThresholdRaises
-      << ",\"threshold_drops\":" << GcThresholdDrops
-      << ",\"budget_backoffs\":" << GcBudgetBackoffs
-      << ",\"over_budget_pauses\":" << GcOverBudgetPauses
-      << ",\"minors_per_major_raises\":" << GcMinorsPerMajorRaises
-      << ",\"minors_per_major_drops\":" << GcMinorsPerMajorDrops
-      << ",\"pause_count\":" << GcPauseCount
+      << ",\"gc_pauses\":{\"pause_count\":" << GcPauseCount
       << ",\"pause_p50_ns\":" << gcPausePercentileNanos(0.50)
       << ",\"pause_p99_ns\":" << gcPausePercentileNanos(0.99)
       << ",\"pause_max_ns\":" << GcPauseMaxNanos << "}"

@@ -83,7 +83,7 @@ struct ServiceStats {
   /// operator polls from rmld's /stats endpoint.
   uint64_t InFlight = 0;
   unsigned Workers = 0;
-  /// The active scheduler's policy name ("fifo", "ljf").
+  /// The active scheduler's policy name ("fifo", "deadline", "fair").
   std::string Policy;
   /// Sum over runs of HeapStats counters (the serving-level GC bill).
   uint64_t TotalGcCount = 0;
@@ -104,20 +104,10 @@ struct ServiceStats {
   uint64_t PoolLockAcquires = 0;
   uint64_t PoolFreePages = 0;
   uint64_t PoolCapacity = 0;
-  /// GC-policy aggregates summed over executed runs (see
-  /// rt/GcPolicyStats): runs under the adaptive policy, knob moves by
-  /// cause, and pauses that overran the configured budget.
-  uint64_t GcAdaptiveRuns = 0;
-  uint64_t GcThresholdRaises = 0;
-  uint64_t GcThresholdDrops = 0;
-  uint64_t GcBudgetBackoffs = 0;
-  uint64_t GcOverBudgetPauses = 0;
-  uint64_t GcMinorsPerMajorRaises = 0;
-  uint64_t GcMinorsPerMajorDrops = 0;
   /// Log-2 histogram of collector pause wall times across every run:
   /// bucket I counts pauses with WallNanos in [2^I, 2^(I+1)). Powers
-  /// the pause-percentile estimates an operator reads against
-  /// --gc-pause-budget (gc_pause_p99_ns in the stats JSON).
+  /// the pause-percentile estimates of the stats JSON's "gc_pauses"
+  /// block.
   static constexpr size_t GcPauseBuckets = 40;
   std::array<uint64_t, GcPauseBuckets> GcPauseHist{};
   uint64_t GcPauseCount = 0;

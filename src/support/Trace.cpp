@@ -101,14 +101,6 @@ void ChromeTraceSink::record(const PhaseProfile &P) {
   Events.push_back({P, It->second});
 }
 
-void ChromeTraceSink::recordCounter(const char *Name, uint64_t Value) {
-  std::lock_guard<std::mutex> Lock(M);
-  auto [It, New] =
-      Tids.try_emplace(std::this_thread::get_id(), Tids.size() + 1);
-  (void)New;
-  Counters.push_back({Name, Value, traceNowNanos(), It->second});
-}
-
 std::string ChromeTraceSink::json() const {
   std::lock_guard<std::mutex> Lock(M);
   // Normalise timestamps to the earliest phase so traces start near 0.
@@ -117,11 +109,6 @@ std::string ChromeTraceSink::json() const {
   for (const Event &E : Events)
     if (!HaveBase || E.P.StartNanos < Base) {
       Base = E.P.StartNanos;
-      HaveBase = true;
-    }
-  for (const CounterEvent &C : Counters)
-    if (!HaveBase || C.StartNanos < Base) {
-      Base = C.StartNanos;
       HaveBase = true;
     }
 
@@ -156,17 +143,6 @@ std::string ChromeTraceSink::json() const {
           << ",\"args\":{\"copied_words\":" << G.CopiedWords
           << ",\"live_regions\":" << G.LiveRegions << "}}";
     }
-  }
-  // Counter samples ("C" events): viewers draw them as a stepped
-  // per-name track — the adaptive GC policy's threshold over time.
-  for (const CounterEvent &C : Counters) {
-    if (!First)
-      Out << ",";
-    First = false;
-    Out << "{\"name\":\"" << jsonEscaped(C.Name)
-        << "\",\"cat\":\"counter\",\"ph\":\"C\",\"ts\":"
-        << (C.StartNanos - Base) / 1000.0 << ",\"pid\":1,\"tid\":" << C.Tid
-        << ",\"args\":{\"value\":" << C.Value << "}}";
   }
   Out << "],\"displayTimeUnit\":\"ms\"}";
   return Out.str();

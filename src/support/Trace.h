@@ -109,10 +109,6 @@ public:
   /// it: pauses also ride inside the run PhaseProfile's GcPauses, so
   /// most sinks need only record(). Override for live pause telemetry.
   virtual void recordGcPause(const GcPauseRecord &) {}
-  /// A named counter sample at the current moment (the adaptive GC
-  /// policy reports its threshold moves through this). The default
-  /// discards it; ChromeTraceSink renders counter ("C") events.
-  virtual void recordCounter(const char *, uint64_t) {}
 };
 
 /// Discards every profile. Stateless and trivially thread-safe.
@@ -133,7 +129,6 @@ public:
 class ChromeTraceSink final : public TraceSink {
 public:
   void record(const PhaseProfile &P) override;
-  void recordCounter(const char *Name, uint64_t Value) override;
 
   /// Renders every recorded event; stable across calls.
   std::string json() const;
@@ -149,16 +144,8 @@ private:
     PhaseProfile P;
     uint64_t Tid;
   };
-  struct CounterEvent {
-    const char *Name;
-    uint64_t Value;
-    uint64_t StartNanos;
-    uint64_t Tid;
-  };
-
   mutable std::mutex M;
   std::vector<Event> Events;
-  std::vector<CounterEvent> Counters;
   std::unordered_map<std::thread::id, uint64_t> Tids;
 };
 

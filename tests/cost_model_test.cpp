@@ -41,7 +41,7 @@ TEST(CostModelUnit, BootstrapPredictionIsByteCountAndFromPrior) {
   EXPECT_EQ(P.Nanos, 100u);
   EXPECT_TRUE(P.FromPrior);
   // Predictions are clamped to >= 1 (a zero cost would confuse every
-  // consumer: Ljf ties, deficit charges, shed comparisons).
+  // consumer: deficit charges, shed comparisons).
   EXPECT_EQ(M.predict(2, 0).Nanos, 1u);
   EXPECT_TRUE(M.predict(2, 0).FromPrior);
 }

@@ -149,7 +149,7 @@ TEST(FlatEncoding, DecodedUnitRunsLikeTheTree) {
     EXPECT_EQ(R.Outcome, rt::RunOutcome::Ok) << R.Error;
     golden::expectMatchesGolden(std::string("flat/rich/") +
                                     strategyName(Strat),
-                                RichProgram, R);
+                                RichProgram, R, E);
     EXPECT_EQ(R.Phase.Name, Compiler::RunPhaseName);
     EXPECT_EQ(R.Phase.GcCount, R.Heap.GcCount);
   }
@@ -162,7 +162,8 @@ TEST(FlatEncoding, UncaughtExceptionAgreesBetweenTreeAndFlat) {
   rt::RunResult R = Compiler::runFlat(*Decoded);
   EXPECT_EQ(R.Outcome, rt::RunOutcome::UncaughtException);
   // Exception names survive the trip.
-  golden::expectMatchesGolden("flat/uncaught", UncaughtProgram, R);
+  golden::expectMatchesGolden("flat/uncaught", UncaughtProgram, R,
+                              rt::EvalOptions());
 }
 
 //===----------------------------------------------------------------------===//

@@ -303,15 +303,17 @@ private:
 // The properties
 //===----------------------------------------------------------------------===//
 
-/// Pins run \p R of generated program \p I of this seed under config
-/// \p Cfg to the runtime golden file: outcome, printed output, rendered
-/// value, error text, steps and the full heap accounting, crashes
-/// included (an rg- dangling pointer is part of the semantics).
+/// Pins run \p R (under \p Opts) of generated program \p I of this seed
+/// under config \p Cfg to the runtime golden file: outcome, printed
+/// output, rendered value, error text, steps and the full heap
+/// accounting, crashes included (an rg- dangling pointer is part of the
+/// semantics).
 void expectGoldenRun(uint32_t Seed, int I, const char *Cfg,
-                     const std::string &Src, const rt::RunResult &R) {
+                     const std::string &Src, const rt::RunResult &R,
+                     const rt::EvalOptions &Opts) {
   golden::expectMatchesGolden("fuzz/" + std::to_string(Seed) + "/" +
                                   std::to_string(I) + "/" + Cfg,
-                              Src, R);
+                              Src, R, Opts);
 }
 
 class FuzzTest : public ::testing::TestWithParam<uint32_t> {};
@@ -334,7 +336,7 @@ TEST_P(FuzzTest, PipelineAgreementAndGcSafety) {
     Aggressive.RetainReleasedPages = true;
     rt::RunResult Ref = C.run(*Unit, Aggressive);
     ASSERT_EQ(Ref.Outcome, rt::RunOutcome::Ok) << Ref.Error << "\n" << Src;
-    expectGoldenRun(GetParam(), I, "rg", Src, Ref);
+    expectGoldenRun(GetParam(), I, "rg", Src, Ref, Aggressive);
 
     // And the flat unit survives a serialisation round trip unchanged:
     // decode(encode(U)) re-encodes to the same bytes and still computes
@@ -399,7 +401,7 @@ TEST_P(FuzzTest, PipelineAgreementAndGcSafety) {
       rt::EvalOptions E = Aggressive;
       E.Generational = Cfg.Generational;
       rt::RunResult R = C2.run(*U2, E);
-      expectGoldenRun(GetParam(), I, Cfg.Name, Src, R);
+      expectGoldenRun(GetParam(), I, Cfg.Name, Src, R, E);
       // rg- may legitimately crash with a dangling pointer when the
       // generator builds a Figure-1 shape; anything else must agree.
       if (Cfg.S == Strategy::RgMinus &&

@@ -123,7 +123,7 @@ TEST_F(GenGcTest, DanglingDetectionStillWorksInMinors) {
 class GenerationalEndToEnd : public ::testing::Test {
 protected:
   rt::RunResult run(const std::string &Src, bool Generational,
-                    uint64_t Threshold = 2048) {
+                    uint64_t Threshold = 2048, unsigned MinorsPerMajor = 4) {
     Compiler C;
     auto Unit = C.compile(Src);
     if (!Unit) {
@@ -135,10 +135,26 @@ protected:
     rt::EvalOptions E;
     E.Generational = Generational;
     E.GcThresholdWords = Threshold;
-    E.MinorsPerMajor = 4;
+    E.MinorsPerMajor = MinorsPerMajor;
     return C.run(*Unit, E);
   }
 };
+
+/// Every HeapStats counter and every pause's kind, copied words and
+/// live regions, as one comparable string.
+std::string heapAndPauses(const rt::RunResult &R) {
+  const HeapStats &H = R.Heap;
+  std::string S;
+  for (uint64_t V : {H.AllocWords, H.CurrentHeapWords, H.PeakHeapWords,
+                     H.GcCount, H.MinorGcCount, H.MajorGcCount, H.CopiedWords,
+                     H.RegionsCreated, H.FiniteRegionsCreated, H.PagesAllocated,
+                     H.PagesFromSharedPool})
+    S += std::to_string(V) + ",";
+  for (const GcPauseRecord &P : R.GcPauses)
+    S += std::string(P.Minor ? " m" : " M") + std::to_string(P.CopiedWords) +
+         "/" + std::to_string(P.LiveRegions);
+  return S;
+}
 
 TEST_F(GenerationalEndToEnd, SuiteResultsMatchNonGenerational) {
   for (const char *Name : {"nrev", "msort", "sieve", "refs", "exn", "life"}) {
@@ -150,6 +166,41 @@ TEST_F(GenerationalEndToEnd, SuiteResultsMatchNonGenerational) {
     ASSERT_EQ(Gen.Outcome, rt::RunOutcome::Ok) << Name << ": " << Gen.Error;
     EXPECT_EQ(Gen.ResultText, NonGen.ResultText) << Name;
     EXPECT_GT(Gen.Heap.MinorGcCount, 0u) << Name;
+  }
+}
+
+TEST_F(GenerationalEndToEnd, StaticTriggerCadenceAndClamps) {
+  // Collection I (from 0) is major iff (I + 1) % M == 0; M = 0 counts
+  // as 1, so every collection is major.
+  const bench::BenchProgram *P = bench::findBenchmark("nrev");
+  ASSERT_NE(P, nullptr);
+  for (unsigned M : {0u, 1u, 3u, 4u}) {
+    SCOPED_TRACE("MinorsPerMajor=" + std::to_string(M));
+    rt::RunResult R = run(P->Source, true, 2048, M);
+    ASSERT_EQ(R.Outcome, rt::RunOutcome::Ok) << R.Error;
+    ASSERT_GT(R.GcPauses.size(), 8u);
+    const unsigned Every = M ? M : 1;
+    for (size_t I = 0; I < R.GcPauses.size(); ++I)
+      EXPECT_EQ(R.GcPauses[I].Minor, (I + 1) % Every != 0) << "pause " << I;
+    EXPECT_EQ(R.Heap.MajorGcCount, R.GcPauses.size() / Every);
+    EXPECT_EQ(R.Heap.MinorGcCount + R.Heap.MajorGcCount, R.Heap.GcCount);
+  }
+  EXPECT_EQ(heapAndPauses(run(P->Source, true, 2048, 0)),
+            heapAndPauses(run(P->Source, true, 2048, 1)));
+
+  // GcThresholdWords = 0 counts as 1: a collection at every allocation
+  // point, in both collector modes.
+  const char *Src =
+      "fun build n = if n = 0 then nil else (n, n) :: build (n - 1)\n"
+      "fun len xs = case xs of nil => 0 | _ :: t => 1 + len t\n"
+      ";len (build 40) + len (build 30)";
+  for (bool Generational : {false, true}) {
+    SCOPED_TRACE(Generational ? "generational" : "non-generational");
+    rt::RunResult Zero = run(Src, Generational, 0);
+    ASSERT_EQ(Zero.Outcome, rt::RunOutcome::Ok) << Zero.Error;
+    EXPECT_EQ(Zero.ResultText, "70");
+    EXPECT_GT(Zero.Heap.GcCount, 70u);
+    EXPECT_EQ(heapAndPauses(Zero), heapAndPauses(run(Src, Generational, 1)));
   }
 }
 

@@ -195,7 +195,7 @@ TEST(MmlFiles, EveryProgramAgreesBetweenTreeAndFlat) {
       golden::expectMatchesGolden(
           "mml/" + std::filesystem::path(Path).filename().string() + "/" +
               strategyName(Strat),
-          Src, Compiler::runFlat(*Decoded, E));
+          Src, Compiler::runFlat(*Decoded, E), E);
     }
   }
 }

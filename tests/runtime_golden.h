@@ -12,8 +12,11 @@
 /// pinned the two walkers equal. A line holds the case key, the source
 /// hash, and every deterministic observable of the run: outcome, error,
 /// output, result, steps, every HeapStats field, the pause sequence
-/// (kind, copied words, live regions), the region profiles and the GC
-/// policy's moves. Wall times are not recorded.
+/// (kind, copied words, live regions) and the region profiles. Wall
+/// times are not recorded. The last column is the static GC trigger
+/// (threshold words and minors per major, each at least 1), rendered
+/// from the run's EvalOptions; it keeps the layout of the former
+/// adaptive policy's counters so the recorded lines need no rewrite.
 ///
 /// A test runs its case on the runtime and calls expectMatchesGolden;
 /// a mismatch fails with both the recorded line and the line the
@@ -31,14 +34,15 @@
 
 namespace rml::golden {
 
-/// Renders \p R as the golden line of case \p Key over \p Source.
+/// Renders \p R, run under \p Opts, as the golden line of case \p Key
+/// over \p Source.
 std::string runLine(std::string_view Key, std::string_view Source,
-                    const rt::RunResult &R);
+                    const rt::RunResult &R, const rt::EvalOptions &Opts);
 
-/// Fails the current test unless runLine(Key, Source, R) equals the
-/// recorded line for \p Key.
+/// Fails the current test unless runLine(Key, Source, R, Opts) equals
+/// the recorded line for \p Key.
 void expectMatchesGolden(std::string_view Key, std::string_view Source,
-                         const rt::RunResult &R);
+                         const rt::RunResult &R, const rt::EvalOptions &Opts);
 
 } // namespace rml::golden
 

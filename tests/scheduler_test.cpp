@@ -1,9 +1,9 @@
 //===- tests/scheduler_test.cpp - Dequeue-policy tests --------------------===//
 //
 // The Scheduler layer: policy objects in isolation (pop order, tie
-// breaking, deadline ordering, fair-share deficit accounting, the
-// modeled tail-latency claim), the admission stamping contract (cost
-// provider consulted exactly once), and end to end through the Service
+// breaking, deadline ordering, fair-share deficit accounting), the
+// admission stamping contract (cost provider consulted exactly once),
+// and end to end through the Service
 // (completion order under a deterministically parked worker, drain
 // under contention, tenant isolation under a flood). Labelled
 // `service;sched` in ctest and expected to be clean under
@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <thread>
@@ -73,46 +72,21 @@ TEST(SchedulerUnit, FifoPopsInSubmissionOrder) {
   EXPECT_EQ(popAllSeqs(*S), (std::vector<uint64_t>{0, 1, 2, 3, 4}));
 }
 
-TEST(SchedulerUnit, LjfPopsLongestFirstTiesBySeq) {
-  auto S = makeScheduler(SchedPolicy::Ljf);
-  EXPECT_STREQ(S->policyName(), "ljf");
-  const uint64_t Costs[] = {3, 7, 7, 1, 9};
-  for (uint64_t Seq = 0; Seq < 5; ++Seq)
-    S->push(job(Costs[Seq], Seq));
-  // Descending cost; the two cost-7 jobs resolve to the earlier Seq.
-  EXPECT_EQ(popAllSeqs(*S), (std::vector<uint64_t>{4, 1, 2, 0, 3}));
-}
-
-TEST(SchedulerUnit, LjfInterleavedPushPop) {
-  auto S = makeScheduler(SchedPolicy::Ljf);
-  S->push(job(5, 0));
-  S->push(job(2, 1));
-  EXPECT_EQ(S->pop().Seq, 0u); // 5 beats 2
-  S->push(job(9, 2));
-  S->push(job(1, 3));
-  EXPECT_EQ(S->pop().Seq, 2u); // 9 beats 2 and 1
-  EXPECT_EQ(S->pop().Seq, 1u);
-  EXPECT_EQ(S->pop().Seq, 3u);
-  EXPECT_TRUE(S->empty());
-}
-
 TEST(SchedulerUnit, PolicyNamesRoundTrip) {
   EXPECT_STREQ(schedPolicyName(SchedPolicy::Fifo), "fifo");
-  EXPECT_STREQ(schedPolicyName(SchedPolicy::Ljf), "ljf");
   EXPECT_STREQ(schedPolicyName(SchedPolicy::Deadline), "deadline");
   EXPECT_STREQ(schedPolicyName(SchedPolicy::FairShare), "fair");
   SchedPolicy P = SchedPolicy::Fifo;
-  EXPECT_TRUE(parseSchedPolicy("ljf", P));
-  EXPECT_EQ(P, SchedPolicy::Ljf);
-  EXPECT_TRUE(parseSchedPolicy("fifo", P));
-  EXPECT_EQ(P, SchedPolicy::Fifo);
   EXPECT_TRUE(parseSchedPolicy("deadline", P));
   EXPECT_EQ(P, SchedPolicy::Deadline);
+  EXPECT_TRUE(parseSchedPolicy("fifo", P));
+  EXPECT_EQ(P, SchedPolicy::Fifo);
   EXPECT_TRUE(parseSchedPolicy("fair", P));
   EXPECT_EQ(P, SchedPolicy::FairShare);
-  P = SchedPolicy::Ljf;
+  P = SchedPolicy::Deadline;
   EXPECT_FALSE(parseSchedPolicy("sjf", P));
-  EXPECT_EQ(P, SchedPolicy::Ljf); // unknown names leave Out untouched
+  EXPECT_FALSE(parseSchedPolicy("ljf", P)); // removed policy
+  EXPECT_EQ(P, SchedPolicy::Deadline); // unknown names leave Out untouched
   EXPECT_FALSE(parseSchedPolicy("", P));
 }
 
@@ -223,52 +197,6 @@ TEST(SchedulerUnit, FairShareSingleTenantIsFifo) {
   EXPECT_EQ(popAllSeqs(*S), (std::vector<uint64_t>{0, 1, 2, 3}));
 }
 
-/// A job's completion time when the jobs run in \p Order on \p Workers
-/// identical machines, each taken by the earliest-free one (the list
-/// schedule both the real thread pool and bench_service's model use).
-std::vector<uint64_t> listSchedule(const std::vector<uint64_t> &Order,
-                                   const std::vector<uint64_t> &Costs,
-                                   unsigned Workers) {
-  std::vector<uint64_t> Free(Workers, 0);
-  std::vector<uint64_t> Completion(Costs.size(), 0);
-  for (uint64_t Idx : Order) {
-    auto Slot = std::min_element(Free.begin(), Free.end());
-    *Slot += Costs[Idx];
-    Completion[Idx] = *Slot;
-  }
-  return Completion;
-}
-
-/// The tail-latency claim behind SchedPolicy::Ljf, pinned machine-
-/// independently: on the bench's heterogeneous shape (every 4th job 5x
-/// the cost, 8 workers) the Ljf dequeue order strictly improves p95 and
-/// max completion time over Fifo. The wall-clock counterpart lives in
-/// bench_service, where it needs real cores to show up.
-TEST(SchedulerUnit, LjfModeledTailBeatsFifoOnHeterogeneousBatch) {
-  std::vector<uint64_t> Costs;
-  for (uint64_t I = 0; I < 20; ++I)
-    Costs.push_back(I % 4 == 3 ? 5 : 1);
-
-  auto OrderOf = [&](SchedPolicy P) {
-    auto S = makeScheduler(P);
-    for (uint64_t Seq = 0; Seq < Costs.size(); ++Seq)
-      S->push(job(Costs[Seq], Seq));
-    return popAllSeqs(*S);
-  };
-  auto P95 = [](std::vector<uint64_t> C) {
-    std::sort(C.begin(), C.end());
-    return C[(C.size() - 1) * 95 / 100];
-  };
-
-  std::vector<uint64_t> Fifo = listSchedule(OrderOf(SchedPolicy::Fifo),
-                                            Costs, 8);
-  std::vector<uint64_t> Ljf = listSchedule(OrderOf(SchedPolicy::Ljf),
-                                           Costs, 8);
-  EXPECT_LT(P95(Ljf), P95(Fifo));
-  EXPECT_LT(*std::max_element(Ljf.begin(), Ljf.end()),
-            *std::max_element(Fifo.begin(), Fifo.end()));
-}
-
 //===----------------------------------------------------------------------===//
 // Policies end to end through the Service.
 //===----------------------------------------------------------------------===//
@@ -348,18 +276,6 @@ TEST(SchedulerService, FifoCompletesInSubmissionOrder) {
             (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(SchedulerService, LjfCompletesLongestSourceFirst) {
-  // Submitted shortest-first, completed longest-first.
-  EXPECT_EQ(completionOrder(SchedPolicy::Ljf, gradedSources()),
-            (std::vector<int>{4, 3, 2, 1, 0}));
-}
-
-TEST(SchedulerService, LjfBreaksCostTiesBySubmissionOrder) {
-  std::vector<std::string> Sources = {"1 + 2", "2 + 3", "3 + 4", "4 + 5"};
-  EXPECT_EQ(completionOrder(SchedPolicy::Ljf, Sources),
-            (std::vector<int>{0, 1, 2, 3}));
-}
-
 TEST(SchedulerService, DeadlineCompletesUrgentFirst) {
   // Submitted loosest-deadline first (and one request with none at
   // all); completion runs tightest-first with the undated request last.
@@ -419,8 +335,8 @@ TEST(SchedulerService, FairShareBoundsLightTenantRankUnderFlood) {
 }
 
 TEST(SchedulerService, AllPoliciesDrainUnderEightWorkers) {
-  for (SchedPolicy Policy : {SchedPolicy::Fifo, SchedPolicy::Ljf,
-                             SchedPolicy::Deadline, SchedPolicy::FairShare}) {
+  for (SchedPolicy Policy :
+       {SchedPolicy::Fifo, SchedPolicy::Deadline, SchedPolicy::FairShare}) {
     ServiceConfig Cfg;
     Cfg.Workers = 8;
     Cfg.QueueCapacity = 64;
@@ -428,10 +344,10 @@ TEST(SchedulerService, AllPoliciesDrainUnderEightWorkers) {
     Service Svc(Cfg);
 
     // A mixed batch: every request computes its own index so responses
-    // are checkable, with source lengths spread enough that Ljf really
-    // reorders (multi-digit additions are longer sources), tenants
-    // spread across three buckets, and deadlines on every third request
-    // so Deadline and FairShare exercise their real data structures.
+    // are checkable, with source lengths (the fallback cost key) spread
+    // by multi-digit additions, tenants spread across three buckets, and
+    // deadlines on every third request so Deadline and FairShare
+    // exercise their real data structures.
     constexpr int N = 48;
     std::vector<std::future<Response>> Futures;
     for (int I = 0; I < N; ++I) {

@@ -829,8 +829,18 @@ TEST(ServiceTest, StatsJsonShape) {
         "\"prior_per_byte\":",
         "\"sched\":\"fifo\"", "\"phases\":{", "\"flatten\":{\"sum_nanos\":",
         "\"parse\":{\"sum_nanos\":", "\"run\":{\"sum_nanos\":",
-        "\"max_nanos\":", "\"count\":"})
+        "\"max_nanos\":", "\"count\":",
+        // Neither run collected; the pause block still has all four
+        // keys (bench_traffic reads them).
+        "\"gc_pauses\":{\"pause_count\":0,\"pause_p50_ns\":",
+        "\"pause_p99_ns\":", "\"pause_max_ns\":0}"})
     EXPECT_NE(J.find(Key), std::string::npos) << J;
+  // The adaptive GC policy's block and counters are gone.
+  for (const char *Gone :
+       {"gc_policy", "adaptive_runs", "threshold_raises", "threshold_drops",
+        "budget_backoffs", "over_budget_pauses", "minors_per_major_raises",
+        "minors_per_major_drops"})
+    EXPECT_EQ(J.find(Gone), std::string::npos) << Gone << " in " << J;
   EXPECT_EQ(J.find('\n'), std::string::npos); // one line
   // The ratio fields render through jsonFixed: six fixed fraction
   // digits, '.' decimal separator, never a bare nan/inf value ("nan"

@@ -14,9 +14,7 @@
 #      the flat runnable IR (round-trip/corruption fuzz plus the
 #      warm-restart execute-from-disk service tests), the learned
 #      cost model (prediction/EWMA/prior units plus a multi-threaded
-#      coherence check), the memory system (GcPolicy units plus the
-#      adaptive-vs-static differential and the golden adaptive runs),
-#      and the capture-tracking analysis (report byte-identity across
+#      coherence check), and the capture-tracking analysis (report byte-identity across
 #      cache tiers and process restarts, the CaptureQuery wire kind,
 #      and the disk-format version gate), and
 #   3. a -DRML_SANITIZE=undefined build in build-ubsan/ running the
@@ -36,10 +34,10 @@ cmake -B "$ROOT/build" -S "$ROOT"
 cmake --build "$ROOT/build" -j "$JOBS"
 ctest --test-dir "$ROOT/build" --output-on-failure -j "$JOBS"
 
-echo "== tsan: service + pool + sched + disk + net + flat + cost + mem + capture labels =="
+echo "== tsan: service + pool + sched + disk + net + flat + cost + capture labels =="
 cmake -B "$ROOT/build-tsan" -S "$ROOT" -DRML_SANITIZE=thread
 cmake --build "$ROOT/build-tsan" -j "$JOBS"
-ctest --test-dir "$ROOT/build-tsan" -L 'service|pool|sched|disk|net|flat|cost|mem|capture' --output-on-failure
+ctest --test-dir "$ROOT/build-tsan" -L 'service|pool|sched|disk|net|flat|cost|capture' --output-on-failure
 
 echo "== ubsan: full test suite =="
 cmake -B "$ROOT/build-ubsan" -S "$ROOT" -DRML_SANITIZE=undefined

@@ -69,13 +69,6 @@ void usage() {
       "  --generational         minor/major collections ([16,17])\n"
       "  --no-tagfree           disable the tag-free representation\n"
       "  --no-finite            disable finite (exact-size) regions\n"
-      "  --adaptive-gc          adapt the GC trigger (and generational\n"
-      "                         cadence) to the run's own pause history;\n"
-      "                         identical results, adapted pause shape\n"
-      "  --gc-pause-budget NS   GC pause-time budget in nanos: overruns\n"
-      "                         are counted, and with --adaptive-gc the\n"
-      "                         policy collects less often until pauses\n"
-      "                         fit\n"
       "  --serve-batch PATHS    compile+run every .mml program named by\n"
       "                         PATHS (comma-separated files and/or\n"
       "                         directories) through the concurrent\n"
@@ -102,11 +95,10 @@ void usage() {
       "  --page-pool N          standard pages the cross-request page\n"
       "                         pool may hold; 0 disables pooling\n"
       "                         (default 1024; --serve-batch only)\n"
-      "  --sched fifo|ljf|deadline|fair\n"
+      "  --sched fifo|deadline|fair\n"
       "                         service dequeue policy: submission order,\n"
-      "                         longest-predicted-job-first (the learned\n"
-      "                         cost model's nanos), earliest-deadline-\n"
-      "                         first, or per-tenant fair share\n"
+      "                         earliest-deadline-first, or per-tenant\n"
+      "                         fair share\n"
       "                         (default fifo; --serve-batch only)\n"
       "  --phase-budget P=NS    cut requests off once static phase P\n"
       "                         (parse, infer, ...) exceeds NS nanos;\n"
@@ -403,10 +395,6 @@ int main(int Argc, char **Argv) {
       EvalOpts.TagFreePairs = false;
     } else if (!std::strcmp(A, "--no-finite")) {
       EvalOpts.UseFiniteRegions = false;
-    } else if (!std::strcmp(A, "--adaptive-gc")) {
-      EvalOpts.AdaptiveGc = true;
-    } else if (!std::strcmp(A, "--gc-pause-budget")) {
-      EvalOpts.GcPauseBudgetNanos = Num(Next(), UINT64_MAX);
     } else if (!std::strcmp(A, "--serve-batch")) {
       BatchSpec = Next();
     } else if (!std::strcmp(A, "--jobs")) {

@@ -6,7 +6,6 @@
 //   rmld --port 7080                   fixed port
 //   rmld --jobs 4 --queue 64           worker pool + admission bound
 //   rmld --cache 256 --cache-dir D     warm-start compile cache
-//   rmld --sched ljf                   longest-predicted-job-first
 //   rmld --sched fair --tenant-default legacy
 //                                      per-tenant fair share, untagged
 //                                      traffic in the "legacy" bucket
@@ -60,11 +59,10 @@ void usage() {
       "  --cache-sweep-ms MS    sweep cadence (default 5000)\n"
       "  --page-pool N          cross-request page-pool pages; 0\n"
       "                         disables pooling (default 1024)\n"
-      "  --sched fifo|ljf|deadline|fair\n"
-      "                         dequeue policy (default fifo): ljf orders\n"
-      "                         by the cost model's predicted nanos,\n"
-      "                         deadline is EDF on the request deadline,\n"
-      "                         fair is per-tenant deficit round-robin\n"
+      "  --sched fifo|deadline|fair\n"
+      "                         dequeue policy (default fifo): deadline\n"
+      "                         is EDF on the request deadline, fair is\n"
+      "                         per-tenant deficit round-robin\n"
       "  --fair-quantum N       fair-share DRR quantum in cost units\n"
       "                         (default 1Mi)\n"
       "  --tenant-default NAME  fair-share bucket for requests that sent\n"
@@ -72,12 +70,6 @@ void usage() {
       "  --phase-budget P=NS    per-phase budget in nanos; repeatable\n"
       "  --step-limit N         evaluation fuel per run; 0 keeps the\n"
       "                         runtime default\n"
-      "  --adaptive-gc          run every execution under the adaptive\n"
-      "                         GC policy (same results, adapted pause\n"
-      "                         shape)\n"
-      "  --gc-pause-budget NS   GC pause-time budget in nanos per run;\n"
-      "                         with --adaptive-gc the policy backs\n"
-      "                         collection off until pauses fit\n"
       "  --gc-threshold WORDS   collection trigger per run; 0 keeps the\n"
       "                         runtime default (load-testing knob:\n"
       "                         small values make short requests\n"
@@ -162,10 +154,6 @@ int main(int Argc, char **Argv) {
       SvcCfg.PhaseBudgets[std::string(S, Eq)] = Num(Eq + 1, UINT64_MAX);
     } else if (!std::strcmp(A, "--step-limit")) {
       NetCfg.StepLimit = Num(Next(), UINT64_MAX);
-    } else if (!std::strcmp(A, "--adaptive-gc")) {
-      NetCfg.AdaptiveGc = true;
-    } else if (!std::strcmp(A, "--gc-pause-budget")) {
-      NetCfg.GcPauseBudgetNanos = Num(Next(), UINT64_MAX);
     } else if (!std::strcmp(A, "--gc-threshold")) {
       NetCfg.GcThresholdWords = Num(Next(), UINT64_MAX);
     } else if (!std::strcmp(A, "--max-conns")) {

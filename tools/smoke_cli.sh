@@ -3,7 +3,8 @@
 #
 # Pins the command-line surface of both tools:
 #
-#   1. Removed flags stay removed: each is an unknown option (exit 2).
+#   1. Removed flags stay removed: each is an unknown option (exit 2),
+#      and a removed --sched value is an unknown scheduler (exit 2).
 #   2. Numeric flags fail closed: a unit suffix, a sign or an
 #      out-of-range value is a usage error (exit 2), never a silent
 #      truncation or wrap.
@@ -46,14 +47,19 @@ TUTORIAL=examples/programs/tutorial.mml
 expect 0 "$RMLC" --gc-threshold 2048 -e '1 + 2'
 expect 0 "$RMLC" --serve-batch "$TUTORIAL" --phase-budget infer=5000000000
 
-# 1. Removed flags.
-for Flag in --prewarm-pool --auto-budget; do
+# 1. Removed flags and values.
+for Flag in --prewarm-pool --auto-budget --adaptive-gc; do
   expect 2 "$RMLC" "$Flag" -e '1 + 2'
 done
+expect 2 "$RMLC" --gc-pause-budget 1000 -e '1 + 2'
+expect 2 "$RMLC" --serve-batch "$TUTORIAL" --sched ljf
 expect 2 "$RMLD" --prewarm-pool
 expect 2 "$RMLD" --auto-budget
 expect 2 "$RMLD" --budget-quantile 0.95
 expect 2 "$RMLD" --budget-multiplier 8
+expect 2 "$RMLD" --adaptive-gc
+expect 2 "$RMLD" --gc-pause-budget 1000
+expect 2 "$RMLD" --sched ljf
 
 # 2. Malformed numbers.
 expect 2 "$RMLC" --serve-batch "$TUTORIAL" --phase-budget infer=5ms
