@@ -122,7 +122,7 @@ bool Compiler::phaseFlatten(std::string_view, CompiledUnit &Unit) {
   std::string Problem;
   auto Flat = std::make_shared<flat::FlatUnit>(flat::flattenProgram(
       Unit.Inferred.Prog, Unit.Inferred.RootMu, Unit.Mult, Unit.Kinds,
-      Unit.Drops, Names, Unit.Options.Strat,
+      Unit.Drops, Names, Unit.Options,
       Unit.Captures ? &*Unit.Captures : nullptr, &Problem));
   if (!Problem.empty()) {
     Diags.error(Unit.Inferred.Prog.Root ? Unit.Inferred.Prog.Root->Loc
@@ -193,7 +193,7 @@ rt::RunResult Compiler::run(const CompiledUnit &Unit,
 rt::RunResult Compiler::runFlat(const flat::FlatUnit &Flat,
                                 rt::EvalOptions EvalOpts, TraceSink *Sink) {
   PhaseTimer Timer(RunPhaseName, Sink);
-  if (static_cast<Strategy>(Flat.Strat) == Strategy::R)
+  if (Flat.strat() == Strategy::R)
     EvalOpts.GcEnabled = false;
   // Exact dangling detection and cross-request page pooling are
   // mutually exclusive: a pooled page could be handed to another run

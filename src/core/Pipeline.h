@@ -30,6 +30,7 @@
 
 #include "ast/Ast.h"
 #include "ast/Parser.h"
+#include "core/Options.h"
 #include "flat/Flat.h"
 #include "rcheck/Check.h"
 #include "region/RExpr.h"
@@ -73,20 +74,6 @@ public:
   /// Called exactly once per finished phase (see the class comment), so
   /// implementations may also treat it as an observation point.
   virtual bool keepGoing(const PhaseProfile &P) = 0;
-};
-
-/// Options for one compilation.
-struct CompileOptions {
-  Strategy Strat = Strategy::Rg;
-  SpuriousMode Spurious = SpuriousMode::FreshSecondary;
-  /// Validate the region-annotated program with the Figure 4 checker
-  /// (GC-safety conditions enabled iff the strategy is rg).
-  bool Check = true;
-  /// Run the capture-tracking analysis (rinfer/Captures.h): per-closure
-  /// captured-region sets, rendered by Compiler::captureReport and
-  /// persisted through the caches. Off by default — the phase stays in
-  /// the profile list marked Skipped, like an unchecked "check".
-  bool Captures = false;
 };
 
 /// Everything produced by a successful compilation.

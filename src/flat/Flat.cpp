@@ -2,10 +2,14 @@
 
 #include "flat/Flat.h"
 
+#include "support/Checksum.h"
+
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstddef>
 #include <cstring>
+#include <new>
 #include <set>
 #include <type_traits>
 #include <unordered_map>
@@ -199,9 +203,10 @@ public:
             const RegionKindInfo &Kinds, const Interner &Names)
       : FP(FP), Mult(Mult), Kinds(Kinds), Names(Names) {}
 
-  FlatUnit take(const RProgram &P, const Mu *RootMu, Strategy Strat,
-                const CaptureInfo *Caps, std::string &ErrorOut) {
-    U.Strat = static_cast<uint8_t>(Strat);
+  FlatBuilder take(const RProgram &P, const Mu *RootMu,
+                   const CompileOptions &Opts, const CaptureInfo *Caps,
+                   std::string &ErrorOut) {
+    U.Options = encodeOptions(Opts);
     // Region facts first, ascending by id (LetRegion nodes carry their
     // index); the global region always has an entry.
     for (uint32_t Id : FP.RegionIds) {
@@ -240,11 +245,13 @@ public:
       U.Fns.push_back(FF);
     }
     // Capture table: the analysis enumerates closures in this pass's
-    // own pre-order, so entry i annotates Fns[i]. A mismatched table
-    // (impossible through the pipeline; conceivable for hand-built
-    // inputs) is dropped rather than misattributed.
-    if (Caps && Caps->Closures.size() == U.Fns.size()) {
-      U.HasCaptures = 1;
+    // own pre-order, so entry i annotates Fns[i]. A missing or
+    // mismatched table (impossible through the pipeline; conceivable for
+    // hand-built inputs) fails the unit rather than misattribute.
+    if (Opts.Captures != (Caps != nullptr) ||
+        (Caps && Caps->Closures.size() != U.Fns.size()))
+      fail("internal: the capture table does not match the closures");
+    else if (Caps) {
       for (const ClosureCapture &C : Caps->Closures) {
         FlatCapture FC;
         FC.ValueBegin = static_cast<uint32_t>(U.Aux.size());
@@ -281,10 +288,9 @@ private:
     auto It = StringIndex.find(std::string(S));
     if (It != StringIndex.end())
       return It->second;
-    uint32_t Id = static_cast<uint32_t>(U.StringSpans.size());
-    U.StringSpans.emplace_back(static_cast<uint32_t>(U.StringBlob.size()),
-                               static_cast<uint32_t>(S.size()));
-    U.StringBlob.append(S);
+    uint32_t Id = static_cast<uint32_t>(U.StringEnds.size());
+    U.Blob.append(S);
+    U.StringEnds.push_back(static_cast<uint32_t>(U.Blob.size()));
     StringIndex.emplace(std::string(S), Id);
     return Id;
   }
@@ -619,7 +625,7 @@ private:
   const MultiplicityInfo &Mult;
   const RegionKindInfo &Kinds;
   const Interner &Names;
-  FlatUnit U;
+  FlatBuilder U;
   std::string Error;
   std::vector<uint32_t> FnBodies;
   std::vector<Symbol> VarScope;
@@ -641,21 +647,22 @@ FlatUnit rml::flat::flattenProgram(const RProgram &P, const Mu *RootMu,
                                    const MultiplicityInfo &Mult,
                                    const RegionKindInfo &Kinds,
                                    const DropInfo &Drops,
-                                   const Interner &Names, Strategy Strat,
+                                   const Interner &Names,
+                                   const CompileOptions &Opts,
                                    const CaptureInfo *Caps,
                                    std::string *Error) {
   FnPass FP(Drops);
   FP.run(P);
   Flattener F(FP, Mult, Kinds, Names);
   std::string Problem;
-  FlatUnit U = F.take(P, RootMu, Strat, Caps, Problem);
+  FlatUnit U = F.take(P, RootMu, Opts, Caps, Problem).freeze();
   if (Error)
     *Error = std::move(Problem);
   return U;
 }
 
 std::string rml::flat::renderCaptureReport(const FlatUnit &U) {
-  if (!U.HasCaptures)
+  if (!U.hasCaptures())
     return "";
   std::vector<CaptureReportRow> Rows;
   Rows.reserve(U.Caps.size());
@@ -674,11 +681,11 @@ std::string rml::flat::renderCaptureReport(const FlatUnit &U) {
                        U.Aux.begin() + C.EffectBegin + C.EffectCount);
     Rows.push_back(std::move(R));
   }
-  return rml::renderCaptureReport(static_cast<Strategy>(U.Strat), Rows);
+  return rml::renderCaptureReport(U.strat(), Rows);
 }
 
 //===----------------------------------------------------------------------===//
-// Serialisation
+// The image
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -686,180 +693,251 @@ namespace {
 constexpr char Magic[8] = {'R', 'M', 'L', 'F', 'L', 'A', 'T', '1'};
 /// v2 added the HasCaptures flag and the Caps table; v3 resolved every
 /// variable and region to a frame slot and packed each node into one
-/// 24-byte record. Older bytes are version-rejected (the disk cache
-/// degrades that to a counted miss).
-constexpr uint32_t FlatVersion = 3;
+/// 24-byte record; v4 made the encoding the unit's in-memory image
+/// (header, section table, aligned fixed-size records) and replaced the
+/// strategy and captures bytes with the option bytes. Older bytes
+/// are version-rejected (the disk cache degrades that to a counted
+/// miss).
+constexpr uint32_t FlatVersion = 4;
 
-uint64_t fnv1a(std::string_view Bytes) {
-  uint64_t H = 0xcbf29ce484222325ull;
-  for (unsigned char C : Bytes) {
-    H ^= C;
-    H *= 0x100000001b3ull;
-  }
-  return H;
-}
-
-void putU8(std::string &B, uint8_t V) { B.push_back(static_cast<char>(V)); }
-void putU32(std::string &B, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    B.push_back(static_cast<char>((V >> (8 * I)) & 0xFF));
-}
-void putU64(std::string &B, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    B.push_back(static_cast<char>((V >> (8 * I)) & 0xFF));
-}
-
-/// Bounds-checked little-endian reader; any overrun latches Ok=false
-/// and subsequent reads return zeros.
-struct Reader {
-  std::string_view Bytes;
-  size_t Pos = 0;
-  bool Ok = true;
-
-  bool take(void *Out, size_t N) {
-    if (!Ok || Bytes.size() - Pos < N) {
-      Ok = false;
-      return false;
-    }
-    std::memcpy(Out, Bytes.data() + Pos, N);
-    Pos += N;
-    return true;
-  }
-  uint8_t u8() {
-    uint8_t V = 0;
-    take(&V, 1);
-    return V;
-  }
-  uint32_t u32() {
-    unsigned char Buf[4] = {};
-    take(Buf, 4);
-    uint32_t V = 0;
-    for (int I = 0; I < 4; ++I)
-      V |= static_cast<uint32_t>(Buf[I]) << (8 * I);
-    return V;
-  }
-  uint64_t u64() {
-    unsigned char Buf[8] = {};
-    take(Buf, 8);
-    uint64_t V = 0;
-    for (int I = 0; I < 8; ++I)
-      V |= static_cast<uint64_t>(Buf[I]) << (8 * I);
-    return V;
-  }
-  size_t remaining() const { return Ok ? Bytes.size() - Pos : 0; }
-  /// A table of \p N elements of at least \p ElemBytes each must fit in
-  /// the remaining input — rejects absurd counts before any resize.
-  bool fits(uint64_t N, size_t ElemBytes) const {
-    return Ok && N <= remaining() / ElemBytes;
-  }
-  bool done() const { return Ok && Pos == Bytes.size(); }
-};
-
-/// Nodes and Aux travel as raw little-endian images of their in-memory
-/// arrays: the node record is laid out to be its own encoding.
+// The image is the in-memory layout of these records on a little-endian
+// host; each must be padding-free so its bytes are fully determined.
 static_assert(std::endian::native == std::endian::little,
-              "the flat encoding is the in-memory image of a "
-              "little-endian host");
-static_assert(std::is_trivially_copyable_v<FlatNode> &&
-                  sizeof(FlatNode) == 24,
-              "FlatNode is a padding-free 24-byte record");
+              "a flat image is the in-memory layout of a little-endian host");
+template <typename T>
+constexpr bool IsRecord = std::is_trivially_copyable_v<T> &&
+                          std::has_unique_object_representations_v<T> &&
+                          alignof(T) <= 8;
+static_assert(IsRecord<FlatNode> && sizeof(FlatNode) == 24);
+static_assert(IsRecord<FlatFn> && sizeof(FlatFn) == 36);
+static_assert(IsRecord<FlatCapture> && sizeof(FlatCapture) == 16);
+static_assert(IsRecord<FlatMu> && sizeof(FlatMu) == 8);
+static_assert(IsRecord<FlatTau> && sizeof(FlatTau) == 12);
+static_assert(IsRecord<FlatRegion> && sizeof(FlatRegion) == 12);
+static_assert(IsRecord<ImageHeader> && sizeof(ImageHeader) == 120);
+static_assert(offsetof(ImageHeader, Options) == ImageHeader::ChecksumFrom);
+static_assert(std::tuple_size_v<OptionBytes> <= sizeof(ImageHeader::Options),
+              "the option bytes fit the header's option field");
 
-template <typename T> void putArray(std::string &B, const std::vector<T> &V) {
-  putU64(B, V.size());
-  if (!V.empty())
-    B.append(reinterpret_cast<const char *>(V.data()), V.size() * sizeof(T));
+/// Record size of each section, in Section order.
+constexpr size_t RecordBytes[NumSections] = {
+    sizeof(FlatNode), sizeof(FlatFn),  sizeof(FlatCapture), 4,
+    sizeof(FlatMu),   sizeof(FlatTau), sizeof(FlatRegion),  4,
+    4,                1};
+
+constexpr uint64_t align8(uint64_t N) { return (N + 7) & ~uint64_t{7}; }
+
+/// The canonical layout: fills each section's offset from the counts
+/// and returns the image size.
+uint64_t layOut(ImageHeader &H) {
+  uint64_t At = sizeof(ImageHeader);
+  for (uint32_t S = 0; S < NumSections; ++S) {
+    H.Sections[S].Offset = static_cast<uint32_t>(At);
+    At = align8(At + uint64_t{H.Sections[S].Count} * RecordBytes[S]);
+  }
+  return At;
 }
 
-template <typename T> bool takeArray(Reader &R, std::vector<T> &V) {
-  uint64_t N = R.u64();
-  if (!R.fits(N, sizeof(T)))
-    return false;
-  V.resize(N);
-  return N == 0 || R.take(V.data(), N * sizeof(T));
+/// Storage for an image, aligned for every record. Copying bytes into
+/// allocated storage begins the lifetime of the trivially copyable
+/// records they represent, so the section spans read real objects.
+std::shared_ptr<unsigned char> allocImage(size_t Bytes) {
+  constexpr std::align_val_t Align{alignof(uint64_t)};
+  auto *P = static_cast<unsigned char *>(::operator new(Bytes, Align));
+  return std::shared_ptr<unsigned char>(
+      P, [Align](unsigned char *Q) { ::operator delete(Q, Align); });
 }
 
-constexpr size_t FnBytes = 9 * 4;
-constexpr size_t CapBytes = 4 * 4;
-constexpr size_t MuBytes = 1 + 4;
-constexpr size_t TauBytes = 1 + 2 * 4;
-constexpr size_t RegionBytes = 4 + 1 + 1 + 4;
+template <typename T>
+std::span<const T> sectionOf(const unsigned char *Img, const ImageHeader &H,
+                             Section S) {
+  const auto &E = H.Sections[static_cast<uint32_t>(S)];
+  return {reinterpret_cast<const T *>(Img + E.Offset), E.Count};
+}
+
+} // namespace
+
+void FlatUnit::attach(std::shared_ptr<const unsigned char> Img,
+                      size_t Bytes) {
+  ImageHeader H;
+  std::memcpy(&H, Img.get(), sizeof(H));
+  const unsigned char *P = Img.get();
+  std::memcpy(Options.data(), H.Options, Options.size());
+  Root = H.Root;
+  RootMu = H.RootMu;
+  Nodes = sectionOf<FlatNode>(P, H, Section::Nodes);
+  Fns = sectionOf<FlatFn>(P, H, Section::Fns);
+  Caps = sectionOf<FlatCapture>(P, H, Section::Caps);
+  Aux = sectionOf<uint32_t>(P, H, Section::Aux);
+  Mus = sectionOf<FlatMu>(P, H, Section::Mus);
+  Taus = sectionOf<FlatTau>(P, H, Section::Taus);
+  Regions = sectionOf<FlatRegion>(P, H, Section::Regions);
+  ExnNames = sectionOf<uint32_t>(P, H, Section::ExnNames);
+  StringEnds = sectionOf<uint32_t>(P, H, Section::StringEnds);
+  std::span<const char> B = sectionOf<char>(P, H, Section::Blob);
+  Blob = std::string_view(B.data(), B.size());
+  Image = std::move(Img);
+  Size = Bytes;
+}
+
+FlatBuilder::FlatBuilder(const FlatUnit &U)
+    : Options(U.optionBytes()), Root(U.Root), RootMu(U.RootMu),
+      Nodes(U.Nodes.begin(), U.Nodes.end()),
+      Fns(U.Fns.begin(), U.Fns.end()), Caps(U.Caps.begin(), U.Caps.end()),
+      Aux(U.Aux.begin(), U.Aux.end()), Mus(U.Mus.begin(), U.Mus.end()),
+      Taus(U.Taus.begin(), U.Taus.end()),
+      Regions(U.Regions.begin(), U.Regions.end()),
+      ExnNames(U.ExnNames.begin(), U.ExnNames.end()),
+      StringEnds(U.StringEnds.begin(), U.StringEnds.end()), Blob(U.Blob) {}
+
+FlatUnit FlatBuilder::freeze() const {
+  ImageHeader H;
+  std::memset(&H, 0, sizeof(H));
+  std::memcpy(H.Magic, Magic, sizeof(Magic));
+  H.Version = FlatVersion;
+  std::memcpy(H.Options, Options.data(), Options.size());
+  H.Root = Root;
+  H.RootMu = RootMu;
+  struct Part {
+    const void *Data;
+    size_t Count;
+  };
+  const Part Parts[NumSections] = {
+      {Nodes.data(), Nodes.size()},       {Fns.data(), Fns.size()},
+      {Caps.data(), Caps.size()},         {Aux.data(), Aux.size()},
+      {Mus.data(), Mus.size()},           {Taus.data(), Taus.size()},
+      {Regions.data(), Regions.size()},   {ExnNames.data(), ExnNames.size()},
+      {StringEnds.data(), StringEnds.size()}, {Blob.data(), Blob.size()}};
+  for (uint32_t S = 0; S < NumSections; ++S)
+    H.Sections[S].Count = static_cast<uint32_t>(Parts[S].Count);
+  size_t Size = layOut(H);
+
+  std::shared_ptr<unsigned char> Img = allocImage(Size);
+  unsigned char *P = Img.get();
+  std::memset(P, 0, Size); // the padding between sections
+  for (uint32_t S = 0; S < NumSections; ++S)
+    if (Parts[S].Count)
+      std::memcpy(P + H.Sections[S].Offset, Parts[S].Data,
+                  Parts[S].Count * RecordBytes[S]);
+  std::memcpy(P, &H, sizeof(H));
+  H.Checksum = wordChecksum(
+      std::string_view(reinterpret_cast<const char *>(P), Size)
+          .substr(ImageHeader::ChecksumFrom));
+  std::memcpy(P + offsetof(ImageHeader, Checksum), &H.Checksum,
+              sizeof(H.Checksum));
+
+  FlatUnit U;
+  U.attach(std::move(Img), Size);
+  return U;
+}
+
+std::string rml::flat::encodeFlat(const FlatUnit &U) {
+  return std::string(U.bytes());
+}
 
 //===----------------------------------------------------------------------===//
 // Validation
 //===----------------------------------------------------------------------===//
+
+namespace {
 
 bool spanOk(uint32_t Begin, uint64_t Count, size_t Limit) {
   return static_cast<uint64_t>(Begin) + Count <= Limit;
 }
 
 bool strOk(uint32_t Id, const FlatUnit &U) {
-  return Id == NoIndex || Id < U.StringSpans.size();
+  return Id == NoIndex || Id < U.numStrings();
 }
 
-/// The scoped walk: from Root in the empty frame and from each fn body
-/// in the frame its FlatFn fixes, every node is checked once at the
-/// frame depths it is reached with. A slot or region ref at or beyond
-/// its depth, a child cycle, or a node reached at two different depths
-/// fails the unit — so the evaluator can index frames unchecked.
+/// The header and the section table: the fixed fields, the option
+/// bytes, and every section at its canonical offset inside the image
+/// with zero padding after it. An overlapping, misaligned, reordered or
+/// past-the-end section therefore never gets this far.
+bool imageOk(const unsigned char *Img, size_t Size) {
+  ImageHeader H;
+  std::memcpy(&H, Img, sizeof(H));
+  if (H.Pad0 != 0)
+    return false;
+  OptionBytes Opts;
+  std::memcpy(Opts.data(), H.Options, Opts.size());
+  if (!decodeOptions(Opts))
+    return false;
+  for (size_t I = Opts.size(); I < sizeof(H.Options); ++I)
+    if (H.Options[I] != 0)
+      return false;
+  ImageHeader Want = H;
+  if (layOut(Want) != Size)
+    return false;
+  for (uint32_t S = 0; S < NumSections; ++S) {
+    if (Want.Sections[S].Offset != H.Sections[S].Offset)
+      return false;
+    uint64_t End = H.Sections[S].Offset +
+                   uint64_t{H.Sections[S].Count} * RecordBytes[S];
+    for (uint64_t I = End; I < align8(End); ++I)
+      if (Img[I] != 0)
+        return false;
+  }
+  return true;
+}
+
+/// The scoped walk, as one descending pass. Children precede their
+/// parents in the node table (the flattener appends a node after its
+/// operands, and a memoized operand is older still), and a child at or
+/// above its parent fails the unit, so the table is acyclic by
+/// construction. Visiting nodes from the highest index down therefore
+/// meets every parent before its children: Root starts in the empty
+/// frame and each fn body in the frame its FlatFn fixes, every reached
+/// node is checked once at the frame depths it was handed, and hands
+/// its children theirs. A slot or region ref at or beyond its depth, or
+/// a node handed two different depths, fails the unit — so the
+/// evaluator can index frames unchecked. Nodes nothing reaches are never
+/// run and not checked.
 class ScopedWalk {
 public:
-  explicit ScopedWalk(const FlatUnit &U)
-      : U(U), Seen(U.Nodes.size()) {}
+  explicit ScopedWalk(const FlatUnit &U) : U(U), Depths(U.Nodes.size()) {}
 
   bool run() {
-    if (!visit(U.Root, 0, 0))
+    if (!enter(U.Root, 0, 0))
       return false;
     for (const FlatFn &F : U.Fns)
-      if (!visit(F.Body, F.varFrame(), F.regionFrame()))
+      if (!enter(F.Body, F.varFrame(), F.regionFrame()))
         return false;
-    return true;
-  }
-
-private:
-  struct State {
-    uint32_t Vars = 0, Regions = 0;
-    uint8_t Mark = 0; ///< 0 unseen, 1 on the current path, 2 done
-  };
-  struct Item {
-    uint32_t Node, Vars, Regions;
-    bool Exit;
-  };
-
-  bool node(uint32_t I) const { return I < U.Nodes.size(); }
-  static bool ref(uint32_t R, uint32_t Regions) {
-    return R == GlobalRegionRef || R < Regions;
-  }
-
-  bool visit(uint32_t Root, uint32_t Vars, uint32_t Regions) {
-    Stack.clear();
-    Stack.push_back({Root, Vars, Regions, false});
-    while (!Stack.empty()) {
-      Item It = Stack.back();
-      Stack.pop_back();
-      if (It.Exit) {
-        Seen[It.Node].Mark = 2;
-        continue;
-      }
-      if (!node(It.Node))
-        return false;
-      State &S = Seen[It.Node];
-      if (S.Mark == 1)
-        return false; // a cycle
-      if (S.Mark == 2) {
-        if (S.Vars != It.Vars || S.Regions != It.Regions)
-          return false; // one node, two frame depths
-        continue;
-      }
-      S = {It.Vars, It.Regions, 1};
-      Stack.push_back({It.Node, 0, 0, true});
-      if (!check(U.Nodes[It.Node], It.Vars, It.Regions))
+    for (uint32_t I = static_cast<uint32_t>(U.Nodes.size()); I-- > 0;) {
+      Depth D = Depths[I];
+      if (D.Vars == NoIndex)
+        continue; // unreached
+      Parent = I;
+      if (!check(U.Nodes[I], D.Vars, D.Regions) || !ChildrenOk)
         return false;
     }
     return true;
   }
 
+private:
+  struct Depth {
+    uint32_t Vars = NoIndex; ///< NoIndex: not reached (yet)
+    uint32_t Regions = 0;
+  };
+
+  static bool ref(uint32_t R, uint32_t Regions) {
+    return R == GlobalRegionRef || R < Regions;
+  }
+
+  /// Hands node \p I the depths (\p Vars, \p Regions).
+  bool enter(uint32_t I, uint32_t Vars, uint32_t Regions) {
+    if (I >= Depths.size())
+      return false;
+    Depth &D = Depths[I];
+    if (D.Vars == NoIndex) {
+      D = {Vars, Regions};
+      return true;
+    }
+    return D.Vars == Vars && D.Regions == Regions; // one node, two depths
+  }
+
   void child(uint32_t I, uint32_t Vars, uint32_t Regions) {
-    Stack.push_back({I, Vars, Regions, false});
+    if (I >= Parent || !enter(I, Vars, Regions))
+      ChildrenOk = false;
   }
 
   /// Checks \p N's operands at depths (\p V, \p R) and queues its
@@ -877,7 +955,7 @@ private:
       return false;
     switch (Kind) {
     case RExpr::Kind::StrE:
-      return N.A < U.StringSpans.size() && ref(N.X, R);
+      return N.A < U.numStrings() && ref(N.X, R);
     case RExpr::Kind::Var:
       return N.A < V && strOk(N.B, U);
     case RExpr::Kind::Lam:
@@ -967,23 +1045,31 @@ private:
   }
 
   const FlatUnit &U;
-  std::vector<State> Seen;
-  std::vector<Item> Stack;
+  std::vector<Depth> Depths;
+  uint32_t Parent = 0; ///< the node being checked
+  bool ChildrenOk = true;
 };
 
-/// Full structural validation: every cross-reference lands inside its
-/// table and every slot inside its frame, so the interpreter can index
-/// without bounds checks.
-bool validate(const FlatUnit &U) {
-  if (U.Strat > static_cast<uint8_t>(Strategy::R))
-    return false;
-  if (U.HasCaptures > 1)
-    return false;
-  // The capture table is all-or-nothing: parallel to Fns when the flag
-  // is set, absent when it is not.
-  if (U.Caps.size() != (U.HasCaptures ? U.Fns.size() : 0))
+/// Full structural validation of the tables: every cross-reference lands
+/// inside its table and every slot inside its frame, so the interpreter
+/// can index without bounds checks.
+bool tablesOk(const FlatUnit &U, std::span<const uint32_t> StringEnds,
+              size_t BlobBytes) {
+  // The capture table is all-or-nothing: parallel to Fns when the
+  // option is set, absent when it is not.
+  if (U.Caps.size() != (U.hasCaptures() ? U.Fns.size() : 0))
     return false;
   if (U.RootMu != NoIndex && U.RootMu >= U.Mus.size())
+    return false;
+
+  // The string ends ascend and tile the blob exactly.
+  uint32_t Prev = 0;
+  for (uint32_t End : StringEnds) {
+    if (End < Prev)
+      return false;
+    Prev = End;
+  }
+  if (Prev != BlobBytes)
     return false;
 
   for (const FlatFn &F : U.Fns) {
@@ -994,7 +1080,7 @@ bool validate(const FlatUnit &U) {
         !spanOk(F.FormalsBegin, F.FormalsCount, U.Aux.size()))
       return false;
     for (uint32_t I = 0; I < F.CapturesCount; ++I)
-      if (U.Aux[F.CapturesBegin + I] >= U.StringSpans.size())
+      if (U.Aux[F.CapturesBegin + I] >= U.numStrings())
         return false;
   }
 
@@ -1004,7 +1090,8 @@ bool validate(const FlatUnit &U) {
       return false;
 
   for (const FlatMu &M : U.Mus) {
-    if (M.Kind > static_cast<uint8_t>(Mu::Kind::Boxed))
+    if (M.Kind > static_cast<uint8_t>(Mu::Kind::Boxed) || M.Pad[0] ||
+        M.Pad[1] || M.Pad[2])
       return false;
     if (M.T != NoIndex && M.T >= U.Taus.size())
       return false;
@@ -1012,7 +1099,8 @@ bool validate(const FlatUnit &U) {
       return false;
   }
   for (const FlatTau &T : U.Taus) {
-    if (T.Kind > static_cast<uint8_t>(Tau::Kind::Exn))
+    if (T.Kind > static_cast<uint8_t>(Tau::Kind::Exn) || T.Pad[0] ||
+        T.Pad[1] || T.Pad[2])
       return false;
     if (T.A != NoIndex && T.A >= U.Mus.size())
       return false;
@@ -1025,14 +1113,16 @@ bool validate(const FlatUnit &U) {
   if (U.Regions.empty() || U.Regions[0].Id != 0)
     return false;
   for (size_t I = 0; I < U.Regions.size(); ++I) {
-    if (U.Regions[I].Kind > static_cast<uint8_t>(RegionKind::Mixed))
+    const FlatRegion &G = U.Regions[I];
+    if (G.Kind > static_cast<uint8_t>(RegionKind::Mixed) || G.Finite > 1 ||
+        G.Pad != 0)
       return false;
-    if (I != 0 && U.Regions[I - 1].Id >= U.Regions[I].Id)
+    if (I != 0 && U.Regions[I - 1].Id >= G.Id)
       return false;
   }
 
   for (uint32_t S : U.ExnNames)
-    if (S >= U.StringSpans.size())
+    if (S >= U.numStrings())
       return false;
 
   return ScopedWalk(U).run();
@@ -1040,202 +1130,31 @@ bool validate(const FlatUnit &U) {
 
 } // namespace
 
-std::string rml::flat::encodeFlat(const FlatUnit &U) {
-  std::string Body;
-  Body.reserve(64 + U.Nodes.size() * sizeof(FlatNode) + U.Aux.size() * 4 +
-               U.Fns.size() * FnBytes + U.StringBlob.size() +
-               U.StringSpans.size() * 4);
-  putU8(Body, U.Strat);
-  putU8(Body, U.HasCaptures);
-  putU32(Body, U.Root);
-  putU32(Body, U.RootMu);
-  putArray(Body, U.Nodes);
-  putU64(Body, U.Fns.size());
-  for (const FlatFn &F : U.Fns) {
-    putU32(Body, F.Body);
-    putU32(Body, F.Param);
-    putU32(Body, F.Self);
-    putU32(Body, F.CapturesBegin);
-    putU32(Body, F.CapturesCount);
-    putU32(Body, F.FreeRegionsBegin);
-    putU32(Body, F.FreeRegionsCount);
-    putU32(Body, F.FormalsBegin);
-    putU32(Body, F.FormalsCount);
-  }
-  putU64(Body, U.Caps.size());
-  for (const FlatCapture &C : U.Caps) {
-    putU32(Body, C.ValueBegin);
-    putU32(Body, C.ValueCount);
-    putU32(Body, C.EffectBegin);
-    putU32(Body, C.EffectCount);
-  }
-  putArray(Body, U.Aux);
-  putU64(Body, U.Mus.size());
-  for (const FlatMu &M : U.Mus) {
-    putU8(Body, M.Kind);
-    putU32(Body, M.T);
-  }
-  putU64(Body, U.Taus.size());
-  for (const FlatTau &T : U.Taus) {
-    putU8(Body, T.Kind);
-    putU32(Body, T.A);
-    putU32(Body, T.B);
-  }
-  putU64(Body, U.Regions.size());
-  for (const FlatRegion &R : U.Regions) {
-    putU32(Body, R.Id);
-    putU8(Body, R.Kind);
-    putU8(Body, R.Finite);
-    putU32(Body, R.Words);
-  }
-  putArray(Body, U.ExnNames);
-  // String section: lengths in table order, then the blob. Spans are
-  // contiguous and ascending (the flattener appends), so the blob *is*
-  // the concatenation — decode rebuilds identical offsets.
-  putU64(Body, U.StringSpans.size());
-  for (const auto &[Off, Len] : U.StringSpans)
-    putU32(Body, Len);
-  putU64(Body, U.StringBlob.size());
-  Body += U.StringBlob;
-
-  std::string Out;
-  Out.reserve(sizeof(Magic) + 12 + Body.size());
-  Out.append(Magic, sizeof(Magic));
-  putU32(Out, FlatVersion);
-  putU64(Out, fnv1a(Body));
-  Out += Body;
-  return Out;
-}
-
 std::shared_ptr<const FlatUnit> rml::flat::decodeFlat(std::string_view Bytes) {
-  constexpr size_t HeaderBytes = sizeof(Magic) + 4 + 8;
-  if (Bytes.size() < HeaderBytes)
+  if (Bytes.size() < sizeof(ImageHeader) || Bytes.size() % 8 != 0 ||
+      Bytes.size() > UINT32_MAX)
     return nullptr;
-  if (std::memcmp(Bytes.data(), Magic, sizeof(Magic)) != 0)
-    return nullptr;
-  Reader H{Bytes.substr(sizeof(Magic))};
-  if (H.u32() != FlatVersion)
-    return nullptr;
-  uint64_t WantHash = H.u64();
-  std::string_view BodyBytes = Bytes.substr(HeaderBytes);
+  // One copy into an owned, aligned image; everything below reads it.
+  std::shared_ptr<unsigned char> Img = allocImage(Bytes.size());
+  std::memcpy(Img.get(), Bytes.data(), Bytes.size());
+  ImageHeader H;
+  std::memcpy(&H, Img.get(), sizeof(H));
   // The checksum turns arbitrary in-body corruption (bit flips,
   // truncation mid-field) into a deterministic reject before any
-  // structural parsing happens.
-  if (fnv1a(BodyBytes) != WantHash)
+  // structural check reads a count.
+  if (std::memcmp(H.Magic, Magic, sizeof(Magic)) != 0 ||
+      H.Version != FlatVersion ||
+      H.Checksum !=
+          wordChecksum(std::string_view(
+                           reinterpret_cast<const char *>(Img.get()),
+                           Bytes.size())
+                           .substr(ImageHeader::ChecksumFrom)))
     return nullptr;
-
-  Reader R{BodyBytes};
+  if (!imageOk(Img.get(), Bytes.size()))
+    return nullptr;
   auto U = std::make_shared<FlatUnit>();
-  U->Strat = R.u8();
-  U->HasCaptures = R.u8();
-  U->Root = R.u32();
-  U->RootMu = R.u32();
-
-  if (!takeArray(R, U->Nodes))
-    return nullptr;
-
-  uint64_t NumFns = R.u64();
-  if (!R.fits(NumFns, FnBytes))
-    return nullptr;
-  U->Fns.reserve(NumFns);
-  for (uint64_t I = 0; I < NumFns && R.Ok; ++I) {
-    FlatFn F;
-    F.Body = R.u32();
-    F.Param = R.u32();
-    F.Self = R.u32();
-    F.CapturesBegin = R.u32();
-    F.CapturesCount = R.u32();
-    F.FreeRegionsBegin = R.u32();
-    F.FreeRegionsCount = R.u32();
-    F.FormalsBegin = R.u32();
-    F.FormalsCount = R.u32();
-    U->Fns.push_back(F);
-  }
-
-  uint64_t NumCaps = R.u64();
-  if (!R.fits(NumCaps, CapBytes))
-    return nullptr;
-  U->Caps.reserve(NumCaps);
-  for (uint64_t I = 0; I < NumCaps && R.Ok; ++I) {
-    FlatCapture C;
-    C.ValueBegin = R.u32();
-    C.ValueCount = R.u32();
-    C.EffectBegin = R.u32();
-    C.EffectCount = R.u32();
-    U->Caps.push_back(C);
-  }
-
-  if (!takeArray(R, U->Aux))
-    return nullptr;
-
-  uint64_t NumMus = R.u64();
-  if (!R.fits(NumMus, MuBytes))
-    return nullptr;
-  U->Mus.reserve(NumMus);
-  for (uint64_t I = 0; I < NumMus && R.Ok; ++I) {
-    FlatMu M;
-    M.Kind = R.u8();
-    M.T = R.u32();
-    U->Mus.push_back(M);
-  }
-
-  uint64_t NumTaus = R.u64();
-  if (!R.fits(NumTaus, TauBytes))
-    return nullptr;
-  U->Taus.reserve(NumTaus);
-  for (uint64_t I = 0; I < NumTaus && R.Ok; ++I) {
-    FlatTau T;
-    T.Kind = R.u8();
-    T.A = R.u32();
-    T.B = R.u32();
-    U->Taus.push_back(T);
-  }
-
-  uint64_t NumRegions = R.u64();
-  if (!R.fits(NumRegions, RegionBytes))
-    return nullptr;
-  U->Regions.reserve(NumRegions);
-  for (uint64_t I = 0; I < NumRegions && R.Ok; ++I) {
-    FlatRegion G;
-    G.Id = R.u32();
-    G.Kind = R.u8();
-    G.Finite = R.u8();
-    G.Words = R.u32();
-    U->Regions.push_back(G);
-  }
-
-  if (!takeArray(R, U->ExnNames))
-    return nullptr;
-
-  uint64_t NumStrings = R.u64();
-  if (!R.fits(NumStrings, 4))
-    return nullptr;
-  std::vector<uint32_t> Lens;
-  Lens.reserve(NumStrings);
-  for (uint64_t I = 0; I < NumStrings && R.Ok; ++I)
-    Lens.push_back(R.u32());
-  uint64_t BlobLen = R.u64();
-  if (!R.Ok || BlobLen > R.remaining())
-    return nullptr;
-  U->StringBlob.assign(BodyBytes.data() + R.Pos, BlobLen);
-  R.Pos += BlobLen;
-  // Rebuild the span table; the declared lengths must tile the blob
-  // exactly (a section-length overrun fails here).
-  uint64_t Off = 0;
-  U->StringSpans.reserve(Lens.size());
-  for (uint32_t L : Lens) {
-    if (Off + L > BlobLen)
-      return nullptr;
-    U->StringSpans.emplace_back(static_cast<uint32_t>(Off), L);
-    Off += L;
-  }
-  if (Off != BlobLen)
-    return nullptr;
-
-  // No trailing bytes, no short reads, and every index in range.
-  if (!R.done())
-    return nullptr;
-  if (!validate(*U))
+  U->attach(std::move(Img), Bytes.size());
+  if (!tablesOk(*U, U->StringEnds, U->Blob.size()))
     return nullptr;
   return U;
 }

@@ -14,7 +14,7 @@
 /// into the persistent disk cache, which is what makes a warm restart's
 /// first Run=true request a pure disk hit.
 ///
-/// Layout — six tables plus a string section, all cross-referenced by
+/// Layout — eight tables plus a string section, all cross-referenced by
 /// u32 indices (UINT32_MAX = absent), never by pointer:
 ///
 ///   Nodes    flattened RExpr tree, one fixed 24-byte FlatNode record
@@ -23,6 +23,8 @@
 ///   Fns      one entry per lambda / fun binding: body node, parameter
 ///            and self name ids, and the static spans that fix its
 ///            frames: capture names, free regions, runtime formals
+///   Caps     the capture-tracking table, parallel to Fns when the unit
+///            was compiled with the captures analysis, else empty
 ///   Aux      a shared u32 pool holding the variable-length spans:
 ///            Seq item lists, RApp (formal, target, target ref)
 ///            triples, closure-site capture slots and free-region refs,
@@ -33,8 +35,22 @@
 ///            and finite-multiplicity sizing
 ///   ExnNames exception-constructor names in id order (the ids baked
 ///            into ExnConE/Handle nodes), for rendering
-///   Strings  one deduplicated blob; name ids ARE string-table indices,
-///            so a FlatUnit never needs the Compiler's interner
+///   Strings  one deduplicated blob plus the end offset of each string;
+///            name ids ARE string-table indices, so a FlatUnit never
+///            needs the Compiler's interner
+///
+/// **One image (flat v4).** A unit is one immutable byte image, the
+/// same in memory and on disk: a fixed ImageHeader (magic, version,
+/// checksum, the compile option bytes, Root, RootMu) with a table
+/// of (offset, count) pairs, one per Section, then the sections in
+/// Section order. Each section starts at the next 8-byte boundary after
+/// the previous one (zero padding between) and is an array of fixed-
+/// size, padding-free little-endian records; the image ends at the
+/// 8-byte boundary after the blob. The layout is canonical — the
+/// counts fix every offset — so equal tables give equal bytes. A
+/// FlatUnit's tables are spans into its image: the flattener fills a
+/// FlatBuilder and freezes it into an image, decodeFlat copies and
+/// verifies one, and encodeFlat returns the image bytes as they are.
 ///
 /// **Frames (lexical addressing).** Every variable and region occurrence
 /// is resolved to a frame slot at flatten time, so the evaluator indexes
@@ -56,21 +72,23 @@
 /// needs no analysis structures at all.
 ///
 /// **Determinism and verification.** flattenProgram walks the program in
-/// one fixed order, so equal compiled units flatten to equal tables and
-/// encodeFlat is bit-deterministic. The encoding carries a checksum over
-/// its body; decodeFlat verifies it, then validates every index, span
-/// and slot before returning: a scoped walk from Root and from each fn
-/// body checks every slot and region ref against its frame depth and
-/// rejects a child cycle or a node reached at two depths. Truncation,
-/// bit flips, out-of-range indices and section-length overruns all fail
-/// closed to a null return (the disk cache counts that as a load
-/// rejection).
+/// one fixed order, so equal compiled units flatten to equal images.
+/// The header carries a word-wise checksum (support/Checksum.h) over
+/// everything after it; decodeFlat verifies it, then checks every
+/// section bound and validates every index, span and slot before
+/// returning: a scoped walk from Root and from each fn body checks
+/// every slot and region ref against its frame depth and rejects a
+/// child cycle or a node reached at two depths. Truncation, bit flips,
+/// forged section tables, out-of-range indices and section-length
+/// overruns all fail closed to a null return (the disk cache counts
+/// that as a load rejection).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef RML_FLAT_FLAT_H
 #define RML_FLAT_FLAT_H
 
+#include "core/Options.h"
 #include "region/RExpr.h"
 #include "rinfer/Captures.h"
 #include "rinfer/DropRegions.h"
@@ -81,9 +99,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace rml::flat {
@@ -168,11 +186,13 @@ struct FlatFn {
 
 /// Flattened result types: only what rendering reads (kind + children).
 struct FlatMu {
-  uint8_t Kind = 0;      ///< Mu::Kind
-  uint32_t T = NoIndex;  ///< Taus index (Boxed)
+  uint8_t Kind = 0; ///< Mu::Kind
+  uint8_t Pad[3] = {};
+  uint32_t T = NoIndex; ///< Taus index (Boxed)
 };
 struct FlatTau {
-  uint8_t Kind = 0;                 ///< Tau::Kind
+  uint8_t Kind = 0;                  ///< Tau::Kind
+  uint8_t Pad[3] = {};
   uint32_t A = NoIndex, B = NoIndex; ///< Mus indices
 };
 
@@ -181,39 +201,135 @@ struct FlatRegion {
   uint32_t Id = 0;
   uint8_t Kind = 0;   ///< RegionKind (unfiltered; TagFreePairs applies
                       ///< at runtime)
-  uint8_t Finite = 0; ///< multiplicity verdict
+  uint8_t Finite = 0; ///< multiplicity verdict (0 or 1)
+  uint16_t Pad = 0;
   uint32_t Words = 0; ///< exact block size for finite regions (0 unknown)
 };
 
-/// The flat program. Plain data: no pointers, no interner dependence;
-/// safe to share across threads, processes and (serialised) restarts.
-struct FlatUnit {
-  /// Strategy the unit was compiled under (Strategy::R disables GC at
-  /// run time, mirroring Compiler::run).
-  uint8_t Strat = 0;
-  /// 1 when the unit carries the capture-tracking table (then Caps is
-  /// parallel to Fns — even when both are empty, so a closure-free
-  /// program still renders a report).
-  uint8_t HasCaptures = 0;
+/// The sections of a unit image, in image order.
+enum class Section : uint32_t {
+  Nodes,      ///< FlatNode records
+  Fns,        ///< FlatFn records
+  Caps,       ///< FlatCapture records
+  Aux,        ///< u32
+  Mus,        ///< FlatMu records
+  Taus,       ///< FlatTau records
+  Regions,    ///< FlatRegion records
+  ExnNames,   ///< u32 string ids
+  StringEnds, ///< u32 end offset of each string in the blob
+  Blob,       ///< the string bytes
+};
+inline constexpr uint32_t NumSections = 10;
+
+/// The fixed header at the start of every unit image (flat v4). All
+/// fields are little-endian; the Pad fields are zero.
+struct ImageHeader {
+  char Magic[8];      ///< "RMLFLAT1"
+  uint32_t Version;   ///< 4
+  uint32_t Pad0;
+  uint64_t Checksum;  ///< wordChecksum of bytes [ChecksumFrom, size)
+  /// encodeOptions of the compile (core/Options.h), zero-padded: room
+  /// for new options without a layout change.
+  uint8_t Options[8];
+  uint32_t Root;   ///< program root node
+  uint32_t RootMu; ///< result type (Mus index; NoIndex = none)
+  struct {
+    uint32_t Offset; ///< byte offset from the image start
+    uint32_t Count;  ///< records in the section
+  } Sections[NumSections];
+
+  /// The checksum covers everything after its own field.
+  static constexpr size_t ChecksumFrom = 24;
+};
+
+/// The flat program: a validated view over one immutable image.
+///
+/// The tables are spans into the image the unit owns through a shared
+/// handle, so copying a FlatUnit copies views, never tables, and a copy
+/// stays valid as long as it lives. Only FlatBuilder::freeze and
+/// decodeFlat make units; plain data, no pointers into anything else,
+/// safe to share across threads and (serialised) restarts.
+class FlatUnit {
+public:
   uint32_t Root = NoIndex;   ///< program root node
   uint32_t RootMu = NoIndex; ///< result type (Mus index; NoIndex = none)
+  std::span<const FlatNode> Nodes;
+  std::span<const FlatFn> Fns;
+  std::span<const FlatCapture> Caps; ///< empty, or one entry per Fns entry
+  std::span<const uint32_t> Aux;
+  std::span<const FlatMu> Mus;
+  std::span<const FlatTau> Taus;
+  std::span<const FlatRegion> Regions; ///< strictly ascending by Id
+  std::span<const uint32_t> ExnNames;  ///< exn id -> string index
+
+  /// String \p I of the deduplicated string section.
+  std::string_view str(uint32_t I) const {
+    uint32_t Begin = I ? StringEnds[I - 1] : 0;
+    return Blob.substr(Begin, StringEnds[I] - Begin);
+  }
+  uint32_t numStrings() const {
+    return static_cast<uint32_t>(StringEnds.size());
+  }
+
+  /// The options the unit was compiled under, as stored and decoded.
+  const OptionBytes &optionBytes() const { return Options; }
+  CompileOptions options() const {
+    return decodeOptions(Options).value_or(CompileOptions());
+  }
+  /// Strategy::R disables GC at run time, mirroring Compiler::run.
+  Strategy strat() const { return options().Strat; }
+  /// True when the unit carries the capture-tracking table (then Caps
+  /// is parallel to Fns — even when both are empty, so a closure-free
+  /// program still renders a report).
+  bool hasCaptures() const { return options().Captures; }
+
+  /// The image: exactly the bytes encodeFlat returns.
+  std::string_view bytes() const {
+    return {reinterpret_cast<const char *>(Image.get()), Size};
+  }
+
+private:
+  friend class FlatBuilder;
+  friend std::shared_ptr<const FlatUnit> decodeFlat(std::string_view Bytes);
+
+  /// Points every table at its section of \p Img, whose header and
+  /// section bounds the caller has checked.
+  void attach(std::shared_ptr<const unsigned char> Img, size_t Bytes);
+
+  OptionBytes Options{};
+  std::span<const uint32_t> StringEnds;
+  std::string_view Blob;
+  std::shared_ptr<const unsigned char> Image;
+  size_t Size = 0;
+};
+
+/// The mutable form a unit is built in: one vector per section. The
+/// flattener fills one and freezes it; tests thaw a unit into one to
+/// forge damage.
+class FlatBuilder {
+public:
+  OptionBytes Options{};
+  uint32_t Root = NoIndex;
+  uint32_t RootMu = NoIndex;
   std::vector<FlatNode> Nodes;
   std::vector<FlatFn> Fns;
-  std::vector<FlatCapture> Caps; ///< empty, or one entry per Fns entry
+  std::vector<FlatCapture> Caps;
   std::vector<uint32_t> Aux;
   std::vector<FlatMu> Mus;
   std::vector<FlatTau> Taus;
-  std::vector<FlatRegion> Regions;  ///< strictly ascending by Id
-  std::vector<uint32_t> ExnNames;   ///< exn id -> string index
-  /// Deduplicated string section: Spans are contiguous and ascending,
-  /// covering Blob exactly (the encode/decode invariant).
-  std::string StringBlob;
-  std::vector<std::pair<uint32_t, uint32_t>> StringSpans; ///< (offset, len)
+  std::vector<FlatRegion> Regions;
+  std::vector<uint32_t> ExnNames;
+  std::vector<uint32_t> StringEnds;
+  std::string Blob;
 
-  std::string_view str(uint32_t I) const {
-    const auto &[Off, Len] = StringSpans[I];
-    return std::string_view(StringBlob).substr(Off, Len);
-  }
+  FlatBuilder() = default;
+  /// Copies \p U's tables back into vectors.
+  explicit FlatBuilder(const FlatUnit &U);
+
+  /// Lays the sections out as one image and returns the unit viewing
+  /// it. Does not validate: decodeFlat does, so a forged builder's
+  /// damage shows when its bytes are decoded.
+  FlatUnit freeze() const;
 };
 
 /// Flattens a compiled program. Deterministic: the node, function and
@@ -222,14 +338,15 @@ struct FlatUnit {
 /// variable or region with no binder in its frame, or an absent
 /// operand, cannot be given a slot: the unit is then unusable and
 /// \p Error (when non-null) receives the first such problem.
-/// \p Caps, when non-null, is the capture-tracking table for \p P in
-/// the same closure pre-order this pass discovers functions in; it is
-/// embedded as the Caps/Aux sections so the report survives
-/// serialisation.
+/// \p Opts are the options \p P was compiled under; they go into the
+/// unit header. \p Caps is the capture-tracking table for \p P, in the
+/// same closure pre-order this pass discovers functions in, and must be
+/// present exactly when Opts.Captures; it is embedded as the Caps/Aux
+/// sections so the report survives serialisation.
 FlatUnit flattenProgram(const RProgram &P, const Mu *RootMu,
                         const MultiplicityInfo &Mult,
                         const RegionKindInfo &Kinds, const DropInfo &Drops,
-                        const Interner &Names, Strategy Strat,
+                        const Interner &Names, const CompileOptions &Opts,
                         const CaptureInfo *Caps = nullptr,
                         std::string *Error = nullptr);
 
@@ -238,16 +355,20 @@ FlatUnit flattenProgram(const RProgram &P, const Mu *RootMu,
 /// formatter, same data). Empty when the unit carries no table.
 std::string renderCaptureReport(const FlatUnit &U);
 
-/// Serialises \p U: magic + version + body checksum + the tables in
-/// fixed order, explicit little-endian widths. Bit-deterministic, and
-/// a decode/encode round trip reproduces the input bytes exactly.
+/// The unit's image bytes. A unit *is* its encoding, so nothing is
+/// re-serialised: bit-deterministic, and decodeFlat(encodeFlat(U))
+/// re-encodes to the same bytes.
 std::string encodeFlat(const FlatUnit &U);
 
-/// Deserialises and fully validates: checksum first, then every index,
-/// span and enum against its table. Returns null on any damage —
-/// truncation, bit flips, out-of-range indices, section-length
-/// overruns, trailing bytes — never throws, never returns a unit the
-/// evaluator could walk out of bounds.
+/// Copies \p Bytes once into an owned, aligned image (so any view,
+/// aligned or not, is safe), then verifies it completely before
+/// returning a unit that views it: magic, version and checksum first,
+/// then the option bytes, every section bound (each section at its one
+/// canonical, 8-byte aligned offset), and every index, span, slot and
+/// enum against its table through the scoped walk. Returns null on any
+/// damage — truncation, bit flips, forged section tables, out-of-range
+/// indices, trailing bytes — never throws, never returns a unit the
+/// evaluator could walk out of bounds. Nothing is checked lazily.
 std::shared_ptr<const FlatUnit> decodeFlat(std::string_view Bytes);
 
 } // namespace rml::flat

@@ -38,6 +38,7 @@
 #ifndef RML_SERVICE_CACHE_H
 #define RML_SERVICE_CACHE_H
 
+#include "core/Pipeline.h"
 #include "service/Hash.h"
 
 #include <array>

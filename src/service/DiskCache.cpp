@@ -5,14 +5,20 @@
 #include "service/Cache.h"
 
 #include "flat/Flat.h"
+#include "support/Checksum.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <vector>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 using namespace rml;
 using namespace rml::service;
@@ -42,6 +48,46 @@ void putU64(std::string &Out, uint64_t V) {
 void putStr(std::string &Out, std::string_view S) {
   putU64(Out, S.size());
   Out.append(S.data(), S.size());
+}
+
+enum class ReadOutcome { Read, Missing, Failed };
+
+/// Reads the whole of \p Path into \p Out with one sized read(2),
+/// looping on short reads and EINTR. Missing: no entry file exists.
+/// Failed: the file could not be read, or its size changed while it
+/// was read.
+ReadOutcome readEntryFile(const std::string &Path, std::string &Out) {
+  int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
+    return errno == ENOENT || errno == ENOTDIR ? ReadOutcome::Missing
+                                               : ReadOutcome::Failed;
+  struct Closer {
+    int Fd;
+    ~Closer() { ::close(Fd); }
+  } Close{Fd};
+  struct stat St;
+  if (::fstat(Fd, &St) != 0 || !S_ISREG(St.st_mode))
+    return ReadOutcome::Failed;
+  // One byte of headroom: a read that fills it saw the file grow.
+  size_t Size = static_cast<size_t>(St.st_size);
+  Out.resize(Size + 1);
+  size_t Got = 0;
+  for (;;) {
+    ssize_t N = ::read(Fd, Out.data() + Got, Out.size() - Got);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N < 0)
+      return ReadOutcome::Failed;
+    if (N == 0)
+      break;
+    Got += static_cast<size_t>(N);
+    if (Got == Out.size())
+      return ReadOutcome::Failed; // grew while being read
+  }
+  if (Got != Size)
+    return ReadOutcome::Failed; // shrank while being read
+  Out.resize(Size);
+  return ReadOutcome::Read;
 }
 
 /// Bounds-checked reader over a loaded entry. Every get sets Ok = false
@@ -83,11 +129,11 @@ struct Reader {
       return 0;
     return static_cast<unsigned char>(Buf[Pos++]);
   }
-  std::string str() {
+  std::string_view str() {
     uint64_t N = u64();
     if (!take(N))
-      return std::string();
-    std::string S(Buf.substr(Pos, N));
+      return std::string_view();
+    std::string_view S = Buf.substr(Pos, N);
     Pos += N;
     return S;
   }
@@ -123,6 +169,7 @@ void DiskCache::store(const CacheKey &K, const CachedCompile &V) const {
   std::string Buf;
   Buf.append(Magic, sizeof(Magic));
   putU32(Buf, FormatVersion);
+  putU64(Buf, 0); // the body checksum, filled in below
   for (uint8_t B : encodeOptions(K.Opts))
     Buf.push_back(static_cast<char>(B));
   Buf.push_back(V.Ok ? 1 : 0);
@@ -139,15 +186,18 @@ void DiskCache::store(const CacheKey &K, const CachedCompile &V) const {
   putU64(Buf, V.Profiles.size());
   for (const PhaseProfile &P : V.Profiles)
     putStr(Buf, P.Name);
-  // The runnable payload: the flat unit's own self-checking encoding
+  // The runnable payload: the flat unit's own self-checking image
   // (magic, version, checksum) nested as one counted string. Successful
   // compiles always carry one; failed compiles persist presence 0.
   if (V.Flat) {
     Buf.push_back(1);
-    putStr(Buf, flat::encodeFlat(*V.Flat));
+    putStr(Buf, V.Flat->bytes());
   } else {
     Buf.push_back(0);
   }
+  std::string Sum;
+  putU64(Sum, wordChecksum(std::string_view(Buf).substr(BodyOffset)));
+  Buf.replace(ChecksumOffset, Sum.size(), Sum);
 
   // Atomic publish: a private temp file in the same directory, then
   // rename over the final name. Readers (and racing writers, in this
@@ -172,31 +222,41 @@ void DiskCache::store(const CacheKey &K, const CachedCompile &V) const {
 }
 
 CachedCompileRef DiskCache::load(const CacheKey &K) const {
-  fs::path Path = fs::path(Dir) / entryFileName(K.Hash);
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
+  std::string Buf;
+  ReadOutcome Read = readEntryFile(Dir + "/" + entryFileName(K.Hash), Buf);
+  if (Read == ReadOutcome::Missing) {
     ++Misses;
     return nullptr;
   }
-  std::string Buf((std::istreambuf_iterator<char>(In)),
-                  std::istreambuf_iterator<char>());
-  In.close();
+  // Fail closed, in order: an unreadable file, a foreign magic or
+  // version, then any damage to the body (the checksum is verified
+  // before a single field is parsed), then structural damage
+  // (truncation, trailing bytes, a flat-presence byte that disagrees
+  // with the ok byte) and key mismatches — including a genuine FNV-1a
+  // collision, where the hash matches but the embedded source or option
+  // bytes differ. All reject to a miss. Never a wrong answer.
+  auto Reject = [this] {
+    ++LoadRejects;
+    return nullptr;
+  };
+  if (Read == ReadOutcome::Failed || Buf.size() < BodyOffset ||
+      std::memcmp(Buf.data(), Magic, sizeof(Magic)) != 0)
+    return Reject();
+  Reader H{std::string_view(Buf).substr(sizeof(Magic),
+                                        BodyOffset - sizeof(Magic))};
+  uint32_t Version = H.u32();
+  uint64_t Sum = H.u64();
+  if (Version != FormatVersion ||
+      Sum != wordChecksum(std::string_view(Buf).substr(BodyOffset)))
+    return Reject();
 
-  Reader R{Buf};
-  char FileMagic[sizeof(Magic)];
-  bool MagicOk = R.take(sizeof(Magic));
-  if (MagicOk) {
-    std::memcpy(FileMagic, Buf.data() + R.Pos, sizeof(Magic));
-    R.Pos += sizeof(Magic);
-    MagicOk = std::memcmp(FileMagic, Magic, sizeof(Magic)) == 0;
-  }
-  uint32_t Version = R.u32();
+  Reader R{std::string_view(Buf).substr(BodyOffset)};
   OptionBytes Options;
   for (uint8_t &B : Options)
     B = R.u8();
   uint8_t Ok = R.u8();
   uint64_t Hash = R.u64();
-  std::string Source = R.str();
+  std::string_view Source = R.str();
   auto CC = std::make_shared<CachedCompile>();
   CC->FromDisk = true;
   CC->Ok = Ok != 0;
@@ -205,9 +265,9 @@ CachedCompileRef DiskCache::load(const CacheKey &K) const {
   CC->CaptureReport = R.str();
   uint64_t NumSchemes = R.u64();
   for (uint64_t I = 0; R.Ok && I < NumSchemes; ++I) {
-    std::string Name = R.str();
-    std::string Scheme = R.str();
-    CC->Schemes.emplace_back(std::move(Name), std::move(Scheme));
+    std::string_view Name = R.str();
+    std::string_view Scheme = R.str();
+    CC->Schemes.emplace_back(Name, Scheme);
   }
   uint64_t NumPhases = R.u64();
   for (uint64_t I = 0; R.Ok && I < NumPhases; ++I) {
@@ -219,29 +279,20 @@ CachedCompileRef DiskCache::load(const CacheKey &K) const {
     CC->Profiles.push_back(std::move(P));
   }
   uint8_t HasFlat = R.u8();
-  std::string FlatBytes = HasFlat == 1 ? R.str() : std::string();
+  std::string_view FlatBytes = HasFlat == 1 ? R.str() : std::string_view();
 
-  // Fail closed: structural damage (truncation, trailing bytes, bad
-  // magic/version, a flat-presence byte that disagrees with the ok
-  // byte) and key mismatches — including a genuine FNV-1a collision,
-  // where the hash matches but the embedded source or option bytes
-  // differ — all reject to a miss. Never a wrong answer.
-  if (!R.done() || !MagicOk || Version != FormatVersion ||
-      HasFlat > 1 || Ok != HasFlat || Hash != K.Hash || Source != K.Source ||
-      Options != encodeOptions(K.Opts)) {
-    ++LoadRejects;
-    return nullptr;
-  }
+  if (!R.done() || HasFlat > 1 || Ok != HasFlat || Hash != K.Hash ||
+      Source != K.Source || Options != encodeOptions(K.Opts))
+    return Reject();
   if (HasFlat == 1) {
     // The flat payload carries its own magic/version/checksum and an
     // exhaustive index validation; any damage decodes to null and
     // rejects the whole entry — a "hit" whose run would recompile (or
-    // worse, misbehave) is not a hit.
+    // worse, misbehave) is not a hit. Its option bytes must be the
+    // entry's own.
     CC->Flat = flat::decodeFlat(FlatBytes);
-    if (!CC->Flat) {
-      ++LoadRejects;
-      return nullptr;
-    }
+    if (!CC->Flat || CC->Flat->optionBytes() != Options)
+      return Reject();
   }
   ++Hits;
   return CC;

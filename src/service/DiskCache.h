@@ -20,23 +20,34 @@
 /// name — so concurrent writers (other workers, other processes
 /// sharing the directory) either see a complete entry or none.
 ///
+/// **Read, verify, view.** A load opens the entry with open(2), takes
+/// its size from fstat and reads it with one sized read(2) (looping on
+/// short reads and EINTR). The entry header is the magic, the format
+/// version and a word-wise checksum (support/Checksum.h) over the whole
+/// body; the checksum is verified before any field is parsed, so a
+/// damaged byte anywhere — a scheme string, the printed program, the
+/// capture report — is a counted rejection, never a served answer. The
+/// nested flat unit is then decoded into a validated view (flat/Flat.h).
+///
 /// **Fail closed.** A load only succeeds when the versioned header
-/// matches and the entry's embedded source and option bytes equal the
-/// key exactly. FNV-1a collisions (two sources with one hash), format
-/// drift (old/foreign files), truncation and plain corruption all
-/// degrade to a miss — the service recompiles; it never serves a wrong
-/// answer. Rejections and write failures are counted, never thrown.
+/// matches, the body checksum holds and the entry's embedded source and
+/// option bytes equal the key exactly. FNV-1a collisions (two sources
+/// with one hash), format drift (old/foreign files), truncation, a read
+/// error, a file whose size changes while it is read and plain
+/// corruption all degrade to a miss — the service recompiles; it never
+/// serves a wrong answer. Only a missing file counts as a plain Miss;
+/// rejections and write failures are counted, never thrown.
 ///
 /// **Runnable entries.** The CompiledUnit itself — a web of arena
 /// pointers — is never serialised; instead each successful entry embeds
-/// the program's flat, offset-based form (flat/Flat.h, its own magic,
-/// version and checksum), which Compiler::runFlat executes directly.
-/// A warm restart's first Run=true request therefore completes from
-/// disk with zero compile phases. The flat section fails closed like
-/// everything else: a damaged or undecodable flat unit, or a presence
-/// byte that disagrees with the entry's ok byte, rejects the whole
-/// entry to a miss (counted in LoadRejects). A loaded entry therefore
-/// has exactly the shape of a fresh one.
+/// the program's flat image (flat/Flat.h, its own magic, version and
+/// checksum), which Compiler::runFlat executes directly. A warm
+/// restart's first Run=true request therefore completes from disk with
+/// zero compile phases. The flat section fails closed like everything
+/// else: a damaged or undecodable flat unit, option bytes that differ
+/// from the entry's, or a presence byte that disagrees with the entry's
+/// ok byte rejects the whole entry to a miss (counted in LoadRejects).
+/// A loaded entry therefore has exactly the shape of a fresh one.
 ///
 /// **Bounded growth.** Left alone the directory grows one file per
 /// distinct compile forever. A SweepConfig bounds it by total bytes
@@ -84,9 +95,10 @@ public:
     /// Entries that failed to persist (unwritable directory, rename
     /// failure); the request proceeds, only the warm start is lost.
     uint64_t WriteErrors = 0;
-    /// Entry files rejected at load: bad magic/version, truncation,
-    /// corruption, or a hash collision (embedded source/options differ
-    /// from the key). All degrade to a miss.
+    /// Entry files rejected at load: bad magic/version, a checksum
+    /// mismatch, truncation, a read error, or a hash collision
+    /// (embedded source/options differ from the key). All degrade to a
+    /// miss.
     uint64_t LoadRejects = 0;
     /// Entry files the sweeper evicted (age cut-off or byte
     /// watermark), and their summed sizes.
@@ -156,8 +168,13 @@ public:
   /// appended the embedded flat unit; version 3 added the Captures
   /// option byte and the persisted capture report; version 4 dropped
   /// the per-entry eviction cost; version 5 embeds flat v3 (slot-
-  /// resolved 24-byte nodes); v1–v4 files are version-rejected.
-  static constexpr uint32_t FormatVersion = 5;
+  /// resolved 24-byte nodes); version 6 adds the body checksum and
+  /// embeds flat v4 (the unit image); v1–v5 files are version-rejected.
+  static constexpr uint32_t FormatVersion = 6;
+  /// Entry layout: magic, u32 version, then the u64 word-wise checksum
+  /// of every byte from BodyOffset on. All little-endian.
+  static constexpr size_t ChecksumOffset = 12;
+  static constexpr size_t BodyOffset = 20;
   /// First bytes of every entry file.
   static constexpr char Magic[8] = {'R', 'M', 'L', 'D', 'C', 'A', 'C', 'H'};
 

@@ -57,20 +57,21 @@ private:
 } // namespace
 
 Response Executor::process(const Request &Req) const {
-  Response Resp = processImpl(Req);
-  // One observation per completion. Budget cut-offs are excluded: a
-  // partial compile's cost is not the source's cost, and learning it
-  // would teach the model that expensive sources are cheap.
+  CacheKey Key = CacheKey::of(Req.Source, Req.Opts);
+  Response Resp = processImpl(Req, Key);
+  // One observation per completion, under the key's hash (the source is
+  // hashed once per request). Budget cut-offs are excluded: a partial
+  // compile's cost is not the source's cost, and learning it would
+  // teach the model that expensive sources are cheap.
   if (Model && Resp.Status != RequestOutcome::Budget)
-    Model->observe(hashCompileInputs(Req.Source, Req.Opts), Req.Source.size(),
-                   Resp.Profiles, /*UpdatePrior=*/!Resp.CacheHit);
+    Model->observe(Key.Hash, Req.Source.size(), Resp.Profiles,
+                   /*UpdatePrior=*/!Resp.CacheHit);
   return Resp;
 }
 
-Response Executor::processImpl(const Request &Req) const {
+Response Executor::processImpl(const Request &Req, const CacheKey &Key) const {
   Response Resp;
 
-  CacheKey Key = CacheKey::of(Req.Source, Req.Opts);
   CachedCompileRef CC = Cache.lookup(Key);
   if (CC) {
     Resp.CacheHit = true;

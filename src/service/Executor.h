@@ -50,9 +50,10 @@ public:
   Response process(const Request &Req) const;
 
 private:
-  /// The cache/compile/run lifecycle; process() wraps it to feed the
-  /// cost model exactly once per completion.
-  Response processImpl(const Request &Req) const;
+  /// The cache/compile/run lifecycle under \p Key (Req's cache key);
+  /// process() wraps it to feed the cost model exactly once per
+  /// completion.
+  Response processImpl(const Request &Req, const CacheKey &Key) const;
 
   const ServiceConfig &Cfg;
   CompileCache &Cache;

@@ -11,8 +11,9 @@
 /// yields the same region-annotated program, schemes and analyses — so a
 /// compilation is fully identified by hashing exactly the inputs the
 /// pipeline reads: the source text plus the CompileOptions, encoded by
-/// encodeOptions(). EvalOptions deliberately do NOT enter the
-/// key; they only affect run(), which is recomputed per request.
+/// encodeOptions() (core/Options.h). EvalOptions deliberately do NOT
+/// enter the key; they only affect run(), which is recomputed per
+/// request.
 ///
 /// The hash is 64-bit FNV-1a: no dependencies, stable across platforms,
 /// and cheap enough to be negligible next to a parse. Collisions are
@@ -24,9 +25,8 @@
 #ifndef RML_SERVICE_HASH_H
 #define RML_SERVICE_HASH_H
 
-#include "core/Pipeline.h"
+#include "core/Options.h"
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -56,20 +56,6 @@ public:
 private:
   uint64_t H = Offset;
 };
-
-/// The compile options as bytes, in a fixed order: strategy, spurious
-/// mode, check, captures. The key hash folds them in after the source
-/// and every disk entry stores and verifies them, so this is the one
-/// place a CompileOptions field becomes bytes: a new option is added to
-/// core/Pipeline.h and here, and nowhere else in the service.
-using OptionBytes = std::array<uint8_t, 4>;
-
-inline OptionBytes encodeOptions(const CompileOptions &Opts) {
-  return {static_cast<uint8_t>(Opts.Strat),
-          static_cast<uint8_t>(Opts.Spurious),
-          static_cast<uint8_t>(Opts.Check ? 1 : 0),
-          static_cast<uint8_t>(Opts.Captures ? 1 : 0)};
-}
 
 /// Hash of everything the static pipeline reads.
 inline uint64_t hashCompileInputs(std::string_view Source,

@@ -194,7 +194,7 @@ TEST(CapturesTest, TreeAndFlatReportsAreByteIdentical) {
     ASSERT_FALSE(Tree.empty());
 
     ASSERT_NE(Unit->Flat, nullptr);
-    EXPECT_EQ(Unit->Flat->HasCaptures, 1u);
+    EXPECT_TRUE(Unit->Flat->hasCaptures());
     EXPECT_EQ(flat::renderCaptureReport(*Unit->Flat), Tree);
 
     // ... and through a full encode/decode round trip: the report a
@@ -210,7 +210,7 @@ TEST(CapturesTest, FlatWithoutCapturesRendersEmpty) {
   auto Unit = C.compile(CaptureProgram);
   ASSERT_NE(Unit, nullptr);
   ASSERT_NE(Unit->Flat, nullptr);
-  EXPECT_EQ(Unit->Flat->HasCaptures, 0u);
+  EXPECT_FALSE(Unit->Flat->hasCaptures());
   EXPECT_TRUE(Unit->Flat->Caps.empty());
   EXPECT_EQ(flat::renderCaptureReport(*Unit->Flat), "");
 }
@@ -222,18 +222,19 @@ TEST(CapturesTest, FlatCaptureTableFailsClosed) {
   ASSERT_NE(Unit->Flat, nullptr);
   ASSERT_FALSE(Unit->Flat->Caps.empty());
 
-  // An inconsistent flag/table pair never decodes: the flag says "no
-  // captures" while the table is non-empty.
-  flat::FlatUnit Inconsistent = *Unit->Flat;
-  Inconsistent.HasCaptures = 0;
-  EXPECT_EQ(flat::decodeFlat(flat::encodeFlat(Inconsistent)), nullptr);
+  // An inconsistent option/table pair never decodes: the captures
+  // option byte says "no captures" while the table is non-empty.
+  flat::FlatBuilder Inconsistent(*Unit->Flat);
+  Inconsistent.Options[3] = 0;
+  EXPECT_EQ(flat::decodeFlat(flat::encodeFlat(Inconsistent.freeze())),
+            nullptr);
 
   // A capture span pointing past the Aux pool never decodes either.
-  flat::FlatUnit BadSpan = *Unit->Flat;
+  flat::FlatBuilder BadSpan(*Unit->Flat);
   BadSpan.Caps[0].ValueBegin =
       static_cast<uint32_t>(BadSpan.Aux.size());
   BadSpan.Caps[0].ValueCount = 4;
-  EXPECT_EQ(flat::decodeFlat(flat::encodeFlat(BadSpan)), nullptr);
+  EXPECT_EQ(flat::decodeFlat(flat::encodeFlat(BadSpan.freeze())), nullptr);
 }
 
 //===----------------------------------------------------------------------===//

@@ -3,7 +3,8 @@
 // The on-disk tier beneath the in-memory compile cache: round-trip
 // fidelity of the persisted static products, fail-closed behaviour under
 // every corruption we can manufacture (truncation, bad magic/version,
-// trailing garbage, forged hash collisions, unwritable directories), and
+// trailing garbage, a flipped bit in any text section, forged hash
+// collisions, unreadable entries, unwritable directories), and
 // the service-level warm-restart story — a second process pointed at the
 // same --cache-dir serves byte-identical answers from disk. Labelled
 // `disk` in ctest and expected to be clean under -DRML_SANITIZE=thread.
@@ -14,11 +15,13 @@
 
 #include "flat/Flat.h"
 #include "service/Service.h"
+#include "support/Checksum.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -288,12 +291,16 @@ void putStr(std::string &Out, std::string_view S) {
 
 /// The bytes of an entry file for \p V under \p K, written field by
 /// field. Version 3 carried a u64 eviction cost between the phase names
-/// and the flat presence byte; version 4 dropped it.
+/// and the flat presence byte; version 4 dropped it; version 6 put the
+/// body checksum after the version.
 std::string entryBytes(uint32_t Version, const CacheKey &K,
                        const CachedCompile &V) {
   std::string Out(DiskCache::Magic, sizeof(DiskCache::Magic));
   for (int I = 0; I < 4; ++I)
     Out.push_back(static_cast<char>((Version >> (8 * I)) & 0xff));
+  if (Version >= 6)
+    putU64(Out, 0); // the checksum, filled in below
+  size_t Body = Out.size();
   for (uint8_t B : encodeOptions(K.Opts))
     Out.push_back(static_cast<char>(B));
   Out.push_back(V.Ok ? 1 : 0);
@@ -315,6 +322,10 @@ std::string entryBytes(uint32_t Version, const CacheKey &K,
   Out.push_back(V.Flat ? 1 : 0);
   if (V.Flat)
     putStr(Out, flat::encodeFlat(*V.Flat));
+  if (Version >= 6) {
+    uint64_t Sum = wordChecksum(std::string_view(Out).substr(Body));
+    std::memcpy(Out.data() + DiskCache::ChecksumOffset, &Sum, sizeof(Sum));
+  }
   return Out;
 }
 
@@ -385,6 +396,118 @@ TEST(DiskCacheTest, EveryOptionCombinationIsItsOwnEntry) {
     }
   }
   EXPECT_EQ(Disk.counters().Hits, Keys.size());
+}
+
+/// A program whose entry fills every text section: the shadowed `pick`
+/// draws a warning (diagnostics), closures fill the capture report
+/// under Captures, and `pick`/`compose` have schemes.
+const char *TextfulProgram = R"(
+fun pick x = x
+fun pick p = #1 p
+fun compose fg = fn x => #1 fg (#2 fg x)
+;pick (compose (fn x => x + 1, fn x => x * 2) 20, 0)
+)";
+
+CompileOptions textfulOptions() {
+  CompileOptions Opts;
+  Opts.Captures = true;
+  return Opts;
+}
+
+/// The entry offset of the first byte of each text section, found by
+/// walking the entry's fields.
+std::vector<std::pair<std::string, size_t>>
+textSections(const std::string &B) {
+  size_t At = DiskCache::BodyOffset + 4 + 1 + 8; // options, ok, hash
+  auto U64 = [&] {
+    uint64_t V;
+    std::memcpy(&V, B.data() + At, sizeof(V));
+    At += sizeof(V);
+    return V;
+  };
+  auto Str = [&] {
+    uint64_t N = U64();
+    size_t Begin = At;
+    At += N;
+    EXPECT_GT(N, 0u) << "an empty text section at " << Begin;
+    return Begin;
+  };
+  std::vector<std::pair<std::string, size_t>> Out;
+  Str(); // the source, which the key check already covers
+  Out.emplace_back("diagnostics", Str());
+  Out.emplace_back("printed program", Str());
+  Out.emplace_back("capture report", Str());
+  uint64_t Schemes = U64();
+  EXPECT_GT(Schemes, 0u);
+  Out.emplace_back("scheme name", Str());
+  Out.emplace_back("scheme body", Str());
+  for (uint64_t I = 1; I < Schemes; ++I) {
+    Str();
+    Str();
+  }
+  EXPECT_GT(U64(), 0u);
+  Out.emplace_back("phase name", Str());
+  return Out;
+}
+
+TEST(DiskCacheTest, EveryTextSectionBitFlipIsACountedLoadReject) {
+  // Before the entry carried a body checksum, a flipped bit in a text
+  // section loaded as a hit and served the damaged text.
+  ScratchDir Dir("text_flips");
+  DiskCache Disk(Dir.str());
+  CompileOptions Opts = textfulOptions();
+  CacheKey K = CacheKey::of(TextfulProgram, Opts);
+  CachedCompileRef Fresh = compileShared(TextfulProgram, Opts);
+  ASSERT_TRUE(Fresh->ok());
+  ASSERT_FALSE(Fresh->Diagnostics.empty());
+  ASSERT_FALSE(Fresh->CaptureReport.empty());
+  Disk.store(K, *Fresh);
+  fs::path File = Dir.Path / DiskCache::entryFileName(K.Hash);
+  const std::string Good = readFileBytes(File);
+
+  uint64_t Rejects = 0;
+  for (const auto &[Name, Offset] : textSections(Good)) {
+    SCOPED_TRACE(Name);
+    std::string Bytes = Good;
+    Bytes[Offset] = static_cast<char>(Bytes[Offset] ^ 0x01);
+    writeFileBytes(File, Bytes);
+    EXPECT_EQ(Disk.load(K), nullptr);
+    EXPECT_EQ(Disk.counters().LoadRejects, ++Rejects);
+  }
+  EXPECT_EQ(Rejects, 6u);
+  EXPECT_EQ(Disk.counters().Hits, 0u);
+  writeFileBytes(File, Good);
+  EXPECT_NE(Disk.load(K), nullptr) << "the undamaged entry still loads";
+}
+
+TEST(DiskCacheTest, UnreadableEntryIsACountedReject) {
+  // Something sits at the entry's name but cannot be read as a file: a
+  // read error, not a missing entry.
+  ScratchDir Dir("unreadable");
+  DiskCache Disk(Dir.str());
+  CacheKey K = CacheKey::of("1 + 1", {});
+  fs::create_directories(Dir.Path / DiskCache::entryFileName(K.Hash));
+  EXPECT_EQ(Disk.load(K), nullptr);
+  DiskCache::Counters C = Disk.counters();
+  EXPECT_EQ(C.LoadRejects, 1u);
+  EXPECT_EQ(C.Misses, 0u);
+}
+
+TEST(DiskCacheTest, FlatImageUnderOtherOptionsIsACountedReject) {
+  // A well-formed entry whose nested flat image was compiled under
+  // other options: the image's own option bytes give it away.
+  ScratchDir Dir("flat_options");
+  DiskCache Disk(Dir.str());
+  CompileOptions Opts, Other;
+  Other.Check = false;
+  CacheKey K = CacheKey::of(ComposeProgram, Opts);
+  CachedCompile Mixed = *compileShared(ComposeProgram, Opts);
+  Mixed.Flat = compileShared(ComposeProgram, Other)->Flat;
+  ASSERT_NE(Mixed.Flat, nullptr);
+  writeFileBytes(Dir.Path / DiskCache::entryFileName(K.Hash),
+                 entryBytes(DiskCache::FormatVersion, K, Mixed));
+  EXPECT_EQ(Disk.load(K), nullptr);
+  EXPECT_EQ(Disk.counters().LoadRejects, 1u);
 }
 
 TEST(DiskCacheTest, UnwritableDirectoryCountsWriteErrors) {
@@ -579,6 +702,43 @@ TEST(DiskServiceTest, CorruptEntryDegradesToARecompileNeverAWrongAnswer) {
   ServiceStats S = Svc.stats();
   EXPECT_EQ(S.DiskLoadRejects, 1u);
   EXPECT_EQ(S.DiskHits, 0u);
+}
+
+TEST(DiskServiceTest, TextSectionBitFlipRecompilesTheRightAnswer) {
+  ScratchDir Dir("text_flip_service");
+  Request Req;
+  Req.Source = TextfulProgram;
+  Req.Opts = textfulOptions();
+  Req.SchemeNames = {"pick", "compose"};
+  Response Cold;
+  {
+    Service Svc(diskServiceConfig(Dir.str(), 1));
+    Cold = Svc.submit(Req).get();
+    ASSERT_EQ(Cold.Status, RequestOutcome::Ok) << Cold.Diagnostics;
+    EXPECT_EQ(Cold.ResultText, "41");
+  }
+  CacheKey K = CacheKey::of(Req.Source, Req.Opts);
+  fs::path File = Dir.Path / DiskCache::entryFileName(K.Hash);
+  const std::string Good = readFileBytes(File);
+
+  for (const auto &[Name, Offset] : textSections(Good)) {
+    SCOPED_TRACE(Name);
+    std::string Bytes = Good;
+    Bytes[Offset] = static_cast<char>(Bytes[Offset] ^ 0x01);
+    writeFileBytes(File, Bytes);
+    Service Svc(diskServiceConfig(Dir.str(), 1));
+    Response R = Svc.submit(Req).get();
+    EXPECT_EQ(R.Status, RequestOutcome::Ok) << R.Diagnostics;
+    EXPECT_FALSE(R.CacheHit) << "the reject fell through to a compile";
+    EXPECT_EQ(R.Diagnostics, Cold.Diagnostics);
+    EXPECT_EQ(R.Printed, Cold.Printed);
+    EXPECT_EQ(R.CaptureReport, Cold.CaptureReport);
+    EXPECT_EQ(R.Schemes, Cold.Schemes);
+    EXPECT_EQ(R.ResultText, Cold.ResultText);
+    ServiceStats S = Svc.stats();
+    EXPECT_EQ(S.DiskLoadRejects, 1u);
+    EXPECT_EQ(S.DiskHits, 0u);
+  }
 }
 
 TEST(DiskServiceTest, CacheDirWithoutMemoryTierStaysDisabled) {

@@ -3,10 +3,11 @@
 // The flat, offset-based compiled form (src/flat) and its execution
 // path: serialisation round trips are byte-identical, every manufactured
 // corruption — truncation at each prefix, every single-bit flip, random
-// garbage, out-of-range indices — fails closed to a null decode, the
-// disk tier counts a damaged flat section as a load rejection, a warm
-// service restart executes Run=true straight from disk with zero compile
-// phases, and the runs match the runtime golden file. Every variable and
+// garbage, out-of-range indices, forged section tables — fails closed to
+// a null decode, an image decodes from any address into an aligned view,
+// the disk tier counts a damaged flat section as a load rejection, a
+// warm service restart executes Run=true straight from disk with zero
+// compile phases, and the runs match the runtime golden file. Every variable and
 // region slot names the binder the old name scan finds, and a slot or
 // ref outside its frame fails closed at decode. Labelled `flat` in ctest
 // and expected to be clean under -DRML_SANITIZE=thread.
@@ -21,9 +22,12 @@
 #include "scope_oracle.h"
 #include "service/DiskCache.h"
 #include "service/Service.h"
+#include "support/Checksum.h"
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -84,6 +88,22 @@ std::string readFileBytes(const fs::path &P) {
 void writeFileBytes(const fs::path &P, const std::string &Bytes) {
   std::ofstream Out(P, std::ios::binary | std::ios::trunc);
   Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+}
+
+/// Recomputes a disk entry's body checksum after a test edits the body,
+/// so the damage it planted is what the loader meets.
+void resealEntry(std::string &Bytes) {
+  uint64_t Sum = wordChecksum(
+      std::string_view(Bytes).substr(DiskCache::BodyOffset));
+  std::memcpy(Bytes.data() + DiskCache::ChecksumOffset, &Sum, sizeof(Sum));
+}
+
+/// Recomputes a flat image's checksum after a test edits its bytes.
+void resealImage(std::string &Bytes) {
+  uint64_t Sum = wordChecksum(
+      std::string_view(Bytes).substr(flat::ImageHeader::ChecksumFrom));
+  std::memcpy(Bytes.data() + offsetof(flat::ImageHeader, Checksum), &Sum,
+              sizeof(Sum));
 }
 
 /// Compiles \p Src under \p Strat and returns the unit's encoded flat
@@ -233,54 +253,69 @@ TEST(FlatCorruption, RandomGarbageNeverCrashes) {
 }
 
 TEST(FlatCorruption, StructurallyInvalidUnitsRejectAtDecode) {
-  // encodeFlat does not validate, so a hand-corrupted FlatUnit probes
-  // the decoder's index validation with a correct checksum — the layer
-  // a checksum alone cannot defend.
+  // Freezing does not validate, so a unit thawed into a builder,
+  // corrupted by hand and frozen again probes the decoder's index
+  // validation with a correct checksum — the layer a checksum alone
+  // cannot defend.
   Compiler C;
   auto Unit = C.compile(RichProgram);
   ASSERT_NE(Unit, nullptr);
   const flat::FlatUnit &Good = *Unit->Flat;
 
   {
-    flat::FlatUnit Bad = Good; // root out of the node table
+    flat::FlatBuilder Bad(Good); // root out of the node table
     Bad.Root = static_cast<uint32_t>(Bad.Nodes.size());
-    EXPECT_EQ(flat::decodeFlat(flat::encodeFlat(Bad)), nullptr);
+    EXPECT_EQ(flat::decodeFlat(flat::encodeFlat(Bad.freeze())), nullptr);
   }
   {
-    flat::FlatUnit Bad = Good; // root type out of the mu table
+    flat::FlatBuilder Bad(Good); // root type out of the mu table
     Bad.RootMu = static_cast<uint32_t>(Bad.Mus.size()) + 5;
-    EXPECT_EQ(flat::decodeFlat(flat::encodeFlat(Bad)), nullptr);
+    EXPECT_EQ(flat::decodeFlat(flat::encodeFlat(Bad.freeze())), nullptr);
   }
   {
-    flat::FlatUnit Bad = Good; // strategy beyond the enum
-    Bad.Strat = 9;
-    EXPECT_EQ(flat::decodeFlat(flat::encodeFlat(Bad)), nullptr);
+    flat::FlatBuilder Bad(Good); // strategy beyond the enum
+    Bad.Options[0] = 9;
+    EXPECT_EQ(flat::decodeFlat(flat::encodeFlat(Bad.freeze())), nullptr);
   }
   {
-    flat::FlatUnit Bad = Good; // node kind beyond the enum
+    flat::FlatBuilder Bad(Good); // node kind beyond the enum
     Bad.Nodes[Bad.Root].Kind = 0xFF;
-    EXPECT_EQ(flat::decodeFlat(flat::encodeFlat(Bad)), nullptr);
+    EXPECT_EQ(flat::decodeFlat(flat::encodeFlat(Bad.freeze())), nullptr);
   }
   {
-    flat::FlatUnit Bad = Good; // child index out of the node table
+    flat::FlatBuilder Bad(Good); // child index out of the node table
     Bad.Nodes[Bad.Root].A = static_cast<uint32_t>(Bad.Nodes.size()) + 7;
-    EXPECT_EQ(flat::decodeFlat(flat::encodeFlat(Bad)), nullptr);
+    EXPECT_EQ(flat::decodeFlat(flat::encodeFlat(Bad.freeze())), nullptr);
   }
   {
-    flat::FlatUnit Bad = Good; // aux span overruns its section
+    flat::FlatBuilder Bad(Good); // aux span overruns its section
     ASSERT_FALSE(Bad.Fns.empty());
     Bad.Fns[0].CapturesCount = static_cast<uint32_t>(Bad.Aux.size()) + 1;
-    EXPECT_EQ(flat::decodeFlat(flat::encodeFlat(Bad)), nullptr);
+    EXPECT_EQ(flat::decodeFlat(flat::encodeFlat(Bad.freeze())), nullptr);
   }
   {
-    flat::FlatUnit Bad = Good; // string id out of the string table
+    flat::FlatBuilder Bad(Good); // string id out of the string table
     ASSERT_FALSE(Bad.ExnNames.empty());
-    Bad.ExnNames[0] = static_cast<uint32_t>(Bad.StringSpans.size());
-    EXPECT_EQ(flat::decodeFlat(flat::encodeFlat(Bad)), nullptr);
+    Bad.ExnNames[0] = static_cast<uint32_t>(Bad.StringEnds.size());
+    EXPECT_EQ(flat::decodeFlat(flat::encodeFlat(Bad.freeze())), nullptr);
   }
-  // The uncorrupted original still decodes — the probes above failed
-  // for the planted reason, not some latent one.
+  for (size_t I = 1; I < 4; ++I) {
+    flat::FlatBuilder Bad(Good); // every other option byte out of range
+    Bad.Options[I] = 2;
+    EXPECT_EQ(flat::decodeFlat(flat::encodeFlat(Bad.freeze())), nullptr) << I;
+  }
+  {
+    flat::FlatBuilder Bad(Good); // string ends that overrun the blob
+    ASSERT_FALSE(Bad.StringEnds.empty());
+    Bad.StringEnds.back() += 1;
+    EXPECT_EQ(flat::decodeFlat(flat::encodeFlat(Bad.freeze())), nullptr);
+  }
+  // The uncorrupted original still decodes, and so does a fresh unit
+  // thawed and frozen again — the probes above failed for the planted
+  // reason, not some latent one.
   EXPECT_NE(flat::decodeFlat(flat::encodeFlat(Good)), nullptr);
+  EXPECT_EQ(flat::encodeFlat(flat::FlatBuilder(Good).freeze()),
+            flat::encodeFlat(Good));
 }
 
 TEST(FlatCorruption, SlotsOutsideTheirFramesRejectAtDecode) {
@@ -301,26 +336,26 @@ TEST(FlatCorruption, SlotsOutsideTheirFramesRejectAtDecode) {
     return flat::NoIndex;
   };
   auto Any = [](const flat::FlatNode &) { return true; };
-  auto Decodes = [](const flat::FlatUnit &U) {
-    return flat::decodeFlat(flat::encodeFlat(U)) != nullptr;
+  auto Decodes = [](const flat::FlatBuilder &B) {
+    return flat::decodeFlat(flat::encodeFlat(B.freeze())) != nullptr;
   };
 
   {
-    flat::FlatUnit Bad = Good; // a Var slot equal to its frame depth
+    flat::FlatBuilder Bad(Good); // a Var slot equal to its frame depth
     uint32_t I = Find(RExpr::Kind::Var, Any);
     ASSERT_NE(I, flat::NoIndex);
     Bad.Nodes[I].A = Scopes.Depth[I].first;
     EXPECT_FALSE(Decodes(Bad));
   }
   {
-    flat::FlatUnit Bad = Good; // an allocation ref one past its depth
+    flat::FlatBuilder Bad(Good); // an allocation ref one past its depth
     uint32_t I = Find(RExpr::Kind::ConsE, Any);
     ASSERT_NE(I, flat::NoIndex);
     Bad.Nodes[I].X = Scopes.Depth[I].second;
     EXPECT_FALSE(Decodes(Bad));
   }
   {
-    flat::FlatUnit Bad = Good; // a closure capture slot outside the frame
+    flat::FlatBuilder Bad(Good); // a closure capture slot outside the frame
     uint32_t I = Find(RExpr::Kind::Lam, [&](const flat::FlatNode &N) {
       return Good.Fns[N.A].CapturesCount != 0;
     });
@@ -329,7 +364,7 @@ TEST(FlatCorruption, SlotsOutsideTheirFramesRejectAtDecode) {
     EXPECT_FALSE(Decodes(Bad));
   }
   {
-    flat::FlatUnit Bad = Good; // an RApp target ref outside the frame
+    flat::FlatBuilder Bad(Good); // an RApp target ref outside the frame
     uint32_t I = Find(RExpr::Kind::RApp, [](const flat::FlatNode &N) {
       return N.C != 0;
     });
@@ -338,27 +373,183 @@ TEST(FlatCorruption, SlotsOutsideTheirFramesRejectAtDecode) {
     EXPECT_FALSE(Decodes(Bad));
   }
   {
-    flat::FlatUnit Bad = Good; // a Regions index out of range
+    flat::FlatBuilder Bad(Good); // a Regions index out of range
     uint32_t I = Find(RExpr::Kind::LetRegion, Any);
     ASSERT_NE(I, flat::NoIndex);
     Bad.Nodes[I].B = static_cast<uint32_t>(Bad.Regions.size());
     EXPECT_FALSE(Decodes(Bad));
   }
   {
-    flat::FlatUnit Bad = Good; // a child cycle
+    flat::FlatBuilder Bad(Good); // a child cycle
     uint32_t I = Find(RExpr::Kind::App, Any);
     ASSERT_NE(I, flat::NoIndex);
     Bad.Nodes[I].A = I;
     EXPECT_FALSE(Decodes(Bad));
   }
   {
-    flat::FlatUnit Bad = Good; // one node reached at two depths
+    flat::FlatBuilder Bad(Good); // one node reached at two depths
     uint32_t I = Find(RExpr::Kind::Let, Any);
     ASSERT_NE(I, flat::NoIndex);
     Bad.Nodes[I].A = Bad.Nodes[I].B;
     EXPECT_FALSE(Decodes(Bad));
   }
-  EXPECT_TRUE(Decodes(Good));
+  EXPECT_TRUE(Decodes(flat::FlatBuilder(Good)));
+}
+
+//===----------------------------------------------------------------------===//
+// The view: an image decoded in place of any alignment, forged section
+// tables rejected
+//===----------------------------------------------------------------------===//
+
+TEST(FlatView, DecodesFromAnOddAddress) {
+  // A disk entry nests the image at an arbitrary offset; the decoder
+  // copies it into an aligned image, so a misaligned view reads no
+  // record in place (the UBSan leg's alignment check would say so).
+  std::string Bytes = flatBytesOf(RichProgram);
+  ASSERT_FALSE(Bytes.empty());
+  std::string Holder = "x" + Bytes + "y";
+  std::string_view Odd(Holder.data() + 1, Bytes.size());
+  ASSERT_EQ(reinterpret_cast<uintptr_t>(Odd.data()) % 2, 1u);
+  std::shared_ptr<const flat::FlatUnit> Decoded = flat::decodeFlat(Odd);
+  ASSERT_NE(Decoded, nullptr);
+  EXPECT_EQ(flat::encodeFlat(*Decoded), Bytes);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(Decoded->Nodes.data()) % 8, 0u);
+  rt::EvalOptions E;
+  E.GcThresholdWords = 512;
+  golden::expectMatchesGolden("flat/rich/rg", RichProgram,
+                              Compiler::runFlat(*Decoded, E), E);
+}
+
+TEST(FlatView, CopiedUnitOutlivesItsSource) {
+  // A unit owns its image through a shared handle: a copy keeps viewing
+  // valid bytes after the unit it was copied from is gone.
+  std::shared_ptr<const flat::FlatUnit> Decoded =
+      flat::decodeFlat(flatBytesOf(RichProgram));
+  ASSERT_NE(Decoded, nullptr);
+  std::string Bytes = flat::encodeFlat(*Decoded);
+  flat::FlatUnit Copy = *Decoded;
+  Decoded.reset();
+  EXPECT_EQ(flat::encodeFlat(Copy), Bytes);
+  rt::EvalOptions E;
+  E.GcThresholdWords = 512;
+  golden::expectMatchesGolden("flat/rich/rg", RichProgram,
+                              Compiler::runFlat(Copy, E), E);
+}
+
+TEST(FlatView, FreshUnitsValidateThroughTheirBytes) {
+  // Freezing skips the validator; the decoder must accept every image
+  // the flattener freezes, under every strategy and with captures.
+  for (Strategy Strat : {Strategy::Rg, Strategy::RgMinus, Strategy::R})
+    for (bool Captures : {false, true}) {
+      Compiler C;
+      CompileOptions Opts;
+      Opts.Strat = Strat;
+      Opts.Captures = Captures;
+      auto Unit = C.compile(RichProgram, Opts);
+      ASSERT_NE(Unit, nullptr) << C.diagnostics().str();
+      EXPECT_EQ(Unit->Flat->optionBytes(), encodeOptions(Opts));
+      EXPECT_NE(flat::decodeFlat(flat::encodeFlat(*Unit->Flat)), nullptr);
+    }
+}
+
+TEST(FlatView, ForgedSectionTablesReject) {
+  // Each forgery keeps a valid checksum, so only the section-bound
+  // check stands between it and an out-of-bounds view.
+  std::string Good = flatBytesOf(RichProgram);
+  ASSERT_FALSE(Good.empty());
+  flat::ImageHeader H;
+  std::memcpy(&H, Good.data(), sizeof(H));
+  auto Forge = [&](auto Edit) {
+    flat::ImageHeader F = H;
+    Edit(F);
+    std::string Bytes = Good;
+    std::memcpy(Bytes.data(), &F, sizeof(F));
+    resealImage(Bytes);
+    return flat::decodeFlat(Bytes);
+  };
+  constexpr auto Nodes = static_cast<uint32_t>(flat::Section::Nodes);
+  constexpr auto Aux = static_cast<uint32_t>(flat::Section::Aux);
+  constexpr auto Blob = static_cast<uint32_t>(flat::Section::Blob);
+  ASSERT_GT(H.Sections[Aux].Count, 2u);
+
+  // Overlapping: Aux starts inside the section before it.
+  EXPECT_EQ(Forge([&](flat::ImageHeader &F) { F.Sections[Aux].Offset -= 8; }),
+            nullptr);
+  // Overlapping: Nodes grows into Fns while every offset stays put.
+  EXPECT_EQ(Forge([&](flat::ImageHeader &F) { F.Sections[Nodes].Count += 1; }),
+            nullptr);
+  // Misaligned: Aux moved by half a word.
+  EXPECT_EQ(Forge([&](flat::ImageHeader &F) { F.Sections[Aux].Offset += 4; }),
+            nullptr);
+  // Past the end: the blob claims more bytes than the image holds.
+  EXPECT_EQ(Forge([&](flat::ImageHeader &F) { F.Sections[Blob].Count += 64; }),
+            nullptr);
+  EXPECT_EQ(Forge([&](flat::ImageHeader &F) {
+              F.Sections[Blob].Offset = static_cast<uint32_t>(Good.size());
+            }),
+            nullptr);
+  // Shrinking a section shifts every later one off its offset.
+  EXPECT_EQ(Forge([&](flat::ImageHeader &F) { F.Sections[Aux].Count -= 2; }),
+            nullptr);
+  // An absurd count cannot wrap the bound arithmetic.
+  EXPECT_EQ(Forge([&](flat::ImageHeader &F) {
+              F.Sections[Nodes].Count = UINT32_MAX;
+            }),
+            nullptr);
+  // A nonzero padding field, or an option byte past the defined ones.
+  EXPECT_EQ(Forge([&](flat::ImageHeader &F) { F.Pad0 = 1; }), nullptr);
+  EXPECT_EQ(Forge([&](flat::ImageHeader &F) {
+              F.Options[sizeof(F.Options) - 1] = 1;
+            }),
+            nullptr);
+  // The unforged header, resealed, still decodes.
+  EXPECT_NE(Forge([](flat::ImageHeader &) {}), nullptr);
+}
+
+TEST(FlatView, NonzeroSectionPaddingRejects) {
+  // The layout is canonical down to the padding: a stray byte after any
+  // section, checksum intact, is damage.
+  std::string Good = flatBytesOf(RichProgram);
+  ASSERT_FALSE(Good.empty());
+  flat::ImageHeader H;
+  std::memcpy(&H, Good.data(), sizeof(H));
+  const size_t Record[flat::NumSections] = {
+      sizeof(flat::FlatNode), sizeof(flat::FlatFn),  sizeof(flat::FlatCapture),
+      4,                      sizeof(flat::FlatMu),  sizeof(flat::FlatTau),
+      sizeof(flat::FlatRegion), 4,                   4,
+      1};
+  size_t Probed = 0;
+  for (uint32_t S = 0; S < flat::NumSections; ++S) {
+    size_t End = H.Sections[S].Offset + H.Sections[S].Count * Record[S];
+    size_t Next =
+        S + 1 < flat::NumSections ? H.Sections[S + 1].Offset : Good.size();
+    for (size_t I = End; I < Next; ++I, ++Probed) {
+      std::string Bytes = Good;
+      Bytes[I] = 1;
+      resealImage(Bytes);
+      EXPECT_EQ(flat::decodeFlat(Bytes), nullptr)
+          << "padding byte " << I << " after section " << S;
+    }
+  }
+  EXPECT_GT(Probed, 0u) << "no section of the rich unit is padded";
+}
+
+TEST(FlatView, TwoTopBitFlipsReject) {
+  // Word-wise FNV-1a without its rotate lets a difference in bit 63
+  // ride through every later step, so two such flips in one checksum
+  // lane cancel. Every pair of top-bit flips over the small unit's
+  // checksummed words must reject.
+  std::string Bytes = flatBytesOf(SmallProgram);
+  ASSERT_FALSE(Bytes.empty());
+  for (size_t I = flat::ImageHeader::ChecksumFrom + 7; I < Bytes.size();
+       I += 8)
+    for (size_t J = I + 8; J < Bytes.size(); J += 8) {
+      std::string Mut = Bytes;
+      Mut[I] = static_cast<char>(Mut[I] ^ 0x80);
+      Mut[J] = static_cast<char>(Mut[J] ^ 0x80);
+      ASSERT_EQ(flat::decodeFlat(Mut), nullptr)
+          << "top bits of bytes " << I << " and " << J << " flipped";
+    }
 }
 
 //===----------------------------------------------------------------------===//
@@ -407,7 +598,7 @@ TEST(FlatRuntime, ClosureRegionArityMismatchIsARuntimeError) {
   Compiler C;
   auto Unit = C.compile(RichProgram);
   ASSERT_NE(Unit, nullptr);
-  flat::FlatUnit Bad = *Unit->Flat;
+  flat::FlatBuilder Bad(*Unit->Flat);
   bool Planted = false;
   for (flat::FlatFn &F : Bad.Fns)
     if (F.FormalsCount != 0 &&
@@ -417,7 +608,7 @@ TEST(FlatRuntime, ClosureRegionArityMismatchIsARuntimeError) {
     }
   ASSERT_TRUE(Planted);
   std::shared_ptr<const flat::FlatUnit> Decoded =
-      flat::decodeFlat(flat::encodeFlat(Bad));
+      flat::decodeFlat(flat::encodeFlat(Bad.freeze()));
   ASSERT_NE(Decoded, nullptr) << "the frames still fit: only running shows it";
   rt::RunResult R = Compiler::runFlat(*Decoded);
   EXPECT_EQ(R.Outcome, rt::RunOutcome::RuntimeError);
@@ -444,12 +635,14 @@ TEST(FlatDisk, CorruptFlatSectionIsACountedLoadReject) {
   storeOne(Disk, K, RichProgram);
 
   // The flat payload is the final section of the entry, so the last
-  // byte is inside it: flipping it keeps the outer entry structurally
-  // whole and leaves the nested flat checksum to catch the damage.
+  // byte is inside it: flipping it and resealing the entry keeps the
+  // outer entry whole and leaves the nested flat checksum to catch the
+  // damage.
   fs::path File = Dir.Path / DiskCache::entryFileName(K.Hash);
   std::string Bytes = readFileBytes(File);
   ASSERT_FALSE(Bytes.empty());
   Bytes.back() = static_cast<char>(Bytes.back() ^ 0x10);
+  resealEntry(Bytes);
   writeFileBytes(File, Bytes);
 
   EXPECT_EQ(Disk.load(K), nullptr) << "a damaged runnable form is no hit";
@@ -488,6 +681,7 @@ TEST(FlatDisk, ForgedPresenceByteIsACountedLoadReject) {
   size_t PresencePos = Bytes.size() - FlatBytes.size() - 8 - 1;
   ASSERT_EQ(static_cast<unsigned char>(Bytes[PresencePos]), 1u);
   Bytes[PresencePos] = 2;
+  resealEntry(Bytes);
   writeFileBytes(File, Bytes);
 
   EXPECT_EQ(Disk.load(K), nullptr);
@@ -508,15 +702,18 @@ TEST(FlatDisk, OkEntryWithoutItsFlatSectionIsACountedLoadReject) {
   // An ok entry that claims no runnable form: cut the nested flat
   // string and write presence 0. No writer produces this shape, so it
   // loads as damage, not as a hit that cannot run.
-  writeFileBytes(File, Bytes.substr(0, PresencePos) + std::string(1, '\0'));
+  std::string Cut = Bytes.substr(0, PresencePos) + std::string(1, '\0');
+  resealEntry(Cut);
+  writeFileBytes(File, Cut);
   EXPECT_EQ(Disk.load(K), nullptr);
   EXPECT_EQ(Disk.counters().LoadRejects, 1u);
 
   // And the converse: a failed compile carrying a flat section. The ok
-  // byte follows the 8-byte magic, the u32 version and four option bytes.
-  const size_t OkPos = 8 + 4 + 4;
+  // byte follows the four option bytes at the start of the body.
+  const size_t OkPos = DiskCache::BodyOffset + 4;
   ASSERT_EQ(Bytes[OkPos], 1);
   Bytes[OkPos] = 0;
+  resealEntry(Bytes);
   writeFileBytes(File, Bytes);
   EXPECT_EQ(Disk.load(K), nullptr);
   EXPECT_EQ(Disk.counters().LoadRejects, 2u);

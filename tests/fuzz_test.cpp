@@ -367,7 +367,7 @@ TEST_P(FuzzTest, PipelineAgreementAndGcSafety) {
           << "captures compile failed:\n" << CapC.diagnostics().str() << Src;
       std::string Report = CapC.captureReport(*CapUnit);
       ASSERT_NE(CapUnit->Flat, nullptr) << Src;
-      EXPECT_EQ(CapUnit->Flat->HasCaptures, 1u) << Src;
+      EXPECT_TRUE(CapUnit->Flat->hasCaptures()) << Src;
       EXPECT_EQ(flat::renderCaptureReport(*CapUnit->Flat), Report) << Src;
       auto CapBack = flat::decodeFlat(flat::encodeFlat(*CapUnit->Flat));
       ASSERT_NE(CapBack, nullptr) << Src;

@@ -72,7 +72,7 @@ private:
     ++R.Checked;
     auto Label = [&] {
       return std::string(What) + " " +
-             (&S == &Regions || Key >= U.StringSpans.size()
+             (&S == &Regions || Key >= U.numStrings()
                   ? "r" + std::to_string(Key)
                   : "'" + std::string(U.str(Key)) + "'");
     };
