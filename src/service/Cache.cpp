@@ -4,8 +4,6 @@
 
 #include "service/DiskCache.h"
 
-#include <algorithm>
-
 using namespace rml;
 using namespace rml::service;
 
@@ -31,40 +29,35 @@ CachedCompileRef rml::service::compileShared(std::string_view Source,
 }
 
 CompileCache::CompileCache(size_t Capacity, DiskCache *DiskTier)
-    : Cap(Capacity), ShardCap((Capacity + NumShards - 1) / NumShards),
-      Disk(DiskTier) {}
+    : Cap(Capacity), Disk(DiskTier) {}
 
 CachedCompileRef CompileCache::lookup(const CacheKey &K) {
-  Shard &S = Shards[shardOf(K)];
   {
-    std::lock_guard<std::mutex> Lock(S.M);
-    auto It = S.Map.find(K);
-    if (It != S.Map.end()) {
-      ++S.C.Hits;
-      S.Lru.splice(S.Lru.begin(), S.Lru, It->second); // refresh recency
-      It->second->Stamp = RecencyClock.fetch_add(1) + 1;
+    std::lock_guard<std::mutex> Lock(M);
+    auto It = Map.find(K);
+    if (It != Map.end()) {
+      ++C.Hits;
+      Lru.splice(Lru.begin(), Lru, It->second); // refresh recency
       return It->second->Value;
     }
-    ++S.C.Misses;
+    ++C.Misses;
   }
-  // Memory miss: consult the persistent tier outside the shard lock —
-  // disk I/O under a striped lock would serialise the very workers the
-  // shards exist to decouple.
+  // Memory miss: consult the persistent tier outside the lock, so one
+  // worker's disk I/O never stalls another's memory hit.
   if (!Disk || Cap == 0)
     return nullptr;
   CachedCompileRef FromDisk = Disk->load(K);
   if (!FromDisk)
     return nullptr;
   // Promote without write-through (the bytes just came from that file).
-  std::lock_guard<std::mutex> Lock(S.M);
-  auto It = S.Map.find(K);
-  if (It != S.Map.end()) {
+  std::lock_guard<std::mutex> Lock(M);
+  auto It = Map.find(K);
+  if (It != Map.end()) {
     // A racing worker populated the slot meanwhile; prefer its entry.
-    S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
-    It->second->Stamp = RecencyClock.fetch_add(1) + 1;
+    Lru.splice(Lru.begin(), Lru, It->second);
     return It->second->Value;
   }
-  insertLocked(S, K, FromDisk);
+  insertLocked(K, FromDisk);
   return FromDisk;
 }
 
@@ -72,72 +65,47 @@ void CompileCache::insert(const CacheKey &K, CachedCompileRef V) {
   if (Cap == 0)
     return;
   bool WriteThrough = Disk && V && !V->FromDisk;
-  Shard &S = Shards[shardOf(K)];
   {
-    std::lock_guard<std::mutex> Lock(S.M);
-    insertLocked(S, K, V);
+    std::lock_guard<std::mutex> Lock(M);
+    insertLocked(K, V);
   }
   if (WriteThrough)
     Disk->store(K, *V);
 }
 
-void CompileCache::insertLocked(Shard &S, const CacheKey &K,
-                                CachedCompileRef V) {
-  ++S.C.Insertions;
-  uint64_t Stamp = RecencyClock.fetch_add(1) + 1;
-  auto It = S.Map.find(K);
-  if (It != S.Map.end()) {
+void CompileCache::insertLocked(const CacheKey &K, CachedCompileRef V) {
+  ++C.Insertions;
+  auto It = Map.find(K);
+  if (It != Map.end()) {
     // Lost a compile race: keep the freshest value, refresh recency.
     It->second->Value = std::move(V);
-    It->second->Stamp = Stamp;
-    S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
+    Lru.splice(Lru.begin(), Lru, It->second);
   } else {
-    S.Lru.push_front(Node{K, std::move(V), Stamp});
-    S.Map.emplace(S.Lru.front().Key, S.Lru.begin());
+    Lru.push_front(Node{K, std::move(V)});
+    Map.emplace(Lru.front().Key, Lru.begin());
   }
-  while (S.Map.size() > ShardCap) {
-    const Node &Victim = S.Lru.back();
-    S.Map.erase(Victim.Key);
-    S.Lru.pop_back();
-    ++S.C.Evictions;
+  while (Map.size() > Cap) {
+    Map.erase(Lru.back().Key);
+    Lru.pop_back();
+    ++C.Evictions;
   }
 }
 
 CompileCache::Counters CompileCache::counters() const {
-  Counters Sum;
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.M);
-    Sum.Hits += S.C.Hits;
-    Sum.Misses += S.C.Misses;
-    Sum.Insertions += S.C.Insertions;
-    Sum.Evictions += S.C.Evictions;
-  }
-  return Sum;
+  std::lock_guard<std::mutex> Lock(M);
+  return C;
 }
 
 size_t CompileCache::size() const {
-  size_t N = 0;
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.M);
-    N += S.Map.size();
-  }
-  return N;
+  std::lock_guard<std::mutex> Lock(M);
+  return Map.size();
 }
 
 std::vector<uint64_t> CompileCache::recencyHashes() const {
-  // Shards are locked one at a time; with concurrent writers this is a
-  // snapshot per shard, merged by the global recency stamps.
-  std::vector<std::pair<uint64_t, uint64_t>> Stamped; // (Stamp, Hash)
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.M);
-    for (const Node &N : S.Lru)
-      Stamped.emplace_back(N.Stamp, N.Key.Hash);
-  }
-  std::sort(Stamped.begin(), Stamped.end(),
-            [](const auto &A, const auto &B) { return A.first > B.first; });
+  std::lock_guard<std::mutex> Lock(M);
   std::vector<uint64_t> Out;
-  Out.reserve(Stamped.size());
-  for (const auto &[Stamp, Hash] : Stamped)
-    Out.push_back(Hash);
+  Out.reserve(Lru.size());
+  for (const Node &N : Lru)
+    Out.push_back(N.Key.Hash);
   return Out;
 }

@@ -1,4 +1,4 @@
-//===- service/Cache.h - Sharded LRU compile cache --------------*- C++ -*-===//
+//===- service/Cache.h - LRU compile cache ----------------------*- C++ -*-===//
 //
 // Part of RegionML, a reproduction of "Garbage-Collection Safety for
 // Region-Based Type-Polymorphic Programs" (Elsman, PLDI 2023).
@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A thread-safe, sharded LRU cache of compilations, content-addressed
+/// A thread-safe LRU cache of compilations, content-addressed
 /// by (source, CompileOptions) — see service/Hash.h —
 /// with an optional persistent second tier (service/DiskCache.h).
 ///
@@ -22,12 +22,10 @@
 /// the same entry concurrently — and a warm restart serves Run=true
 /// requests entirely from disk.
 ///
-/// **Sharding.** The map is split into NumShards key-hash-addressed
-/// shards, each with its own mutex, LRU list and entry budget, so
-/// workers contending on distinct keys proceed in parallel. The
-/// aggregate surface — counters(), size(), recencyHashes() — merges the
-/// shards, the last in global recency order via per-entry recency
-/// stamps.
+/// **One LRU.** One mutex guards one recency list and its map, so the
+/// capacity is exact and recencyHashes() is the list itself. The lock
+/// covers only map and list updates; the disk tier's I/O always runs
+/// outside it.
 ///
 /// Failed compilations are cached too (Ok false, no Flat, rendered
 /// diagnostics): repeated ill-typed submissions are common in a serving
@@ -41,8 +39,6 @@
 #include "core/Pipeline.h"
 #include "service/Hash.h"
 
-#include <array>
-#include <atomic>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -115,19 +111,15 @@ CachedCompileRef compileShared(std::string_view Source,
                                const CompileOptions &Opts,
                                PhaseGovernor *Governor = nullptr);
 
-/// Thread-safe sharded LRU cache: NumShards independent (mutex, LRU
-/// list, map) triples addressed by key hash; front of each list is that
-/// shard's most recently used entry. Capacity 0 disables caching (every
-/// lookup misses, insert is a no-op).
-///
-/// The entry capacity is split across shards, rounding the per-shard
-/// capacity up so tiny caps still admit one entry per shard. An insert
-/// beyond a shard's capacity evicts that shard's least recently used
-/// entry.
+/// Thread-safe LRU cache: one mutex-guarded recency list (front = most
+/// recently used) and its key map. Capacity 0 disables caching (every
+/// lookup misses, insert is a no-op); otherwise it never holds more than
+/// Capacity entries, and an insert beyond it evicts the least recently
+/// used entry.
 ///
 /// With a DiskCache attached, a memory miss consults the disk tier
-/// (outside any shard lock) and promotes a verified hit into the shard;
-/// fresh inserts write through.
+/// (outside the lock) and promotes a verified hit; fresh inserts write
+/// through.
 class CompileCache {
 public:
   struct Counters {
@@ -137,15 +129,6 @@ public:
     uint64_t Evictions = 0;
   };
 
-  static constexpr size_t NumShards = 8;
-
-  /// Shard index of \p K: the top bits of a Fibonacci-mixed hash, so
-  /// consecutive FNV values spread instead of clustering. Exposed for
-  /// tests that need same-shard key sets.
-  static size_t shardOf(const CacheKey &K) {
-    return static_cast<size_t>((K.Hash * 0x9E3779B97F4A7C15ull) >> 61);
-  }
-
   explicit CompileCache(size_t Capacity, DiskCache *Disk = nullptr);
 
   /// Returns the cached compilation and refreshes its recency, or null.
@@ -154,46 +137,36 @@ public:
   CachedCompileRef lookup(const CacheKey &K);
 
   /// Inserts (or refreshes) \p K, evicting the least recently used
-  /// entry of its shard beyond the per-shard capacity, and writes the
-  /// entry through to the disk tier. Two workers racing to insert the
-  /// same key is benign: the second insert wins the map slot, and the
-  /// first result stays valid for whoever already holds its shared_ptr.
+  /// entry beyond the capacity, and writes the entry through to the
+  /// disk tier. Two workers racing to insert the same key is benign: the
+  /// second insert wins the map slot, and the first result stays valid
+  /// for whoever already holds its shared_ptr.
   void insert(const CacheKey &K, CachedCompileRef V);
 
   Counters counters() const;
   size_t size() const;
   size_t capacity() const { return Cap; }
 
-  /// Keys from most to least recently used, merged across shards by
-  /// recency stamp (testing / introspection).
+  /// Keys from most to least recently used (testing / introspection).
   std::vector<uint64_t> recencyHashes() const;
 
 private:
   struct Node {
     CacheKey Key;
     CachedCompileRef Value;
-    /// Global recency stamp (RecencyClock at last touch); merges the
-    /// per-shard LRU orders into one global order.
-    uint64_t Stamp = 0;
   };
 
-  struct Shard {
-    mutable std::mutex M;
-    std::list<Node> Lru; // front = most recent
-    std::unordered_map<CacheKey, std::list<Node>::iterator, CacheKeyHash> Map;
-    Counters C;
-  };
+  /// Inserts (or refreshes) under M, then evicts beyond Cap. Shared by
+  /// fresh inserts and disk-tier promotions; only insert() writes
+  /// through.
+  void insertLocked(const CacheKey &K, CachedCompileRef V);
 
-  /// Inserts into \p S under its lock. WriteThrough distinguishes fresh
-  /// inserts (persist to disk) from disk-tier promotions (already
-  /// persisted).
-  void insertLocked(Shard &S, const CacheKey &K, CachedCompileRef V);
-
-  size_t Cap;      // aggregate entry capacity (0 disables)
-  size_t ShardCap; // per-shard entry capacity
-  DiskCache *Disk; // optional second tier (not owned)
-  std::atomic<uint64_t> RecencyClock{0};
-  std::array<Shard, NumShards> Shards;
+  const size_t Cap; // entry capacity (0 disables)
+  DiskCache *Disk;  // optional second tier (not owned)
+  mutable std::mutex M;
+  std::list<Node> Lru; // front = most recent
+  std::unordered_map<CacheKey, std::list<Node>::iterator, CacheKeyHash> Map;
+  Counters C;
 };
 
 } // namespace rml::service

@@ -3,7 +3,6 @@
 #include "service/Executor.h"
 
 #include "service/CostModel.h"
-#include "service/Hash.h"
 
 using namespace rml;
 using namespace rml::service;
@@ -56,13 +55,12 @@ private:
 
 } // namespace
 
-Response Executor::process(const Request &Req) const {
-  CacheKey Key = CacheKey::of(Req.Source, Req.Opts);
+Response Executor::process(const Request &Req, const CacheKey &Key) const {
   Response Resp = processImpl(Req, Key);
-  // One observation per completion, under the key's hash (the source is
-  // hashed once per request). Budget cut-offs are excluded: a partial
-  // compile's cost is not the source's cost, and learning it would
-  // teach the model that expensive sources are cheap.
+  // One observation per completion, under the carried key's hash.
+  // Budget cut-offs are excluded: a partial compile's cost is not the
+  // source's cost, and learning it would teach the model that expensive
+  // sources are cheap.
   if (Model && Resp.Status != RequestOutcome::Budget)
     Model->observe(Key.Hash, Req.Source.size(), Resp.Profiles,
                    /*UpdatePrior=*/!Resp.CacheHit);

@@ -41,18 +41,17 @@ public:
            CostModel *Model = nullptr)
       : Cfg(Cfg), Cache(Cache), Pool(Pool), Model(Model) {}
 
-  /// The whole lifecycle of one request: cache lookup -> (on a miss)
-  /// budgeted cold compile + cache insert -> schemes -> optional run.
-  /// A compile cut off by ServiceConfig::PhaseBudgets returns
-  /// RequestOutcome::Budget with the partial phase profiles and is
-  /// *not* cached (a later, unbudgeted submission must be able to
-  /// finish the work).
-  Response process(const Request &Req) const;
+  /// The whole lifecycle of one request under \p Key, Req's cache key
+  /// as built at admission: cache lookup -> (on a miss) budgeted cold
+  /// compile + cache insert -> schemes -> optional run. A compile cut
+  /// off by ServiceConfig::PhaseBudgets returns RequestOutcome::Budget
+  /// with the partial phase profiles and is *not* cached (a later,
+  /// unbudgeted submission must be able to finish the work).
+  Response process(const Request &Req, const CacheKey &Key) const;
 
 private:
-  /// The cache/compile/run lifecycle under \p Key (Req's cache key);
-  /// process() wraps it to feed the cost model exactly once per
-  /// completion.
+  /// The cache/compile/run lifecycle; process() wraps it to feed the
+  /// cost model exactly once per completion.
   Response processImpl(const Request &Req, const CacheKey &Key) const;
 
   const ServiceConfig &Cfg;

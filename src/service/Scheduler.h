@@ -13,6 +13,10 @@
 /// structure code with no locking of its own (and is trivially
 /// exchangeable for experiments).
 ///
+/// A ScheduledJob carries the request, the request's CacheKey (built
+/// once at admission; the cost provider prices the job from it) and one
+/// completion callback.
+///
 /// Three policies ship today: Fifo (submission order, the fairness
 /// baseline), Deadline (earliest-deadline-first on the
 /// admission-stamped absolute deadline), and FairShare (per-tenant
@@ -25,32 +29,34 @@
 #define RML_SERVICE_SCHEDULER_H
 
 #include "service/Config.h"
+#include "service/Hash.h"
 #include "service/Request.h"
 
 #include "support/Trace.h"
 
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
-#include <type_traits>
 
 namespace rml::service {
 
-/// One admitted request travelling through the service, with exactly
-/// one completion armed: either the promise (future-style submit) or
-/// the callback (event-loop submit). complete() fires whichever it is.
+/// One admitted request travelling through the service, with its one
+/// completion callback.
 struct ScheduledJob {
   /// DeadlineAt for a request that set no deadline: sorts after every
   /// real deadline, so deadline-free work never preempts dated work.
   static constexpr uint64_t NoDeadline = UINT64_MAX;
 
   Request Req;
-  /// Future-style completion (armed iff Callback is empty).
-  std::promise<Response> Promise;
-  /// Callback-style completion, invoked on the worker thread (or, for
-  /// requests rejected at admission, inline on the submitter's thread).
-  std::function<void(Response)> Callback;
+  /// Req's cache key, built once at admission before the queue lock is
+  /// taken. The cost provider, the Executor and the cost model all read
+  /// it, so the source is hashed once per request.
+  CacheKey Key;
+  /// Runs exactly once with the response: on the worker that finished
+  /// the request, or inline on the submitter's thread for a request
+  /// rejected at shutdown. The future form of Service::submit captures
+  /// a promise here.
+  std::function<void(Response)> Done;
   /// Scheduling weight, stamped once at admission by Scheduler::admit():
   /// the cost provider's predicted processing nanos when one is set
   /// (Service wires the CostModel here), the raw source length
@@ -64,24 +70,16 @@ struct ScheduledJob {
   /// from Request::DeadlineNanos (NoDeadline when the request set
   /// none). Only the Deadline policy orders on it.
   uint64_t DeadlineAt = NoDeadline;
-
-  /// Resolves the armed completion with \p R.
-  void complete(Response R) {
-    if (Callback)
-      Callback(std::move(R));
-    else
-      Promise.set_value(std::move(R));
-  }
 };
 
 /// The dequeue-policy interface. Externally synchronized (see the file
 /// comment): no Scheduler method is thread-safe on its own.
 class Scheduler {
 public:
-  /// Maps an admitted Request to its scheduling cost (predicted
+  /// Maps an admitted job's cache key to its scheduling cost (predicted
   /// processing nanos). Called under the Service's queue mutex: keep it
   /// O(1)-ish and non-blocking.
-  using CostFn = std::function<uint64_t(const Request &)>;
+  using CostFn = std::function<uint64_t(const CacheKey &)>;
 
   virtual ~Scheduler();
 
@@ -95,11 +93,7 @@ public:
   /// \returns the stamped CostKey, so the caller can account queued
   /// predicted cost without consulting the provider a second time.
   uint64_t admit(ScheduledJob J) {
-    static_assert(std::is_invocable_r_v<uint64_t, const CostFn &,
-                                        const Request &>,
-                  "the cost provider must map a const Request & to a "
-                  "uint64_t cost, and admit() is its only call site");
-    J.CostKey = Provider ? Provider(J.Req) : J.Req.Source.size();
+    J.CostKey = Provider ? Provider(J.Key) : J.Req.Source.size();
     J.DeadlineAt = J.Req.DeadlineNanos
                        ? traceNowNanos() + J.Req.DeadlineNanos
                        : ScheduledJob::NoDeadline;

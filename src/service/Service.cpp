@@ -2,8 +2,6 @@
 
 #include "service/Service.h"
 
-#include "service/Hash.h"
-
 using namespace rml;
 using namespace rml::service;
 
@@ -53,11 +51,10 @@ Service::Service(ServiceConfig CfgIn)
   // Scheduling weights come from the learned model: predicted
   // processing nanos for seen sources, the per-byte prior (and, before
   // any observation, the raw byte count) for cold ones. The provider
-  // runs under QueueMutex; predict() is O(1) under its own lock.
-  Sched->setCostProvider([this](const Request &R) {
-    return Model.predict(hashCompileInputs(R.Source, R.Opts),
-                         R.Source.size())
-        .Nanos;
+  // runs under QueueMutex on the job's carried key, so it never hashes;
+  // predict() is O(1) under its own lock.
+  Sched->setCostProvider([this](const CacheKey &K) {
+    return Model.predict(K.Hash, K.Source.size()).Nanos;
   });
   // One aggregate slot per pipeline phase, in stable reporting order.
   for (const std::string &Name : Compiler::staticPhaseNames())
@@ -80,145 +77,73 @@ Service::Service(ServiceConfig CfgIn)
 
 Service::~Service() { shutdown(); }
 
-void Service::enqueue(ScheduledJob J) {
-  // Caller holds QueueMutex and has already checked !Stopping. admit()
-  // stamps CostKey (consulting the cost provider exactly once) and the
-  // absolute deadline; Seq is stamped here because admission order is
-  // the Service's to define.
-  J.Seq = NextSeq++;
-  std::string Tenant = J.Req.Tenant;
-  uint64_t Cost = Sched->admit(std::move(J));
-  QueuedCost.fetch_add(Cost, std::memory_order_relaxed);
-  size_t Depth = Sched->size();
-  std::lock_guard<std::mutex> SLock(StatsMutex);
-  ++Counters.Submitted;
-  ++Counters.Tenants[Tenant].Admitted;
-  if (Depth > Counters.QueueHighWater)
-    Counters.QueueHighWater = Depth;
-}
-
-std::future<Response> Service::submit(Request R) {
+bool Service::enqueue(Request R, std::function<void(Response)> Done,
+                      bool Block) {
   ScheduledJob J;
+  // The request's one hash, taken before the lock so submitters do not
+  // serialise on it.
+  J.Key = CacheKey::of(R.Source, R.Opts);
   J.Req = std::move(R);
-  std::future<Response> F = J.Promise.get_future();
-  bool Rejected = false;
+  J.Done = std::move(Done);
   {
     std::unique_lock<std::mutex> Lock(QueueMutex);
-    NotFull.wait(Lock, [this] {
-      return Sched->size() < Cfg.QueueCapacity || Stopping;
-    });
-    // Reject rather than enqueue once shutdown has begun: a worker may
-    // already have seen the queue empty and exited, so a late job could
-    // otherwise never resolve. This is also the wake-up path for a
-    // producer that was blocked on a full queue when shutdown() fired.
-    if (Stopping)
-      Rejected = true;
-    else
-      enqueue(std::move(J));
-  }
-  if (Rejected) {
-    {
-      std::lock_guard<std::mutex> SLock(StatsMutex);
-      ++Counters.ShutdownRejected;
+    if (Block)
+      NotFull.wait(Lock, [this] {
+        return Sched->size() < Cfg.QueueCapacity || Stopping;
+      });
+    // Reject rather than enqueue once shutdown has begun (below): a
+    // worker may already have seen the queue empty and exited, so a
+    // late job could otherwise never resolve. This is also the wake-up
+    // path for a producer that was blocked on a full queue when
+    // shutdown() fired.
+    if (!Stopping) {
+      size_t Depth = Sched->size() + 1; // with this job queued
+      {
+        std::lock_guard<std::mutex> SLock(StatsMutex);
+        ServiceStats::TenantCounts &T = Counters.Tenants[J.Req.Tenant];
+        if (Depth > Cfg.QueueCapacity) {
+          ++Counters.Rejected;
+          ++T.Shed;
+          return false;
+        }
+        ++Counters.Submitted;
+        ++T.Admitted;
+        if (Depth > Counters.QueueHighWater)
+          Counters.QueueHighWater = Depth;
+      }
+      // admit() stamps CostKey (consulting the cost provider exactly
+      // once) and the absolute deadline; Seq is stamped here because
+      // admission order is the Service's to define.
+      J.Seq = NextSeq++;
+      QueuedCost.fetch_add(Sched->admit(std::move(J)),
+                           std::memory_order_relaxed);
+      Lock.unlock();
+      NotEmpty.notify_one();
+      return true;
     }
-    J.complete(shutdownResponse());
-    return F;
-  }
-  NotEmpty.notify_one();
-  return F;
-}
-
-void Service::submit(Request R, std::function<void(Response)> Done) {
-  ScheduledJob J;
-  J.Req = std::move(R);
-  J.Callback = std::move(Done);
-  bool Rejected = false;
-  {
-    std::unique_lock<std::mutex> Lock(QueueMutex);
-    NotFull.wait(Lock, [this] {
-      return Sched->size() < Cfg.QueueCapacity || Stopping;
-    });
-    if (Stopping)
-      Rejected = true;
-    else
-      enqueue(std::move(J));
   }
   // The rejection callback runs outside QueueMutex: it is user code and
   // may legitimately call stats() or submit more work.
-  if (Rejected) {
-    {
-      std::lock_guard<std::mutex> SLock(StatsMutex);
-      ++Counters.ShutdownRejected;
-    }
-    J.complete(shutdownResponse());
-    return;
+  {
+    std::lock_guard<std::mutex> SLock(StatsMutex);
+    ++Counters.ShutdownRejected;
   }
-  NotEmpty.notify_one();
+  J.Done(shutdownResponse());
+  return true;
 }
 
-std::optional<std::future<Response>> Service::trySubmit(Request R) {
-  ScheduledJob J;
-  J.Req = std::move(R);
-  std::future<Response> F = J.Promise.get_future();
-  bool Rejected = false;
-  {
-    std::lock_guard<std::mutex> Lock(QueueMutex);
-    if (Stopping) {
-      // Terminal, not transient: resolve like submit() so the caller
-      // can tell "retry later" (nullopt) from "never".
-      Rejected = true;
-    } else if (Sched->size() >= Cfg.QueueCapacity) {
-      std::lock_guard<std::mutex> SLock(StatsMutex);
-      ++Counters.Rejected;
-      ++Counters.Tenants[J.Req.Tenant].Shed;
-      return std::nullopt;
-    } else {
-      enqueue(std::move(J));
-    }
-  }
-  if (Rejected) {
-    {
-      std::lock_guard<std::mutex> SLock(StatsMutex);
-      ++Counters.ShutdownRejected;
-    }
-    J.complete(shutdownResponse());
-    return F;
-  }
-  NotEmpty.notify_one();
+std::future<Response> Service::submit(Request R) {
+  // std::function needs a copyable callable, so the promise is shared.
+  auto P = std::make_shared<std::promise<Response>>();
+  std::future<Response> F = P->get_future();
+  enqueue(
+      std::move(R), [P](Response Resp) { P->set_value(std::move(Resp)); },
+      /*Block=*/true);
   return F;
 }
 
 bool Service::trySubmit(Request R, std::function<void(Response)> Done) {
-  ScheduledJob J;
-  J.Req = std::move(R);
-  J.Callback = std::move(Done);
-  bool Rejected = false;
-  {
-    std::lock_guard<std::mutex> Lock(QueueMutex);
-    if (Stopping) {
-      // Terminal: complete the callback (below, outside the lock)
-      // rather than shed, so the caller can tell "back off" from
-      // "give up".
-      Rejected = true;
-    } else if (Sched->size() >= Cfg.QueueCapacity) {
-      std::lock_guard<std::mutex> SLock(StatsMutex);
-      ++Counters.Rejected;
-      ++Counters.Tenants[J.Req.Tenant].Shed;
-      return false;
-    } else {
-      enqueue(std::move(J));
-    }
-  }
-  if (Rejected) {
-    {
-      std::lock_guard<std::mutex> SLock(StatsMutex);
-      ++Counters.ShutdownRejected;
-    }
-    J.complete(shutdownResponse());
-    return true;
-  }
-  NotEmpty.notify_one();
-  return true;
+  return enqueue(std::move(R), std::move(Done), /*Block=*/false);
 }
 
 void Service::shutdown() {
@@ -263,14 +188,14 @@ void Service::workerMain() {
 
     auto T0 = std::chrono::steady_clock::now();
     // A worker that lets an exception escape takes the whole process
-    // down (std::terminate) and leaves the job's promise forever
-    // unresolved. The library itself never throws, but user-supplied
+    // down (std::terminate) and leaves the job's callback forever
+    // unrun. The library itself never throws, but user-supplied
     // hooks (trace sinks, GC pause sinks) and the allocator can; turn
     // anything that escapes into a resolved InternalError response and
     // keep serving.
     Response Resp;
     try {
-      Resp = Exec.process(J.Req);
+      Resp = Exec.process(J.Req, J.Key);
     } catch (const std::exception &E) {
       Resp = internalErrorResponse(E.what());
     } catch (...) {
@@ -334,7 +259,7 @@ void Service::workerMain() {
           std::chrono::duration_cast<std::chrono::nanoseconds>(T1 - T0)
               .count());
     }
-    J.complete(std::move(Resp));
+    J.Done(std::move(Resp));
     {
       // In flight covers the completion hand-off too: a request whose
       // callback is still running has not finished from the operator's

@@ -12,10 +12,17 @@
 ///
 ///   admission            policy                 execution
 ///   submit/trySubmit ──> Scheduler ──────────> N workers x Executor
-///     (backpressure,      (Fifo | Deadline |     (compile cache,
-///      future- or          FairShare,             per-phase budgets,
-///      callback-style      externally             region runtime + GC,
-///      completion)         synchronized)          shared PagePool)
+///     (backpressure or    (Fifo | Deadline |     (compile cache,
+///      load shedding,      FairShare,             per-phase budgets,
+///      one cache key,      externally             region runtime + GC,
+///      one callback)       synchronized)          shared PagePool)
+///
+/// Admission has two entry points over one private path: the blocking
+/// submit() returns a future, the non-blocking trySubmit() takes a
+/// callback. Either way the job carries a single completion callback
+/// (the future form captures a promise in it) and the request's
+/// CacheKey, hashed once before the queue lock and reused by the
+/// scheduler's cost provider, the Executor and the cost model.
 ///
 /// This file owns the thread-pool mechanics only: the bounded queue
 /// lives behind a Scheduler (service/Scheduler.h) that decides dequeue
@@ -50,7 +57,6 @@
 #include <functional>
 #include <future>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -75,30 +81,17 @@ public:
   /// response (the library-wide no-throw convention).
   std::future<Response> submit(Request R);
 
-  /// Callback-style submit for event-loop frontends: no future, no
-  /// thread parked on get() — \p Done runs on the worker thread that
-  /// finished the request (keep it cheap and non-blocking; it must not
-  /// call back into blocking Service methods). Same backpressure and
-  /// shutdown behaviour as the future form, except a shutdown rejection
-  /// invokes \p Done inline on the submitting thread.
-  void submit(Request R, std::function<void(Response)> Done);
-
-  /// Non-blocking submit for event-loop frontends: returns std::nullopt
-  /// instead of blocking when the queue is at capacity (counted in
-  /// ServiceStats::Rejected — the caller sheds load or retries). After
-  /// shutdown() it behaves like submit(): an immediately resolved
-  /// RequestOutcome::Shutdown future, never nullopt, so callers can
-  /// tell "retry later" from "never".
-  std::optional<std::future<Response>> trySubmit(Request R);
-
-  /// The non-blocking x callback-style corner, built for the network
-  /// front door (net/Server.h): an event-loop thread must neither park
+  /// Non-blocking, callback-style submit for event-loop frontends such
+  /// as the network front door (net/Server.h), which must neither park
   /// on a full queue nor park on a future. \returns false when the
-  /// queue is at capacity — the request was shed at admission (counted
+  /// queue is at capacity: the request was shed at admission (counted
   /// in ServiceStats::Rejected) and \p Done will never run. Otherwise
-  /// returns true: \p Done runs exactly once, on the worker that
+  /// returns true, and \p Done runs exactly once: on the worker that
   /// finishes the request, or inline on this thread with a
-  /// RequestOutcome::Shutdown response when the service is stopping.
+  /// RequestOutcome::Shutdown response when the service is stopping, so
+  /// a caller can tell "back off" (false) from "give up". Keep \p Done
+  /// cheap and non-blocking; it must not call back into blocking
+  /// Service methods.
   bool trySubmit(Request R, std::function<void(Response)> Done);
 
   /// Stops accepting work, wakes any producer blocked in submit(),
@@ -124,10 +117,13 @@ public:
   }
 
 private:
-  /// Admission: stamps Seq and hands the job to Scheduler::admit()
-  /// (which stamps CostKey from the model and the absolute deadline),
-  /// bumps counters. Caller holds QueueMutex and has checked !Stopping.
-  void enqueue(ScheduledJob J);
+  /// The one admission path behind submit() and trySubmit(). Builds
+  /// the request's cache key before taking QueueMutex, then rejects at
+  /// shutdown (\p Done runs inline with a Shutdown response), waits for
+  /// room when \p Block is set or sheds at a full queue (\returns
+  /// false), and otherwise stamps Seq, counts the admission and hands
+  /// the job to Scheduler::admit().
+  bool enqueue(Request R, std::function<void(Response)> Done, bool Block);
   void workerMain();
 
   ServiceConfig Cfg;

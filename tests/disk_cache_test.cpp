@@ -663,8 +663,9 @@ TEST(DiskServiceTest, RunRequestExecutesStraightFromADiskEntry) {
   EXPECT_EQ(First.ResultText, "21");
   EXPECT_EQ(First.Printed, FromDisk.Printed);
   for (const PhaseProfile &P : First.Profiles) {
-    if (P.Name != Compiler::RunPhaseName)
+    if (P.Name != Compiler::RunPhaseName) {
       EXPECT_TRUE(P.Skipped) << P.Name << " ran on a disk hit";
+    }
   }
 
   Response Second = Svc.submit(Run).get();

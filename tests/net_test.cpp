@@ -881,11 +881,11 @@ TEST(NetServer, ShedsAtFullQueueWithImmediateResponse) {
   std::atomic<bool> Parked{false}, Release{false};
   service::Request Blocker;
   Blocker.Source = "1 + 1";
-  F.Svc.submit(std::move(Blocker), [&](service::Response) {
+  ASSERT_TRUE(F.Svc.trySubmit(std::move(Blocker), [&](service::Response) {
     Parked = true;
     while (!Release)
       std::this_thread::yield();
-  });
+  }));
   // The callback runs on the worker after processing: once Parked is
   // up the single worker is pinned inside the callback.
   while (!Parked)
@@ -945,11 +945,11 @@ TEST(NetServer, DrainFinishesInFlightWorkThenExits) {
   std::atomic<bool> Parked{false}, Release{false};
   service::Request Blocker;
   Blocker.Source = "1 + 1";
-  F.Svc.submit(std::move(Blocker), [&](service::Response) {
+  ASSERT_TRUE(F.Svc.trySubmit(std::move(Blocker), [&](service::Response) {
     Parked = true;
     while (!Release)
       std::this_thread::yield();
-  });
+  }));
   while (!Parked)
     std::this_thread::yield();
 

@@ -119,8 +119,9 @@ TEST_P(RegionProps, ContainmentImpliesWellFormedness) {
   for (int I = 0; I < 40; ++I) {
     const Mu *M = G.mu(3, &Omega);
     Effect Phi = frevOf(M).unionWith(Omega.frev()).unionWith(G.effect());
-    if (typeContained(Omega, M, Phi))
+    if (typeContained(Omega, M, Phi)) {
       EXPECT_TRUE(wellFormed(Omega, M)) << printMu(M);
+    }
   }
 }
 
@@ -132,9 +133,10 @@ TEST_P(RegionProps, ContainmentImpliesFrevSubset) {
   for (int I = 0; I < 40; ++I) {
     const Mu *M = G.mu(3, &Omega);
     Effect Phi = frevOf(M).unionWith(Omega.frev()).unionWith(G.effect());
-    if (typeContained(Omega, M, Phi))
+    if (typeContained(Omega, M, Phi)) {
       EXPECT_TRUE(frevOf(M).subsetOf(Phi))
           << printMu(M) << " : " << printEffect(Phi);
+    }
   }
 }
 

@@ -114,12 +114,13 @@ TEST(SchedulerUnit, DeadlineFreeJobsDegradeToFifo) {
 TEST(SchedulerUnit, AdmitConsultsTheCostProviderExactlyOnce) {
   auto S = makeScheduler(SchedPolicy::Fifo);
   int Calls = 0;
-  S->setCostProvider([&Calls](const Request &R) {
+  S->setCostProvider([&Calls](const CacheKey &K) {
     ++Calls;
-    return static_cast<uint64_t>(1000 + R.Source.size());
+    return static_cast<uint64_t>(1000 + K.Source.size());
   });
   ScheduledJob J;
   J.Req.Source = "abc";
+  J.Key = CacheKey::of(J.Req.Source, J.Req.Opts);
   J.Seq = 7;
   S->admit(std::move(J));
   EXPECT_EQ(Calls, 1);
@@ -217,11 +218,11 @@ std::vector<int> completionOrderOf(ServiceConfig Cfg,
   Request Blocker;
   Blocker.Source = "0";
   Blocker.Run = false;
-  Svc.submit(Blocker, [&](Response) {
+  EXPECT_TRUE(Svc.trySubmit(Blocker, [&](Response) {
     Parked.store(true, std::memory_order_release);
     while (!Release.load(std::memory_order_acquire))
       std::this_thread::yield();
-  });
+  }));
   while (!Parked.load(std::memory_order_acquire))
     std::this_thread::yield();
 
@@ -231,14 +232,14 @@ std::vector<int> completionOrderOf(ServiceConfig Cfg,
   for (size_t I = 0; I < Reqs.size(); ++I) {
     Request Req = Reqs[I];
     Req.Run = false;
-    Svc.submit(Req, [&, I](Response R) {
+    EXPECT_TRUE(Svc.trySubmit(Req, [&, I](Response R) {
       EXPECT_TRUE(R.CompileOk) << R.Diagnostics;
       {
         std::lock_guard<std::mutex> Lock(OrderMutex);
         Order.push_back(static_cast<int>(I));
       }
       Done.fetch_add(1, std::memory_order_release);
-    });
+    }));
   }
   Release.store(true, std::memory_order_release);
   while (Done.load(std::memory_order_acquire) < Reqs.size())

@@ -16,13 +16,23 @@
 
 #include <algorithm>
 #include <atomic>
-#include <set>
 #include <thread>
 
 using namespace rml;
 using namespace rml::service;
 
 namespace {
+
+/// A service configuration with the three sizes most tests vary; every
+/// other field keeps its default.
+ServiceConfig config(unsigned Workers, size_t QueueCapacity,
+                     size_t CacheCapacity) {
+  ServiceConfig Cfg;
+  Cfg.Workers = Workers;
+  Cfg.QueueCapacity = QueueCapacity;
+  Cfg.CacheCapacity = CacheCapacity;
+  return Cfg;
+}
 
 /// A small program exercising the interesting machinery — polymorphic
 /// closures, letregion placement and enough allocation to trigger GC —
@@ -164,32 +174,15 @@ TEST(CompilerReuse, CompileAndRunConvenience) {
 }
 
 //===----------------------------------------------------------------------===//
-// Satellite: the sharded LRU compile cache.
+// Satellite: the LRU compile cache.
 //===----------------------------------------------------------------------===//
 
-/// The first \p N integer-literal programs (all valid MiniML) whose
-/// cache keys land in \p Anchor's shard. The cache is sharded by key
-/// hash, so per-shard LRU and eviction semantics are only observable
-/// through keys that collide on one shard.
-std::vector<std::string> sameShardSources(size_t N, const CompileOptions &Opts,
-                                          const std::string &Anchor) {
-  size_t Target = CompileCache::shardOf(CacheKey::of(Anchor, Opts));
-  std::vector<std::string> Out;
-  for (int I = 0; Out.size() < N; ++I) {
-    std::string S = std::to_string(I);
-    if (S != Anchor &&
-        CompileCache::shardOf(CacheKey::of(S, Opts)) == Target)
-      Out.push_back(S);
-  }
-  return Out;
-}
-
 TEST(CompileCacheTest, CapacityEvictionOrderWithinAShard) {
-  // Aggregate capacity 3 per shard; four keys in one shard exercise
-  // exactly the old single-list LRU semantics inside that shard.
-  CompileCache Cache(3 * CompileCache::NumShards);
+  // One LRU with room for three: a fourth key evicts the least recently
+  // used entry, whichever keys are involved.
+  CompileCache Cache(3);
   CompileOptions Opts;
-  std::vector<std::string> Src = sameShardSources(4, Opts, "0");
+  std::vector<std::string> Src = {"1", "2", "3", "4"};
   CacheKey K1 = CacheKey::of(Src[0], Opts), K2 = CacheKey::of(Src[1], Opts),
            K3 = CacheKey::of(Src[2], Opts), K4 = CacheKey::of(Src[3], Opts);
 
@@ -197,14 +190,15 @@ TEST(CompileCacheTest, CapacityEvictionOrderWithinAShard) {
   Cache.insert(K2, compileShared(Src[1], Opts));
   Cache.insert(K3, compileShared(Src[2], Opts));
   EXPECT_EQ(Cache.size(), 3u);
-  // Recency is front-first: K3, K2, K1 (one shard populated, so the
-  // global merge is exactly the shard's order).
+  // Recency is front-first: K3, K2, K1.
   EXPECT_EQ(Cache.recencyHashes(),
             (std::vector<uint64_t>{K3.Hash, K2.Hash, K1.Hash}));
 
   // Touching K1 promotes it, so K2 is now least recently used...
   EXPECT_NE(Cache.lookup(K1), nullptr);
-  // ...and inserting a fourth same-shard entry evicts K2, not K1.
+  EXPECT_EQ(Cache.recencyHashes(),
+            (std::vector<uint64_t>{K1.Hash, K3.Hash, K2.Hash}));
+  // ...and inserting a fourth entry evicts K2, not K1.
   Cache.insert(K4, compileShared(Src[3], Opts));
   EXPECT_EQ(Cache.size(), 3u);
   EXPECT_EQ(Cache.lookup(K2), nullptr);
@@ -219,45 +213,33 @@ TEST(CompileCacheTest, CapacityEvictionOrderWithinAShard) {
   EXPECT_EQ(C.Misses, 1u); // K2 after eviction
 }
 
-TEST(CompileCacheTest, KeysSpreadAcrossShards) {
-  // Fibonacci mixing must not funnel consecutive FNV hashes into one
-  // shard: a hundred tiny programs should touch most of the 8 shards.
+TEST(CompileCacheTest, HoldsExactlyItsCapacity) {
+  // --cache N means N entries: 64 distinct keys through a 4-entry cache
+  // leave exactly the last four, newest first.
+  CompileCache Cache(4);
   CompileOptions Opts;
-  std::set<size_t> Used;
-  for (int I = 0; I < 100; ++I)
-    Used.insert(CompileCache::shardOf(CacheKey::of(std::to_string(I), Opts)));
-  EXPECT_GE(Used.size(), 4u);
-}
-
-TEST(CompileCacheTest, RecencyMergesAcrossShards) {
-  // Keys landing in different shards still report one global
-  // most-to-least-recent order (per-entry stamps, not list position).
-  CompileCache Cache(64);
-  CompileOptions Opts;
-  std::vector<CacheKey> Keys;
-  for (int I = 0; I < 12; ++I) {
-    std::string S = std::to_string(I);
-    Keys.push_back(CacheKey::of(S, Opts));
-    Cache.insert(Keys.back(), compileShared(S, Opts));
+  CachedCompileRef Value = compileShared("0", Opts);
+  std::vector<uint64_t> Hashes;
+  for (int I = 0; I < 64; ++I) {
+    CacheKey K = CacheKey::of(std::to_string(I), Opts);
+    Hashes.push_back(K.Hash);
+    Cache.insert(K, Value);
+    EXPECT_LE(Cache.size(), 4u) << "after insert " << I;
   }
-  std::vector<uint64_t> Expect;
-  for (auto It = Keys.rbegin(); It != Keys.rend(); ++It)
-    Expect.push_back(It->Hash);
-  EXPECT_EQ(Cache.recencyHashes(), Expect);
-
-  // A lookup refreshes the entry to the global front even when fresher
-  // entries live in other shards.
-  EXPECT_NE(Cache.lookup(Keys[0]), nullptr);
-  EXPECT_EQ(Cache.recencyHashes().front(), Keys[0].Hash);
+  EXPECT_EQ(Cache.size(), 4u);
+  EXPECT_EQ(Cache.recencyHashes(),
+            (std::vector<uint64_t>{Hashes[63], Hashes[62], Hashes[61],
+                                   Hashes[60]}));
+  EXPECT_EQ(Cache.counters().Evictions, 60u);
 }
 
 TEST(CompileCacheTest, ShardedStressUnderContention) {
-  // Eight threads hammer one sharded cache with overlapping keys and an
-  // entry bound tight enough to keep evicting. TSan-checked; afterwards
-  // the aggregate invariants must hold.
+  // Eight threads hammer one cache with overlapping keys and an entry
+  // bound tight enough to keep evicting. TSan-checked; afterwards the
+  // invariants must hold.
   CompileOptions Opts;
-  // Room for 3 entries per shard: 24 keys over 8 shards keep evicting.
-  CompileCache Cache(3 * CompileCache::NumShards);
+  // Room for 8 entries: a 24-key space keeps evicting.
+  CompileCache Cache(8);
 
   constexpr int Threads = 8, Iters = 120, KeySpace = 24;
   std::atomic<int> Failures{0};
@@ -284,6 +266,7 @@ TEST(CompileCacheTest, ShardedStressUnderContention) {
   CompileCache::Counters C = Cache.counters();
   EXPECT_EQ(C.Hits + C.Misses, uint64_t(Threads) * Iters);
   EXPECT_GE(C.Insertions, C.Misses > 0 ? 1u : 0u);
+  EXPECT_GT(C.Evictions, 0u);
   // recencyHashes() is consistent after the dust settles: every
   // resident key exactly once.
   std::vector<uint64_t> Order = Cache.recencyHashes();
@@ -312,7 +295,7 @@ TEST(CompileCacheTest, ZeroCapacityDisables) {
 }
 
 TEST(CompileCacheTest, FailedCompilesAreCachedWithDiagnostics) {
-  Service Svc({/*Workers=*/2, /*QueueCapacity=*/16, /*CacheCapacity=*/8});
+  Service Svc(config(2, 16, 8));
   Request Bad;
   Bad.Source = "nosuchvar + 1";
   Response R1 = Svc.submit(Bad).get();
@@ -347,7 +330,7 @@ TEST_P(CacheFidelityTest, HitMatchesColdCompile) {
   ASSERT_EQ(Cold.Outcome, rt::RunOutcome::Ok) << Cold.Error;
 
   // Same program twice through a one-worker service: miss then hit.
-  Service Svc({/*Workers=*/1, /*QueueCapacity=*/4, /*CacheCapacity=*/8});
+  Service Svc(config(1, 4, 8));
   Request Req;
   Req.Source = P->Source;
   Req.Opts = Opts;
@@ -383,7 +366,7 @@ INSTANTIATE_TEST_SUITE_P(
 //===----------------------------------------------------------------------===//
 
 TEST(ServiceTest, MixedBatchEightWorkersNoCrossContamination) {
-  Service Svc({/*Workers=*/8, /*QueueCapacity=*/64, /*CacheCapacity=*/64});
+  Service Svc(config(8, 64, 64));
 
   // 60 requests: i % 3 == 2 is ill-typed with a request-unique unbound
   // variable; the rest compute a request-unique value. Every 10th
@@ -440,7 +423,7 @@ TEST(ServiceTest, MixedBatchEightWorkersNoCrossContamination) {
 }
 
 TEST(ServiceTest, SchemeRenderings) {
-  Service Svc({/*Workers=*/2, /*QueueCapacity=*/8, /*CacheCapacity=*/8});
+  Service Svc(config(2, 8, 8));
   Request Req;
   Req.Source = R"(
 fun compose fg = fn x => #1 fg (#2 fg x)
@@ -458,7 +441,7 @@ val h = compose (fn x => x + 1, fn x => x * 2)
 }
 
 TEST(ServiceTest, BackpressureBoundedQueue) {
-  Service Svc({/*Workers=*/2, /*QueueCapacity=*/4, /*CacheCapacity=*/0});
+  Service Svc(config(2, 4, 0));
   std::vector<std::future<Response>> Futures;
   for (int I = 0; I < 40; ++I) {
     Request Req;
@@ -477,7 +460,7 @@ TEST(ServiceTest, BackpressureBoundedQueue) {
 }
 
 TEST(ServiceTest, ShutdownDrainsThenRejects) {
-  Service Svc({/*Workers=*/2, /*QueueCapacity=*/16, /*CacheCapacity=*/8});
+  Service Svc(config(2, 16, 8));
   std::vector<std::future<Response>> Futures;
   for (int I = 0; I < 8; ++I) {
     Request Req;
@@ -496,18 +479,18 @@ TEST(ServiceTest, ShutdownDrainsThenRejects) {
 }
 
 TEST(ServiceTest, CallbackSubmitCompletesOnAWorkerThread) {
-  Service Svc({/*Workers=*/2, /*QueueCapacity=*/8, /*CacheCapacity=*/4});
+  Service Svc(config(2, 8, 4));
   std::atomic<bool> Done{false};
   std::string Result;
   std::thread::id CallbackThread;
   Request Req;
   Req.Source = "6 * 7";
-  Svc.submit(Req, [&](Response R) {
+  EXPECT_TRUE(Svc.trySubmit(Req, [&](Response R) {
     EXPECT_EQ(R.Status, RequestOutcome::Ok) << R.Diagnostics;
     Result = R.ResultText;
     CallbackThread = std::this_thread::get_id();
     Done.store(true, std::memory_order_release);
-  });
+  }));
   while (!Done.load(std::memory_order_acquire))
     std::this_thread::yield();
   EXPECT_EQ(Result, "42");
@@ -515,39 +498,21 @@ TEST(ServiceTest, CallbackSubmitCompletesOnAWorkerThread) {
   EXPECT_EQ(Svc.stats().Completed, 1u);
 }
 
-TEST(ServiceTest, CallbackSubmitAfterShutdownRejectsInline) {
-  Service Svc({/*Workers=*/1, /*QueueCapacity=*/4, /*CacheCapacity=*/0});
-  Svc.shutdown();
-  bool Invoked = false;
-  std::thread::id CallbackThread;
-  Request Req;
-  Req.Source = "1 + 1";
-  Svc.submit(Req, [&](Response R) {
-    EXPECT_EQ(R.Status, RequestOutcome::Shutdown);
-    EXPECT_NE(R.Diagnostics.find("shut down"), std::string::npos);
-    CallbackThread = std::this_thread::get_id();
-    Invoked = true;
-  });
-  EXPECT_TRUE(Invoked); // resolved by the time submit() returned
-  // Inline on the submitting thread — no worker is left to run it.
-  EXPECT_EQ(CallbackThread, std::this_thread::get_id());
-}
-
 // Satellite: the saturation gauges. A request parked inside its
 // completion callback is still "in flight" (dequeued, not completed);
 // the queue depth counts only what is waiting behind it.
 TEST(ServiceTest, SaturationGaugesTrackAParkedWorker) {
-  Service Svc({/*Workers=*/1, /*QueueCapacity=*/4, /*CacheCapacity=*/0});
+  Service Svc(config(1, 4, 0));
 
   std::atomic<bool> Parked{false};
   std::atomic<bool> Release{false};
   Request Blocker;
   Blocker.Source = "1 + 1";
-  Svc.submit(Blocker, [&](Response) {
+  ASSERT_TRUE(Svc.trySubmit(Blocker, [&](Response) {
     Parked.store(true, std::memory_order_release);
     while (!Release.load(std::memory_order_acquire))
       std::this_thread::yield();
-  });
+  }));
   while (!Parked.load(std::memory_order_acquire))
     std::this_thread::yield();
 
@@ -577,17 +542,17 @@ TEST(ServiceTest, SaturationGaugesTrackAParkedWorker) {
 // instead of blocking — false return, Rejected counter, and the
 // callback is never invoked (the caller owns the shed response).
 TEST(ServiceTest, TrySubmitCallbackShedsAtFullQueue) {
-  Service Svc({/*Workers=*/1, /*QueueCapacity=*/1, /*CacheCapacity=*/0});
+  Service Svc(config(1, 1, 0));
 
   std::atomic<bool> Parked{false};
   std::atomic<bool> Release{false};
   Request Blocker;
   Blocker.Source = "1 + 1";
-  Svc.submit(Blocker, [&](Response) {
+  ASSERT_TRUE(Svc.trySubmit(Blocker, [&](Response) {
     Parked.store(true, std::memory_order_release);
     while (!Release.load(std::memory_order_acquire))
       std::this_thread::yield();
-  });
+  }));
   while (!Parked.load(std::memory_order_acquire))
     std::this_thread::yield();
 
@@ -611,7 +576,7 @@ TEST(ServiceTest, TrySubmitCallbackShedsAtFullQueue) {
 }
 
 TEST(ServiceTest, TrySubmitCallbackAfterShutdownInvokesInline) {
-  Service Svc({/*Workers=*/1, /*QueueCapacity=*/4, /*CacheCapacity=*/0});
+  Service Svc(config(1, 4, 0));
   Svc.shutdown();
   bool Invoked = false;
   std::thread::id CallbackThread;
@@ -639,7 +604,7 @@ TEST(ServiceTest, TrySubmitCallbackAfterShutdownInvokesInline) {
 TEST(ServiceTest, CallbackSubmitRacingShutdownAlwaysCompletes) {
   constexpr int Producers = 4;
   constexpr int PerProducer = 24;
-  Service Svc({/*Workers=*/2, /*QueueCapacity=*/4, /*CacheCapacity=*/4});
+  Service Svc(config(2, 4, 4));
 
   std::atomic<int> Admitted{0};
   std::atomic<int> Sheds{0};
@@ -694,7 +659,7 @@ TEST(ServiceTest, CallbackSubmitRacingShutdownAlwaysCompletes) {
 // this fix it waited on NotFull forever (shutdown only notified the
 // workers' condition variable).
 TEST(ServiceTest, ShutdownWakesProducerBlockedOnFullQueue) {
-  Service Svc({/*Workers=*/1, /*QueueCapacity=*/1, /*CacheCapacity=*/0});
+  Service Svc(config(1, 1, 0));
 
   // Park the only worker inside a callback so the queue cannot drain.
   std::atomic<bool> Parked{false};
@@ -702,11 +667,11 @@ TEST(ServiceTest, ShutdownWakesProducerBlockedOnFullQueue) {
   Request Blocker;
   Blocker.Source = "0";
   Blocker.Run = false;
-  Svc.submit(Blocker, [&](Response) {
+  ASSERT_TRUE(Svc.trySubmit(Blocker, [&](Response) {
     Parked.store(true, std::memory_order_release);
     while (!Release.load(std::memory_order_acquire))
       std::this_thread::yield();
-  });
+  }));
   while (!Parked.load(std::memory_order_acquire))
     std::this_thread::yield();
 
@@ -750,10 +715,7 @@ TEST(ServiceTest, ShutdownWakesProducerBlockedOnFullQueue) {
 //===----------------------------------------------------------------------===//
 
 TEST(ServiceTest, ZeroInferBudgetCutsRequestsOff) {
-  ServiceConfig Cfg;
-  Cfg.Workers = 1;
-  Cfg.QueueCapacity = 4;
-  Cfg.CacheCapacity = 4;
+  ServiceConfig Cfg = config(1, 4, 4);
   Cfg.PhaseBudgets["infer"] = 0; // any executed infer phase is over
   Service Svc(Cfg);
 
@@ -782,10 +744,7 @@ TEST(ServiceTest, ZeroInferBudgetCutsRequestsOff) {
 }
 
 TEST(ServiceTest, GenerousBudgetsLeaveRequestsAlone) {
-  ServiceConfig Cfg;
-  Cfg.Workers = 1;
-  Cfg.QueueCapacity = 4;
-  Cfg.CacheCapacity = 4;
+  ServiceConfig Cfg = config(1, 4, 4);
   // An hour per phase: present, therefore enforced, but never tripped.
   Cfg.PhaseBudgets["parse"] = 3'600'000'000'000ull;
   Cfg.PhaseBudgets["infer"] = 3'600'000'000'000ull;
@@ -802,7 +761,7 @@ TEST(ServiceTest, GenerousBudgetsLeaveRequestsAlone) {
 }
 
 TEST(ServiceTest, StatsJsonShape) {
-  Service Svc({/*Workers=*/1, /*QueueCapacity=*/4, /*CacheCapacity=*/4});
+  Service Svc(config(1, 4, 4));
   Request Req;
   Req.Source = "1 + 1";
   Svc.submit(Req).get();
@@ -864,7 +823,7 @@ TEST(ServiceTest, ZeroUptimeStatsRenderFiniteJson) {
 }
 
 TEST(ServiceTest, ProfilesReportSkippedStaticPhasesOnCacheHit) {
-  Service Svc({/*Workers=*/1, /*QueueCapacity=*/4, /*CacheCapacity=*/4});
+  Service Svc(config(1, 4, 4));
   Request Req;
   Req.Source = "1 + 2";
   Response Miss = Svc.submit(Req).get();
@@ -909,47 +868,8 @@ TEST(ServiceTest, ProfilesReportSkippedStaticPhasesOnCacheHit) {
   }
 }
 
-TEST(ServiceTest, TrySubmitShedsLoadAtAFullQueue) {
-  // One slow worker, a two-slot queue, a fast producer: the queue must
-  // fill within a handful of accepted requests, and every trySubmit
-  // after that is turned away instead of blocking.
-  Service Svc({/*Workers=*/1, /*QueueCapacity=*/2, /*CacheCapacity=*/0});
-  std::vector<std::future<Response>> Accepted;
-  uint64_t Rejections = 0;
-  for (int I = 0; I < 2000 && Rejections == 0; ++I) {
-    Request Req;
-    Req.Source = "1 + " + std::to_string(I);
-    if (auto F = Svc.trySubmit(std::move(Req)))
-      Accepted.push_back(std::move(*F));
-    else
-      ++Rejections;
-  }
-  ASSERT_GT(Rejections, 0u) << "queue never filled";
-
-  // Every accepted future still resolves correctly.
-  for (auto &F : Accepted) {
-    Response R = F.get();
-    EXPECT_TRUE(R.CompileOk) << R.Diagnostics;
-  }
-  ServiceStats S = Svc.stats();
-  EXPECT_EQ(S.Rejected, Rejections);
-  EXPECT_EQ(S.Submitted, Accepted.size());
-  EXPECT_EQ(S.Completed, Accepted.size());
-}
-
-TEST(ServiceTest, TrySubmitAfterShutdownResolvesNotNullopt) {
-  Service Svc({/*Workers=*/1, /*QueueCapacity=*/4, /*CacheCapacity=*/4});
-  Svc.shutdown();
-  auto F = Svc.trySubmit(Request{});
-  ASSERT_TRUE(F.has_value()) << "shutdown is terminal, not 'retry later'";
-  Response R = F->get();
-  EXPECT_FALSE(R.CompileOk);
-  EXPECT_NE(R.Diagnostics.find("shut down"), std::string::npos);
-  EXPECT_EQ(Svc.stats().Rejected, 0u); // not a load-shed
-}
-
 TEST(ServiceTest, AggregatesGcCountsAcrossRequests) {
-  Service Svc({/*Workers=*/4, /*QueueCapacity=*/16, /*CacheCapacity=*/8});
+  Service Svc(config(4, 16, 8));
   Request Req;
   Req.Source = ComposeProgram;
   Req.EvalOpts.GcThresholdWords = 2048;
@@ -971,10 +891,7 @@ TEST(ServiceTest, AggregatesGcCountsAcrossRequests) {
 TEST(ServiceTest, RunsRecyclePagesThroughTheSharedPool) {
   // Sequential requests on one worker: the first run's heap teardown
   // feeds the pool, the second draws from it.
-  ServiceConfig Cfg;
-  Cfg.Workers = 1;
-  Cfg.QueueCapacity = 4;
-  Cfg.CacheCapacity = 4;
+  ServiceConfig Cfg = config(1, 4, 4);
   Service Svc(Cfg);
   ASSERT_NE(Svc.pagePool(), nullptr);
 
@@ -996,10 +913,7 @@ TEST(ServiceTest, RunsRecyclePagesThroughTheSharedPool) {
 }
 
 TEST(ServiceTest, PoolingCanBeDisabled) {
-  ServiceConfig Cfg;
-  Cfg.Workers = 1;
-  Cfg.QueueCapacity = 4;
-  Cfg.CacheCapacity = 4;
+  ServiceConfig Cfg = config(1, 4, 4);
   Cfg.PagePoolPages = 0;
   Service Svc(Cfg);
   EXPECT_EQ(Svc.pagePool(), nullptr);
@@ -1019,30 +933,27 @@ TEST(ServiceTest, PoolingCanBeDisabled) {
 //===----------------------------------------------------------------------===//
 
 TEST(ServiceTest, ShutdownRejectionsAreCountedSeparately) {
-  Service Svc({/*Workers=*/1, /*QueueCapacity=*/4, /*CacheCapacity=*/4});
+  Service Svc(config(1, 4, 4));
   Svc.shutdown();
 
   Request Req;
   Req.Source = "1 + 1";
-  // All three submission paths reject after shutdown, and each bump is
+  // Both submission paths reject after shutdown, and each bump is
   // visible as shutdown_rejected — distinct from load-shed Rejected.
   Response R1 = Svc.submit(Req).get();
   EXPECT_EQ(R1.Status, RequestOutcome::Shutdown);
   std::atomic<int> CallbackSeen{0};
-  Svc.submit(Req, [&](Response R2) {
+  EXPECT_TRUE(Svc.trySubmit(Req, [&](Response R2) {
     EXPECT_EQ(R2.Status, RequestOutcome::Shutdown);
     ++CallbackSeen;
-  });
+  }));
   EXPECT_EQ(CallbackSeen.load(), 1);
-  auto F = Svc.trySubmit(Req);
-  ASSERT_TRUE(F.has_value());
-  EXPECT_EQ(F->get().Status, RequestOutcome::Shutdown);
 
   ServiceStats S = Svc.stats();
-  EXPECT_EQ(S.ShutdownRejected, 3u);
+  EXPECT_EQ(S.ShutdownRejected, 2u);
   EXPECT_EQ(S.Rejected, 0u) << "shutdown is not a load-shed";
   EXPECT_EQ(S.Submitted, 0u);
-  EXPECT_NE(S.json().find("\"shutdown_rejected\":3"), std::string::npos);
+  EXPECT_NE(S.json().find("\"shutdown_rejected\":2"), std::string::npos);
 }
 
 /// A pause sink that throws from inside the evaluator's GC hook —
@@ -1056,10 +967,8 @@ public:
 };
 
 TEST(ServiceTest, WorkerSurvivesAThrowingRequestHook) {
-  ServiceConfig Cfg;
-  Cfg.Workers = 1; // one worker: if it dies, nothing below completes
-  Cfg.QueueCapacity = 4;
-  Cfg.CacheCapacity = 4;
+  // One worker: if it dies, nothing below completes.
+  ServiceConfig Cfg = config(1, 4, 4);
   Cfg.PagePoolPages = 0; // keep the unwound heap away from the pool
   Service Svc(Cfg);
 
@@ -1090,10 +999,7 @@ TEST(ServiceTest, WorkerSurvivesAThrowingRequestHook) {
 }
 
 TEST(ServiceTest, BudgetResponseKeepsEarlierPhaseDiagnostics) {
-  ServiceConfig Cfg;
-  Cfg.Workers = 1;
-  Cfg.QueueCapacity = 4;
-  Cfg.CacheCapacity = 4;
+  ServiceConfig Cfg = config(1, 4, 4);
   Cfg.PhaseBudgets["infer"] = 0; // parse runs, infer trips
   Service Svc(Cfg);
 
@@ -1116,7 +1022,7 @@ TEST(ServiceTest, BudgetResponseKeepsEarlierPhaseDiagnostics) {
 TEST(ServiceTest, ShadowedBindingWarnsButStillRuns) {
   // Without a budget the same program compiles, warns, and runs; the
   // innermost (latest) binding wins at evaluation time.
-  Service Svc({/*Workers=*/1, /*QueueCapacity=*/4, /*CacheCapacity=*/4});
+  Service Svc(config(1, 4, 4));
   Request Req;
   Req.Source = "fun f x = x + 1\nfun f x = x + 2\n;f 1";
   Response R = Svc.submit(Req).get();

@@ -20,21 +20,19 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Pipeline.h"
+#include "ServiceFlags.h"
 
+#include "core/Pipeline.h"
 #include "service/Service.h"
 #include "smallstep/Step.h"
-#include "support/Number.h"
 
 #include <algorithm>
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -198,11 +196,7 @@ void finishTrace(const ChromeTraceSink &Sink, const std::string &Path) {
 
 /// The --serve-batch driver: every program goes through the concurrent
 /// service; results print in submission order.
-int serveBatch(const std::string &Spec, unsigned Jobs, size_t CacheCap,
-               const std::string &CacheDir, uint64_t CacheMaxBytes,
-               uint64_t CacheMaxAge, uint64_t CacheSweepMs, size_t PoolPages,
-               service::SchedPolicy Policy,
-               const std::map<std::string, uint64_t> &Budgets,
+int serveBatch(const std::string &Spec, service::ServiceConfig Cfg,
                const CompileOptions &Opts, const rt::EvalOptions &EvalOpts,
                bool Stats, bool TimePhases, const std::string &TracePath) {
   std::vector<std::string> Paths = collectBatchPaths(Spec);
@@ -213,17 +207,6 @@ int serveBatch(const std::string &Spec, unsigned Jobs, size_t CacheCap,
   }
 
   ChromeTraceSink Trace;
-  service::ServiceConfig Cfg;
-  Cfg.Workers = Jobs;
-  Cfg.CacheCapacity = CacheCap;
-  Cfg.CacheDir = CacheDir;
-  Cfg.CacheMaxBytes = CacheMaxBytes;
-  Cfg.CacheMaxAgeSeconds = CacheMaxAge;
-  if (CacheSweepMs)
-    Cfg.CacheSweepIntervalMillis = CacheSweepMs;
-  Cfg.PagePoolPages = PoolPages;
-  Cfg.Policy = Policy;
-  Cfg.PhaseBudgets = Budgets;
   if (!TracePath.empty())
     Cfg.Trace = &Trace;
   service::Service Svc(Cfg);
@@ -279,10 +262,10 @@ int serveBatch(const std::string &Spec, unsigned Jobs, size_t CacheCap,
   if (S.BudgetExceeded)
     std::printf("[%llu request(s) cut off over phase budget]\n",
                 static_cast<unsigned long long>(S.BudgetExceeded));
-  if (!CacheDir.empty()) {
+  if (!Cfg.CacheDir.empty()) {
     std::printf("[disk cache '%s': %llu hit(s), %llu miss(es), %llu "
                 "reject(s), %llu write error(s)]\n",
-                CacheDir.c_str(), static_cast<unsigned long long>(S.DiskHits),
+                Cfg.CacheDir.c_str(), static_cast<unsigned long long>(S.DiskHits),
                 static_cast<unsigned long long>(S.DiskMisses),
                 static_cast<unsigned long long>(S.DiskLoadRejects),
                 static_cast<unsigned long long>(S.DiskWriteErrors));
@@ -325,117 +308,65 @@ int main(int Argc, char **Argv) {
   std::string SchemeName, Source;
   bool HaveSource = false;
   std::string BatchSpec;
-  unsigned Jobs = 0;
-  size_t CacheCap = 128;
-  std::string CacheDir;
-  uint64_t CacheMaxBytes = 0, CacheMaxAge = 0, CacheSweepMs = 0;
-  size_t PoolPages = rt::PagePool::DefaultMaxPages; // on by default
+  service::ServiceConfig SvcCfg;
   bool TimePhases = false;
-  service::SchedPolicy Policy = service::SchedPolicy::Fifo;
-  std::map<std::string, uint64_t> Budgets;
   std::string TracePath;
 
-  for (int I = 1; I < Argc; ++I) {
-    const char *A = Argv[I];
-    auto Next = [&]() -> const char * {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "rmlc: %s needs an argument\n", A);
-        std::exit(2);
-      }
-      return Argv[++I];
-    };
-    // Every numeric flag value goes through one checked parser; a
-    // malformed or out-of-range value is a usage error.
-    auto Num = [&](const char *Text, uint64_t Max) -> uint64_t {
-      if (std::optional<uint64_t> V = parseUnsigned(Text, Max))
-        return *V;
-      std::fprintf(stderr, "rmlc: %s: invalid number '%s'\n", A, Text);
-      std::exit(2);
-    };
-    if (!std::strcmp(A, "--strategy")) {
-      const char *S = Next();
+  for (ArgCursor Args("rmlc", Argc, Argv); Args.next();) {
+    if (parseServiceFlag(Args, SvcCfg))
+      continue;
+    const char *A = Args.arg();
+    if (Args.is("--strategy")) {
+      const char *S = Args.value();
       if (!std::strcmp(S, "rg"))
         Opts.Strat = Strategy::Rg;
       else if (!std::strcmp(S, "rg-"))
         Opts.Strat = Strategy::RgMinus;
       else if (!std::strcmp(S, "r"))
         Opts.Strat = Strategy::R;
-      else {
-        std::fprintf(stderr, "rmlc: unknown strategy '%s'\n", S);
-        return 2;
-      }
-    } else if (!std::strcmp(A, "--spurious")) {
-      const char *S = Next();
+      else
+        Args.fail(std::string("unknown strategy '") + S + "'");
+    } else if (Args.is("--spurious")) {
+      const char *S = Args.value();
       Opts.Spurious = !std::strcmp(S, "identify")
                           ? SpuriousMode::IdentifyWithFun
                           : SpuriousMode::FreshSecondary;
-    } else if (!std::strcmp(A, "--print-program")) {
+    } else if (Args.is("--print-program")) {
       PrintProgram = true;
-    } else if (!std::strcmp(A, "--print-scheme")) {
-      SchemeName = Next();
-    } else if (!std::strcmp(A, "--captures")) {
+    } else if (Args.is("--print-scheme")) {
+      SchemeName = Args.value();
+    } else if (Args.is("--captures")) {
       Opts.Captures = true;
-    } else if (!std::strcmp(A, "--stats")) {
+    } else if (Args.is("--stats")) {
       Stats = true;
-    } else if (!std::strcmp(A, "--profile")) {
+    } else if (Args.is("--profile")) {
       Profile = true;
-    } else if (!std::strcmp(A, "--smallstep")) {
+    } else if (Args.is("--smallstep")) {
       CrossCheck = true;
-    } else if (!std::strcmp(A, "--no-run")) {
+    } else if (Args.is("--no-run")) {
       Run = false;
-    } else if (!std::strcmp(A, "--no-check")) {
+    } else if (Args.is("--no-check")) {
       Opts.Check = false;
-    } else if (!std::strcmp(A, "--gc-threshold")) {
-      EvalOpts.GcThresholdWords = Num(Next(), UINT64_MAX);
-    } else if (!std::strcmp(A, "--retain-pages")) {
+    } else if (Args.is("--gc-threshold")) {
+      EvalOpts.GcThresholdWords = Args.number(UINT64_MAX);
+    } else if (Args.is("--retain-pages")) {
       EvalOpts.RetainReleasedPages = true;
-    } else if (!std::strcmp(A, "--generational")) {
+    } else if (Args.is("--generational")) {
       EvalOpts.Generational = true;
-    } else if (!std::strcmp(A, "--no-tagfree")) {
+    } else if (Args.is("--no-tagfree")) {
       EvalOpts.TagFreePairs = false;
-    } else if (!std::strcmp(A, "--no-finite")) {
+    } else if (Args.is("--no-finite")) {
       EvalOpts.UseFiniteRegions = false;
-    } else if (!std::strcmp(A, "--serve-batch")) {
-      BatchSpec = Next();
-    } else if (!std::strcmp(A, "--jobs")) {
-      Jobs = static_cast<unsigned>(Num(Next(), UINT_MAX));
-    } else if (!std::strcmp(A, "--cache")) {
-      CacheCap = Num(Next(), SIZE_MAX);
-    } else if (!std::strcmp(A, "--cache-dir")) {
-      CacheDir = Next();
-    } else if (!std::strcmp(A, "--cache-max-bytes")) {
-      CacheMaxBytes = Num(Next(), UINT64_MAX);
-    } else if (!std::strcmp(A, "--cache-max-age")) {
-      CacheMaxAge = Num(Next(), UINT64_MAX);
-    } else if (!std::strcmp(A, "--cache-sweep-ms")) {
-      CacheSweepMs = Num(Next(), UINT64_MAX);
-    } else if (!std::strcmp(A, "--page-pool")) {
-      PoolPages = Num(Next(), SIZE_MAX);
-    } else if (!std::strncmp(A, "--page-pool=", 12)) {
-      PoolPages = Num(A + 12, SIZE_MAX);
-    } else if (!std::strcmp(A, "--sched")) {
-      const char *S = Next();
-      if (!service::parseSchedPolicy(S, Policy)) {
-        std::fprintf(stderr, "rmlc: unknown scheduler '%s'\n", S);
-        return 2;
-      }
-    } else if (!std::strcmp(A, "--phase-budget")) {
-      const char *S = Next();
-      const char *Eq = std::strchr(S, '=');
-      if (!Eq || Eq == S) {
-        std::fprintf(stderr,
-                     "rmlc: --phase-budget wants PHASE=NANOS, got '%s'\n", S);
-        return 2;
-      }
-      Budgets[std::string(S, Eq)] = Num(Eq + 1, UINT64_MAX);
-    } else if (!std::strcmp(A, "--time-phases")) {
+    } else if (Args.is("--serve-batch")) {
+      BatchSpec = Args.value();
+    } else if (Args.is("--time-phases")) {
       TimePhases = true;
-    } else if (!std::strcmp(A, "--trace")) {
-      TracePath = Next();
-    } else if (!std::strcmp(A, "-e")) {
-      Source = Next();
+    } else if (Args.is("--trace")) {
+      TracePath = Args.value();
+    } else if (Args.is("-e")) {
+      Source = Args.value();
       HaveSource = true;
-    } else if (!std::strcmp(A, "--help") || !std::strcmp(A, "-h")) {
+    } else if (Args.is("--help") || Args.is("-h")) {
       usage();
       return 0;
     } else if (A[0] == '-') {
@@ -453,9 +384,8 @@ int main(int Argc, char **Argv) {
     }
   }
   if (!BatchSpec.empty())
-    return serveBatch(BatchSpec, Jobs, CacheCap, CacheDir, CacheMaxBytes,
-                      CacheMaxAge, CacheSweepMs, PoolPages, Policy, Budgets,
-                      Opts, EvalOpts, Stats, TimePhases, TracePath);
+    return serveBatch(BatchSpec, SvcCfg, Opts, EvalOpts, Stats, TimePhases,
+                      TracePath);
   if (!HaveSource) {
     usage();
     return 2;

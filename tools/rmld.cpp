@@ -20,18 +20,16 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ServiceFlags.h"
+
 #include "net/Server.h"
 #include "service/Service.h"
-#include "support/Number.h"
 
 #include <algorithm>
 #include <climits>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <map>
-#include <string>
 
 using namespace rml;
 
@@ -95,76 +93,33 @@ int main(int Argc, char **Argv) {
   service::ServiceConfig SvcCfg;
   net::ServerConfig NetCfg;
 
-  for (int I = 1; I < Argc; ++I) {
-    const char *A = Argv[I];
-    auto Next = [&]() -> const char * {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "rmld: %s needs an argument\n", A);
-        std::exit(2);
-      }
-      return Argv[++I];
-    };
-    // Every numeric flag value goes through one checked parser; a
-    // malformed or out-of-range value is a usage error.
-    auto Num = [&](const char *Text, uint64_t Max) -> uint64_t {
-      if (std::optional<uint64_t> V = parseUnsigned(Text, Max))
-        return *V;
-      std::fprintf(stderr, "rmld: %s: invalid number '%s'\n", A, Text);
-      std::exit(2);
-    };
-    if (!std::strcmp(A, "--bind")) {
-      NetCfg.BindAddr = Next();
-    } else if (!std::strcmp(A, "--port")) {
-      NetCfg.Port = static_cast<uint16_t>(Num(Next(), UINT16_MAX));
-    } else if (!std::strcmp(A, "--jobs")) {
-      SvcCfg.Workers = static_cast<unsigned>(Num(Next(), UINT_MAX));
-    } else if (!std::strcmp(A, "--queue")) {
-      SvcCfg.QueueCapacity = Num(Next(), SIZE_MAX);
-    } else if (!std::strcmp(A, "--cache")) {
-      SvcCfg.CacheCapacity = Num(Next(), SIZE_MAX);
-    } else if (!std::strcmp(A, "--cache-dir")) {
-      SvcCfg.CacheDir = Next();
-    } else if (!std::strcmp(A, "--cache-max-bytes")) {
-      SvcCfg.CacheMaxBytes = Num(Next(), UINT64_MAX);
-    } else if (!std::strcmp(A, "--cache-max-age")) {
-      SvcCfg.CacheMaxAgeSeconds = Num(Next(), UINT64_MAX);
-    } else if (!std::strcmp(A, "--cache-sweep-ms")) {
-      SvcCfg.CacheSweepIntervalMillis =
-          std::max<uint64_t>(Num(Next(), UINT64_MAX), 1);
-    } else if (!std::strcmp(A, "--page-pool")) {
-      SvcCfg.PagePoolPages = Num(Next(), SIZE_MAX);
-    } else if (!std::strcmp(A, "--sched")) {
-      const char *S = Next();
-      if (!service::parseSchedPolicy(S, SvcCfg.Policy)) {
-        std::fprintf(stderr, "rmld: unknown scheduler '%s'\n", S);
-        return 2;
-      }
-    } else if (!std::strcmp(A, "--fair-quantum")) {
-      SvcCfg.FairShareQuantum = std::max<uint64_t>(Num(Next(), UINT64_MAX), 1);
-    } else if (!std::strcmp(A, "--tenant-default")) {
-      NetCfg.TenantDefault = Next();
-    } else if (!std::strcmp(A, "--phase-budget")) {
-      const char *S = Next();
-      const char *Eq = std::strchr(S, '=');
-      if (!Eq || Eq == S) {
-        std::fprintf(stderr,
-                     "rmld: --phase-budget wants PHASE=NANOS, got '%s'\n", S);
-        return 2;
-      }
-      SvcCfg.PhaseBudgets[std::string(S, Eq)] = Num(Eq + 1, UINT64_MAX);
-    } else if (!std::strcmp(A, "--step-limit")) {
-      NetCfg.StepLimit = Num(Next(), UINT64_MAX);
-    } else if (!std::strcmp(A, "--gc-threshold")) {
-      NetCfg.GcThresholdWords = Num(Next(), UINT64_MAX);
-    } else if (!std::strcmp(A, "--max-conns")) {
-      NetCfg.MaxConnections = Num(Next(), SIZE_MAX);
-    } else if (!std::strcmp(A, "--drain-grace")) {
-      NetCfg.DrainGraceMs = static_cast<unsigned>(Num(Next(), UINT_MAX));
-    } else if (!std::strcmp(A, "--help") || !std::strcmp(A, "-h")) {
+  for (ArgCursor Args("rmld", Argc, Argv); Args.next();) {
+    if (parseServiceFlag(Args, SvcCfg))
+      continue;
+    if (Args.is("--bind")) {
+      NetCfg.BindAddr = Args.value();
+    } else if (Args.is("--port")) {
+      NetCfg.Port = static_cast<uint16_t>(Args.number(UINT16_MAX));
+    } else if (Args.is("--queue")) {
+      SvcCfg.QueueCapacity = Args.number(SIZE_MAX);
+    } else if (Args.is("--fair-quantum")) {
+      SvcCfg.FairShareQuantum =
+          std::max<uint64_t>(Args.number(UINT64_MAX), 1);
+    } else if (Args.is("--tenant-default")) {
+      NetCfg.TenantDefault = Args.value();
+    } else if (Args.is("--step-limit")) {
+      NetCfg.StepLimit = Args.number(UINT64_MAX);
+    } else if (Args.is("--gc-threshold")) {
+      NetCfg.GcThresholdWords = Args.number(UINT64_MAX);
+    } else if (Args.is("--max-conns")) {
+      NetCfg.MaxConnections = Args.number(SIZE_MAX);
+    } else if (Args.is("--drain-grace")) {
+      NetCfg.DrainGraceMs = static_cast<unsigned>(Args.number(UINT_MAX));
+    } else if (Args.is("--help") || Args.is("-h")) {
       usage();
       return 0;
     } else {
-      std::fprintf(stderr, "rmld: unknown option '%s'\n", A);
+      std::fprintf(stderr, "rmld: unknown option '%s'\n", Args.arg());
       usage();
       return 2;
     }

@@ -10,6 +10,9 @@
 #      truncation or wrap.
 #   3. Every --flag that `rmlc --help` or `rmld --help` prints is
 #      documented in README.md.
+#   4. The service flags both tools share parse one way: the removed
+#      --page-pool=N spelling is an unknown option, and
+#      --cache-sweep-ms 0 is the sweeper's 1 ms floor.
 #
 # Usage: tools/smoke_cli.sh [BUILD_DIR]     (default: ./build)
 #
@@ -77,6 +80,29 @@ for Tool in "$RMLC" "$RMLD"; do
     fi
   done
 done
+
+# 4. Shared service flags.
+expect 2 "$RMLC" --page-pool=8 -e '1 + 2'
+expect 2 "$RMLD" --page-pool=8
+# The batch's last program runs for ~0.2 s after the first entries are
+# stored: a 1 ms sweeper evicts them meanwhile, where a 5 s cadence
+# sweeps only at start-up, before any entry exists.
+WORK="$(mktemp -d)"
+trap 'rm -rf "$WORK"' EXIT
+mkdir "$WORK/cache"
+cat > "$WORK/long.mml" <<'MML'
+fun inner n = if n = 0 then 0 else 1 + inner (n - 1)
+fun outer k acc = if k = 0 then acc else outer (k - 1) (acc + inner 1000)
+;outer 1000 0
+MML
+SWEPT=$(timeout 20 "$RMLC" --serve-batch "$TUTORIAL,$WORK/long.mml" --jobs 1 \
+  --cache-dir "$WORK/cache" --cache-max-bytes 1 --cache-sweep-ms 0 --stats |
+  grep -o '"swept_files":[0-9]*' | cut -d: -f2 || true)
+if [ "${SWEPT:-0}" -lt 1 ]; then
+  echo "smoke_cli: FAIL: --cache-sweep-ms 0 swept ${SWEPT:-no} files," \
+    "want at least 1" >&2
+  FAILS=$((FAILS + 1))
+fi
 
 if [ "$FAILS" -ne 0 ]; then
   echo "smoke_cli: $FAILS check(s) failed" >&2
