@@ -116,7 +116,7 @@ RegionHeap::~RegionHeap() {
     for (uint32_t H = LiveFirst; H != NoRegion; H = Regions[H].NextLive)
       Take(Regions[H].FirstPage);
     Take(FreePages);
-    // One batched hand-off: the shared pool's shard is touched once per
+    // One batched hand-off: the shared pool's lock is taken once per
     // heap, not once per page.
     SharedPool->releaseMany(std::move(Standard));
   }

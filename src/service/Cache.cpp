@@ -34,7 +34,7 @@ CompileCache::CompileCache(size_t Capacity, DiskCache *DiskTier)
 CachedCompileRef CompileCache::lookup(const CacheKey &K) {
   {
     std::lock_guard<std::mutex> Lock(M);
-    auto It = Map.find(K);
+    auto It = Map.find(&K);
     if (It != Map.end()) {
       ++C.Hits;
       Lru.splice(Lru.begin(), Lru, It->second); // refresh recency
@@ -51,7 +51,7 @@ CachedCompileRef CompileCache::lookup(const CacheKey &K) {
     return nullptr;
   // Promote without write-through (the bytes just came from that file).
   std::lock_guard<std::mutex> Lock(M);
-  auto It = Map.find(K);
+  auto It = Map.find(&K);
   if (It != Map.end()) {
     // A racing worker populated the slot meanwhile; prefer its entry.
     Lru.splice(Lru.begin(), Lru, It->second);
@@ -75,17 +75,17 @@ void CompileCache::insert(const CacheKey &K, CachedCompileRef V) {
 
 void CompileCache::insertLocked(const CacheKey &K, CachedCompileRef V) {
   ++C.Insertions;
-  auto It = Map.find(K);
+  auto It = Map.find(&K);
   if (It != Map.end()) {
     // Lost a compile race: keep the freshest value, refresh recency.
     It->second->Value = std::move(V);
     Lru.splice(Lru.begin(), Lru, It->second);
   } else {
     Lru.push_front(Node{K, std::move(V)});
-    Map.emplace(Lru.front().Key, Lru.begin());
+    Map.emplace(&Lru.front().Key, Lru.begin());
   }
   while (Map.size() > Cap) {
-    Map.erase(Lru.back().Key);
+    Map.erase(&Lru.back().Key);
     Lru.pop_back();
     ++C.Evictions;
   }

@@ -155,6 +155,19 @@ private:
     CacheKey Key;
     CachedCompileRef Value;
   };
+  /// The map is keyed by the address of a list node's key, so each
+  /// entry stores its source once; hash and equality go through the
+  /// pointee, and lookups pass the caller's key by address.
+  struct KeyPtrHash {
+    size_t operator()(const CacheKey *K) const {
+      return static_cast<size_t>(K->Hash);
+    }
+  };
+  struct KeyPtrEq {
+    bool operator()(const CacheKey *A, const CacheKey *B) const {
+      return *A == *B;
+    }
+  };
 
   /// Inserts (or refreshes) under M, then evicts beyond Cap. Shared by
   /// fresh inserts and disk-tier promotions; only insert() writes
@@ -165,7 +178,9 @@ private:
   DiskCache *Disk;  // optional second tier (not owned)
   mutable std::mutex M;
   std::list<Node> Lru; // front = most recent
-  std::unordered_map<CacheKey, std::list<Node>::iterator, CacheKeyHash> Map;
+  std::unordered_map<const CacheKey *, std::list<Node>::iterator, KeyPtrHash,
+                     KeyPtrEq>
+      Map;
   Counters C;
 };
 

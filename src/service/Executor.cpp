@@ -62,7 +62,7 @@ Response Executor::process(const Request &Req, const CacheKey &Key) const {
   // source's cost, and learning it would teach the model that expensive
   // sources are cheap.
   if (Model && Resp.Status != RequestOutcome::Budget)
-    Model->observe(Key.Hash, Req.Source.size(), Resp.Profiles,
+    Model->observe(Key.Hash, Key.Source.size(), Resp.Profiles,
                    /*UpdatePrior=*/!Resp.CacheHit);
   return Resp;
 }
@@ -91,7 +91,7 @@ Response Executor::processImpl(const Request &Req, const CacheKey &Key) const {
     // bit-identical (the pipeline is deterministic) and the cache keeps
     // whichever insert lands last.
     BudgetGovernor Gov(Cfg.PhaseBudgets);
-    CC = compileShared(Req.Source, Req.Opts,
+    CC = compileShared(Key.Source, Key.Opts,
                        Cfg.PhaseBudgets.empty() ? nullptr : &Gov);
     Resp.Profiles = CC->Profiles;
     if (!Gov.tripped().empty()) {

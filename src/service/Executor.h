@@ -42,11 +42,13 @@ public:
       : Cfg(Cfg), Cache(Cache), Pool(Pool), Model(Model) {}
 
   /// The whole lifecycle of one request under \p Key, Req's cache key
-  /// as built at admission: cache lookup -> (on a miss) budgeted cold
-  /// compile + cache insert -> schemes -> optional run. A compile cut
-  /// off by ServiceConfig::PhaseBudgets returns RequestOutcome::Budget
-  /// with the partial phase profiles and is *not* cached (a later,
-  /// unbudgeted submission must be able to finish the work).
+  /// as built at admission (the source is read from Key.Source; Req's
+  /// own may already have been moved into it): cache lookup -> (on a
+  /// miss) budgeted cold compile + cache insert -> schemes -> optional
+  /// run. A compile cut off by ServiceConfig::PhaseBudgets returns
+  /// RequestOutcome::Budget with the partial phase profiles and is *not*
+  /// cached (a later, unbudgeted submission must be able to finish the
+  /// work).
   Response process(const Request &Req, const CacheKey &Key) const;
 
 private:

@@ -88,12 +88,6 @@ struct CacheKey {
   }
 };
 
-struct CacheKeyHash {
-  size_t operator()(const CacheKey &K) const {
-    return static_cast<size_t>(K.Hash);
-  }
-};
-
 } // namespace rml::service
 
 #endif // RML_SERVICE_HASH_H

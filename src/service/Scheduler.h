@@ -47,10 +47,12 @@ struct ScheduledJob {
   /// real deadline, so deadline-free work never preempts dated work.
   static constexpr uint64_t NoDeadline = UINT64_MAX;
 
+  /// The request, minus its source: admission moves Req.Source into
+  /// Key.Source, so a queued job holds the source once.
   Request Req;
   /// Req's cache key, built once at admission before the queue lock is
   /// taken. The cost provider, the Executor and the cost model all read
-  /// it, so the source is hashed once per request.
+  /// it, so the source is hashed once per request and read from here.
   CacheKey Key;
   /// Runs exactly once with the response: on the worker that finished
   /// the request, or inline on the submitter's thread for a request
@@ -93,7 +95,7 @@ public:
   /// \returns the stamped CostKey, so the caller can account queued
   /// predicted cost without consulting the provider a second time.
   uint64_t admit(ScheduledJob J) {
-    J.CostKey = Provider ? Provider(J.Key) : J.Req.Source.size();
+    J.CostKey = Provider ? Provider(J.Key) : J.Key.Source.size();
     J.DeadlineAt = J.Req.DeadlineNanos
                        ? traceNowNanos() + J.Req.DeadlineNanos
                        : ScheduledJob::NoDeadline;

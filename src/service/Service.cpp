@@ -81,8 +81,11 @@ bool Service::enqueue(Request R, std::function<void(Response)> Done,
                       bool Block) {
   ScheduledJob J;
   // The request's one hash, taken before the lock so submitters do not
-  // serialise on it.
-  J.Key = CacheKey::of(R.Source, R.Opts);
+  // serialise on it. The source moves into the key: from here on the
+  // job's one copy of it is Key.Source.
+  J.Key.Hash = hashCompileInputs(R.Source, R.Opts);
+  J.Key.Source = std::move(R.Source);
+  J.Key.Opts = R.Opts;
   J.Req = std::move(R);
   J.Done = std::move(Done);
   {
@@ -297,19 +300,8 @@ ServiceStats Service::stats() const {
   Out.CostModelPriorPerByte = MS.PriorPerByte;
   Out.Workers = Cfg.effectiveWorkers();
   Out.Policy = schedPolicyName(Cfg.Policy);
-  if (Pool) {
-    rt::PagePoolStats PS = Pool->stats();
-    Out.PoolAcquireHits = PS.AcquireHits;
-    Out.PoolAcquireMisses = PS.AcquireMisses;
-    Out.PoolReleases = PS.Releases;
-    Out.PoolTrims = PS.Trims;
-    Out.PoolSteals = PS.Steals;
-    Out.PoolBatchAcquires = PS.BatchAcquires;
-    Out.PoolBatchReleases = PS.BatchReleases;
-    Out.PoolLockAcquires = PS.LockAcquires;
-    Out.PoolFreePages = PS.FreePages;
-    Out.PoolCapacity = PS.Capacity;
-  }
+  if (Pool)
+    Out.Pool = Pool->stats();
   {
     std::lock_guard<std::mutex> QLock(QueueMutex);
     Out.QueueDepth = Sched->size();

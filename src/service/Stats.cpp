@@ -52,17 +52,13 @@ std::string ServiceStats::json() const {
       << ",\"gc_count\":" << TotalGcCount
       << ",\"alloc_words\":" << TotalAllocWords
       << ",\"copied_words\":" << TotalCopiedWords
-      << ",\"pool_hits\":" << PoolAcquireHits
-      << ",\"pool_misses\":" << PoolAcquireMisses
-      << ",\"pool_releases\":" << PoolReleases
-      << ",\"pool_trims\":" << PoolTrims
-      << ",\"pool_steals\":" << PoolSteals
-      << ",\"pool_batch_acquires\":" << PoolBatchAcquires
-      << ",\"pool_batch_releases\":" << PoolBatchReleases
-      << ",\"pool_lock_acquires\":" << PoolLockAcquires
-      << ",\"pool_free_pages\":" << PoolFreePages
-      << ",\"pool_capacity\":" << PoolCapacity
-      << ",\"pool_reuse\":" << jsonFixed(poolReuseRatio())
+      << ",\"pool_hits\":" << Pool.AcquireHits
+      << ",\"pool_misses\":" << Pool.AcquireMisses
+      << ",\"pool_releases\":" << Pool.Releases
+      << ",\"pool_trims\":" << Pool.Trims
+      << ",\"pool_free_pages\":" << Pool.FreePages
+      << ",\"pool_capacity\":" << Pool.Capacity
+      << ",\"pool_reuse\":" << jsonFixed(Pool.reuseRatio())
       << ",\"gc_pauses\":{\"pause_count\":" << GcPauseCount
       << ",\"pause_p50_ns\":" << gcPausePercentileNanos(0.50)
       << ",\"pause_p99_ns\":" << gcPausePercentileNanos(0.99)

@@ -8,6 +8,8 @@
 #ifndef RML_SERVICE_STATS_H
 #define RML_SERVICE_STATS_H
 
+#include "rt/PagePool.h"
+
 #include <array>
 #include <cstdint>
 #include <map>
@@ -90,20 +92,7 @@ struct ServiceStats {
   uint64_t TotalAllocWords = 0;
   uint64_t TotalCopiedWords = 0;
   /// Cross-request page pool counters (all zero when pooling is off).
-  uint64_t PoolAcquireHits = 0;
-  uint64_t PoolAcquireMisses = 0;
-  uint64_t PoolReleases = 0;
-  uint64_t PoolTrims = 0;
-  /// v2 pool counters: hits served off a non-home shard, batch API
-  /// calls, and mutex acquisitions (steal scans and trims only — the
-  /// home-shard paths are lock-free, so locks per request is the
-  /// contention figure of merit).
-  uint64_t PoolSteals = 0;
-  uint64_t PoolBatchAcquires = 0;
-  uint64_t PoolBatchReleases = 0;
-  uint64_t PoolLockAcquires = 0;
-  uint64_t PoolFreePages = 0;
-  uint64_t PoolCapacity = 0;
+  rt::PagePoolStats Pool;
   /// Log-2 histogram of collector pause wall times across every run:
   /// bucket I counts pauses with WallNanos in [2^I, 2^(I+1)). Powers
   /// the pause-percentile estimates of the stats JSON's "gc_pauses"
@@ -129,12 +118,6 @@ struct ServiceStats {
   /// Per-tenant dispositions, keyed by Request::Tenant (sorted, so the
   /// JSON rendering is stable).
   std::map<std::string, TenantCounts> Tenants;
-
-  /// Fraction of standard-page demand served by pool reuse, in [0,1].
-  double poolReuseRatio() const {
-    uint64_t Total = PoolAcquireHits + PoolAcquireMisses;
-    return Total ? static_cast<double>(PoolAcquireHits) / Total : 0.0;
-  }
 
   /// Histogram-derived pause percentile in nanos: the upper bound of
   /// the bucket holding the \p P quantile (conservative within 2x),

@@ -133,6 +133,7 @@ TEST(SchedulerUnit, AdmitConsultsTheCostProviderExactlyOnce) {
   S->setCostProvider(nullptr);
   ScheduledJob K;
   K.Req.Source = "abcd";
+  K.Key = CacheKey::of(K.Req.Source, K.Req.Opts);
   S->admit(std::move(K));
   EXPECT_EQ(S->pop().CostKey, 4u);
   EXPECT_EQ(Calls, 1);

@@ -776,7 +776,8 @@ TEST(ServiceTest, StatsJsonShape) {
         "\"gc_count\":", "\"alloc_words\":", "\"queue_high_water\":",
         "\"queue_depth\":0", "\"in_flight\":0", "\"uptime_seconds\":",
         "\"utilization\":", "\"pool_hits\":", "\"pool_misses\":",
-        "\"pool_releases\":", "\"pool_capacity\":1024", "\"pool_reuse\":",
+        "\"pool_releases\":", "\"pool_trims\":", "\"pool_free_pages\":",
+        "\"pool_capacity\":1024", "\"pool_reuse\":",
         "\"budget_exceeded\":0", "\"shutdown_rejected\":0",
         "\"internal_errors\":0",
         "\"disk_hits\":0", "\"disk_misses\":0", "\"disk_write_errors\":0",
@@ -799,6 +800,10 @@ TEST(ServiceTest, StatsJsonShape) {
        {"gc_policy", "adaptive_runs", "threshold_raises", "threshold_drops",
         "budget_backoffs", "over_budget_pauses", "minors_per_major_raises",
         "minors_per_major_drops"})
+    EXPECT_EQ(J.find(Gone), std::string::npos) << Gone << " in " << J;
+  // So are the sharded pool's steal, batch and lock counters.
+  for (const char *Gone : {"pool_steals", "pool_batch_acquires",
+                           "pool_batch_releases", "pool_lock_acquires"})
     EXPECT_EQ(J.find(Gone), std::string::npos) << Gone << " in " << J;
   EXPECT_EQ(J.find('\n'), std::string::npos); // one line
   // The ratio fields render through jsonFixed: six fixed fraction
@@ -901,15 +906,15 @@ TEST(ServiceTest, RunsRecyclePagesThroughTheSharedPool) {
   Response First = Svc.submit(Req).get();
   ASSERT_EQ(First.Outcome, rt::RunOutcome::Ok) << First.Error;
   ServiceStats S0 = Svc.stats();
-  EXPECT_GT(S0.PoolReleases, 0u) << "teardown recycled no pages";
+  EXPECT_GT(S0.Pool.Releases, 0u) << "teardown recycled no pages";
 
   Response Second = Svc.submit(Req).get();
   ASSERT_EQ(Second.Outcome, rt::RunOutcome::Ok) << Second.Error;
   EXPECT_EQ(Second.ResultText, First.ResultText);
   EXPECT_EQ(Second.Heap.AllocWords, First.Heap.AllocWords);
   ServiceStats S1 = Svc.stats();
-  EXPECT_GT(S1.PoolAcquireHits, S0.PoolAcquireHits);
-  EXPECT_GT(S1.poolReuseRatio(), 0.0);
+  EXPECT_GT(S1.Pool.AcquireHits, S0.Pool.AcquireHits);
+  EXPECT_GT(S1.Pool.reuseRatio(), 0.0);
 }
 
 TEST(ServiceTest, PoolingCanBeDisabled) {
@@ -924,8 +929,8 @@ TEST(ServiceTest, PoolingCanBeDisabled) {
   Response R = Svc.submit(Req).get();
   ASSERT_EQ(R.Outcome, rt::RunOutcome::Ok) << R.Error;
   ServiceStats S = Svc.stats();
-  EXPECT_EQ(S.PoolAcquireHits + S.PoolAcquireMisses + S.PoolReleases, 0u);
-  EXPECT_EQ(S.PoolCapacity, 0u);
+  EXPECT_EQ(S.Pool.AcquireHits + S.Pool.AcquireMisses + S.Pool.Releases, 0u);
+  EXPECT_EQ(S.Pool.Capacity, 0u);
 }
 
 //===----------------------------------------------------------------------===//

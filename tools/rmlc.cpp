@@ -287,8 +287,8 @@ int serveBatch(const std::string &Spec, service::ServiceConfig Cfg,
               100.0 * S.utilization(),
               static_cast<unsigned long long>(S.TotalGcCount),
               static_cast<unsigned long long>(S.TotalAllocWords),
-              100.0 * S.poolReuseRatio(),
-              static_cast<unsigned long long>(S.PoolFreePages));
+              100.0 * S.Pool.reuseRatio(),
+              static_cast<unsigned long long>(S.Pool.FreePages));
   if (TimePhases)
     printPhaseAggregates(S);
   if (Stats)
