@@ -562,7 +562,9 @@ private:
       const FlatRegion &Info = U.Regions[E.B];
       unsigned FiniteWords =
           Opts.UseFiniteRegions && Info.Finite ? Info.Words : 0;
-      uint32_t Handle = Heap.create(E.C, staticKind(Info), FiniteWords);
+      if (Heap.depth() == RegionHeap::MaxDepth)
+        return fatal(RunOutcome::RuntimeError, "region stack overflow");
+      uint32_t Handle = Heap.create(E.C, staticKind(Info), FiniteWords, E.B);
       RegionEnv.push_back(Handle);
       Value V = eval(E.A);
       RegionEnv.pop_back();
@@ -828,8 +830,11 @@ private:
       // Allocation churn in a private scratch region: provokes the
       // collector (the "trigger gc" of Figure 1).
       int64_t N = unboxScalar(V);
-      uint32_t Handle =
-          Heap.create(ScratchStaticId, RegionKind::Mixed, 0);
+      if (Heap.depth() == RegionHeap::MaxDepth)
+        return fatal(RunOutcome::RuntimeError, "region stack overflow");
+      // The scratch region's profile slot follows the unit's regions.
+      uint32_t Handle = Heap.create(ScratchStaticId, RegionKind::Mixed, 0,
+                                    static_cast<uint32_t>(U.Regions.size()));
       TempScope T(*this);
       size_t Slot = T.push(NilValue);
       for (int64_t I = 0; I < N && !Fatal; ++I) {

@@ -31,11 +31,9 @@ public:
 
     // Detach every live region's (young, for minor collections) pages:
     // they become from-space, flagged in the heap's page table.
-    for (uint32_t Handle = Heap.firstLive(); Handle != RegionHeap::NoRegion;
-         Handle = Heap.region(Handle).NextLive) {
-      Heap.detachPages(Handle, Kind == GcKind::Minor);
-      ++Result.LiveRegions;
-    }
+    Result.LiveRegions = Heap.depth();
+    for (uint32_t I = 0; I < Heap.depth(); ++I)
+      Heap.detachPages(I, Kind == GcKind::Minor);
 
     // Evacuate roots, then scan the to-space worklist.
     for (Value *Slot : Roots) {
@@ -108,12 +106,8 @@ private:
       return true;
     uint64_t *Old = asPtr(Slot);
     const uint32_t PageIdx = Heap.pageOf(Old);
-    if (PageIdx == RegionHeap::NoPage || !Heap.page(PageIdx).FromSpace) {
-      // Either already in to-space (shared object scanned twice) or a
-      // pointer outside every live region: the dangling-pointer case.
-      if (PageIdx != RegionHeap::NoPage &&
-          Heap.region(Heap.page(PageIdx).Owner).Live)
-        return true; // to-space
+    if (PageIdx == RegionHeap::NoPage) {
+      // A pointer outside every live region: the dangling-pointer case.
       Result.Ok = false;
       std::optional<uint32_t> Grave = Heap.graveyardOwnerOf(Old);
       Result.Error =
@@ -123,6 +117,12 @@ private:
           " (the GC-unsafe region annotation let a dead region's value "
           "escape into a live closure)";
       return false;
+    }
+    if (!Heap.page(PageIdx).FromSpace) {
+      // Already in to-space (a shared object scanned twice). Release
+      // unmaps a region's pages, so a mapped page's owner is live.
+      assert(Heap.live(Heap.page(PageIdx).Owner) && "mapped dead page");
+      return true;
     }
     // An evacuated object's first word holds its forwarding address.
     if (Heap.isForwarded(PageIdx, Old)) {

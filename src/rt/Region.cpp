@@ -89,14 +89,11 @@ void RegionHeap::PageTable::erase(uintptr_t Chunk, uint32_t Page) {
 //===----------------------------------------------------------------------===//
 
 RegionHeap::RegionHeap() : Table(/*Log2Slots=*/6) {
-  // Handle 0 is the global region, always live. Its profile slot is
-  // reported only once something is allocated into it (or a region with
-  // static id 0 is created).
+  // Handle 0 is the global region, the stack's bottom. Its profile slot
+  // is reported only once something is allocated into it (or a region
+  // is created with slot 0).
   Regions.push_back(Region());
-  Regions[0].Live = true;
-  LiveFirst = LiveLast = 0;
   Profiles.push_back(RegionProfile());
-  ProfileSlots.emplace(0, 0);
   Stats.RegionsCreated = 1;
 }
 
@@ -113,8 +110,8 @@ RegionHeap::~RegionHeap() {
         if (Pages[I].Cap == PageWords)
           Standard.emplace_back(std::exchange(Pages[I].Words, nullptr));
     };
-    for (uint32_t H = LiveFirst; H != NoRegion; H = Regions[H].NextLive)
-      Take(Regions[H].FirstPage);
+    for (uint32_t I = 0; I < Depth; ++I)
+      Take(Regions[I].FirstPage);
     Take(FreePages);
     // One batched hand-off: the shared pool's lock is taken once per
     // heap, not once per page.
@@ -218,36 +215,30 @@ void RegionHeap::append(uint32_t &First, uint32_t &Last, uint32_t Idx) {
 void RegionHeap::addPage(uint32_t Handle, size_t Words) {
   uint32_t Idx = newPage(std::max(Words, PageWords));
   mapPage(Idx, Handle);
-  Region &R = Regions[Handle];
+  Region &R = region(Handle);
   append(R.FirstPage, R.LastPage, Idx);
 }
 
 uint32_t RegionHeap::create(uint32_t StaticId, RegionKind Kind,
-                            unsigned FiniteWords) {
-  uint32_t Handle = static_cast<uint32_t>(Regions.size());
-  auto [Slot, Fresh] = ProfileSlots.try_emplace(
-      StaticId, static_cast<uint32_t>(Profiles.size()));
-  if (Fresh)
-    Profiles.emplace_back();
-  RegionProfile &Prof = Profiles[Slot->second];
+                            unsigned FiniteWords, uint32_t ProfileSlot) {
+  assert(Depth < MaxDepth && "region stack overflow");
+  if (ProfileSlot >= Profiles.size())
+    Profiles.resize(size_t{ProfileSlot} + 1);
+  RegionProfile &Prof = Profiles[ProfileSlot];
   Prof.StaticId = StaticId;
   Prof.Kind = Kind;
   Prof.Finite = FiniteWords != 0;
   ++Prof.Instances;
 
-  Region &R = Regions.emplace_back();
+  if (Depth == Regions.size())
+    Regions.emplace_back();
+  else
+    ++Regions[Depth].Gen; // a stale handle to this slot stops matching
+  Region &R = Regions[Depth];
+  const uint32_t Handle = uint32_t{R.Gen} << IndexBits | Depth++;
   R.StaticId = StaticId;
   R.Kind = Kind;
-  R.Finite = FiniteWords != 0;
-  R.Live = true;
-  R.Profile = Slot->second;
-  // Handles only grow, so appending keeps the live list ascending.
-  R.PrevLive = LiveLast;
-  if (LiveLast == NoRegion)
-    LiveFirst = Handle;
-  else
-    Regions[LiveLast].NextLive = Handle;
-  LiveLast = Handle;
+  R.Profile = ProfileSlot;
   ++Stats.RegionsCreated;
   if (FiniteWords != 0) {
     ++Stats.FiniteRegionsCreated;
@@ -258,15 +249,10 @@ uint32_t RegionHeap::create(uint32_t StaticId, RegionKind Kind,
   return Handle;
 }
 
-void RegionHeap::release(uint32_t Handle) {
-  Region &R = Regions[Handle];
-  assert(R.Live && "double release of a region");
-  R.Live = false;
-  (R.PrevLive == NoRegion ? LiveFirst : Regions[R.PrevLive].NextLive) =
-      R.NextLive;
-  (R.NextLive == NoRegion ? LiveLast : Regions[R.NextLive].PrevLive) =
-      R.PrevLive;
-  R.PrevLive = R.NextLive = NoRegion;
+void RegionHeap::release([[maybe_unused]] uint32_t Handle) {
+  assert(live(Handle) && (Handle & IndexMask) == Depth - 1 &&
+         "release of a region that is not the top of the stack");
+  Region &R = Regions[--Depth];
   for (uint32_t Idx = R.FirstPage; Idx != NoPage;) {
     uint32_t Next = Pages[Idx].Next;
     if (RetainReleasedPages) {
@@ -294,21 +280,14 @@ RegionHeap::graveyardOwnerOf(const uint64_t *Ptr) const {
 
 size_t RegionHeap::numPages(uint32_t Handle) const {
   size_t N = 0;
-  for (uint32_t Idx = Regions[Handle].FirstPage; Idx != NoPage;
+  for (uint32_t Idx = region(Handle).FirstPage; Idx != NoPage;
        Idx = Pages[Idx].Next)
     ++N;
   return N;
 }
 
-std::vector<uint32_t> RegionHeap::liveRegions() const {
-  std::vector<uint32_t> Out;
-  for (uint32_t H = LiveFirst; H != NoRegion; H = Regions[H].NextLive)
-    Out.push_back(H);
-  return Out;
-}
-
-void RegionHeap::detachPages(uint32_t Handle, bool YoungOnly) {
-  Region &R = Regions[Handle];
+void RegionHeap::detachPages(uint32_t Index, bool YoungOnly) {
+  Region &R = Regions[Index];
   uint32_t KeptFirst = NoPage, KeptLast = NoPage;
   for (uint32_t Idx = R.FirstPage; Idx != NoPage;) {
     Page &P = Pages[Idx];
@@ -341,8 +320,8 @@ void RegionHeap::dropFromSpace() {
 }
 
 void RegionHeap::sealLivePages() {
-  for (uint32_t H = LiveFirst; H != NoRegion; H = Regions[H].NextLive)
-    for (uint32_t Idx = Regions[H].FirstPage; Idx != NoPage;
+  for (uint32_t I = 0; I < Depth; ++I)
+    for (uint32_t Idx = Regions[I].FirstPage; Idx != NoPage;
          Idx = Pages[Idx].Next)
       Pages[Idx].Old = true;
 }
@@ -353,12 +332,9 @@ std::vector<RegionProfile> RegionHeap::profiles() const {
   for (const RegionProfile &P : Profiles)
     if (P.Instances != 0 || P.AllocWords != 0)
       Out.push_back(P);
-  // Static-id order first: the allocation-order sort below is not
-  // stable, so it must always start from the same sequence.
-  std::sort(Out.begin(), Out.end(),
-            [](const RegionProfile &A, const RegionProfile &B) {
-              return A.StaticId < B.StaticId;
-            });
+  // Slot order is static-id order (the unit's regions ascend by id and
+  // the scratch slot comes last), so the allocation-order sort below,
+  // which is not stable, always starts from the same sequence.
   std::sort(Out.begin(), Out.end(),
             [](const RegionProfile &A, const RegionProfile &B) {
               return A.AllocWords > B.AllocWords;

@@ -25,11 +25,12 @@
 ///  * **Page records, not page vectors.** Pages live in one record table
 ///    and are chained per region, so a region costs no allocation of its
 ///    own; released standard pages stay on a local free list.
-///  * **Live-region list.** Live handles are linked in ascending order,
-///    so the collector and sealLivePages visit live regions only, not
-///    every region ever created.
-///  * **Profile slots.** Each region holds its profile's slot, so alloc
-///    bumps the profile directly.
+///  * **Region stack.** Letregion is lexically scoped, so create pushes a
+///    record and release pops it; the live regions are the prefix
+///    [0, depth()) and the table is as deep as the deepest nesting. A
+///    handle's generation counts its slot's reuses, so a stale handle in
+///    a closure (rg-, r) never equals a newer region's. Profiles are a
+///    dense table indexed by a slot the caller passes.
 ///  * **Collector support.** From-space is a flag on page records, and a
 ///    bitmap over from-space words marks evacuated objects, whose first
 ///    word then holds the forwarding address.
@@ -48,7 +49,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace rml::rt {
@@ -92,7 +92,12 @@ public:
                 "a standard page must be exactly one page-table chunk");
 
   static constexpr uint32_t NoPage = UINT32_MAX;
-  static constexpr uint32_t NoRegion = UINT32_MAX;
+  /// A handle is (generation << IndexBits) | stack index.
+  static constexpr unsigned IndexBits = 24;
+  static constexpr uint32_t IndexMask = (uint32_t{1} << IndexBits) - 1;
+  /// The deepest nesting the handle's index field holds. Index IndexMask
+  /// is never handed out, so no handle is UINT32_MAX.
+  static constexpr uint32_t MaxDepth = IndexMask;
 
   /// One page record. Records live in one heap-wide table and are
   /// threaded through Next into at most one chain at a time: a region's
@@ -121,14 +126,10 @@ public:
   struct Region {
     uint32_t StaticId = 0; // region variable id (diagnostics)
     RegionKind Kind = RegionKind::Mixed;
-    bool Finite = false;
-    bool Live = false;
+    uint8_t Gen = 0;             // bumped each time the slot is reused
     uint32_t FirstPage = NoPage; // page chain, oldest first
     uint32_t LastPage = NoPage;  // the allocation page
     uint32_t Profile = 0;        // slot in the profile table
-    /// Links of the live-region list (ascending handles).
-    uint32_t PrevLive = NoRegion;
-    uint32_t NextLive = NoRegion;
   };
 
   /// When set, released pages are never reused, so every dangling pointer
@@ -150,13 +151,21 @@ public:
   RegionHeap(const RegionHeap &) = delete;
   RegionHeap &operator=(const RegionHeap &) = delete;
 
-  /// Creates a region; returns its runtime handle. \p FiniteWords != 0
-  /// requests a finite region with an exact-size block.
+  /// Pushes a region; returns its runtime handle. \p FiniteWords != 0
+  /// requests a finite region with an exact-size block. \p ProfileSlot
+  /// indexes the profile table, which grows to hold it; the evaluator
+  /// passes the flat unit's region index, one per static id. Callers
+  /// stop at MaxDepth.
+  uint32_t create(uint32_t StaticId, RegionKind Kind, unsigned FiniteWords,
+                  uint32_t ProfileSlot);
+  /// Direct callers (tests, benches) key profiles by static id.
   uint32_t create(uint32_t StaticId, RegionKind Kind,
-                  unsigned FiniteWords = 0);
+                  unsigned FiniteWords = 0) {
+    return create(StaticId, Kind, FiniteWords, StaticId);
+  }
 
-  /// Releases a region: its pages go back to the pool (or the graveyard
-  /// when RetainReleasedPages).
+  /// Pops the top region, \p Handle: its pages go back to the pool (or
+  /// the graveyard when RetainReleasedPages).
   void release(uint32_t Handle);
 
   /// Bump-allocates \p Words words in \p Handle. Never GCs — the
@@ -166,8 +175,8 @@ public:
   /// result unchecked.
   uint64_t *alloc(uint32_t Handle, size_t Words) {
     assert(Words > 0 && "empty allocation");
-    Region &R = Regions[Handle];
-    assert(R.Live && "allocation into a dead region");
+    assert(live(Handle) && "allocation into a dead region");
+    Region &R = Regions[Handle & IndexMask];
     Stats.AllocWords += Words;
     AllocSinceGc += Words;
     Profiles[R.Profile].AllocWords += Words;
@@ -217,24 +226,30 @@ public:
   /// page belonged to (graveyard mode only).
   std::optional<uint32_t> graveyardOwnerOf(const uint64_t *P) const;
 
-  Region &region(uint32_t Handle) { return Regions[Handle]; }
-  const Region &region(uint32_t Handle) const { return Regions[Handle]; }
+  Region &region(uint32_t Handle) { return Regions[Handle & IndexMask]; }
+  const Region &region(uint32_t Handle) const {
+    return Regions[Handle & IndexMask];
+  }
+  /// True when \p Handle names a region on the stack, not a released
+  /// one or an older occupant of its slot.
+  bool live(uint32_t Handle) const {
+    uint32_t I = Handle & IndexMask;
+    return I < Depth && Regions[I].Gen == Handle >> IndexBits;
+  }
+  /// Live regions: stack indices [0, depth()).
+  uint32_t depth() const { return Depth; }
+  /// Records in the region table: the deepest nesting so far.
   size_t numRegions() const { return Regions.size(); }
   const Page &page(uint32_t Idx) const { return Pages[Idx]; }
   /// Pages currently held by \p Handle.
   size_t numPages(uint32_t Handle) const;
 
-  /// Live regions' handles, ascending.
-  std::vector<uint32_t> liveRegions() const;
-  /// The live-region list, for walking without a copy: the first live
-  /// handle, then region(H).NextLive until NoRegion.
-  uint32_t firstLive() const { return LiveFirst; }
-
-  /// Collector support: moves a region's pages (with \p YoungOnly, its
-  /// young pages only — a minor collection) onto from-space and leaves
-  /// the region to be refilled by evacuation. From-space pages stay in
-  /// the page table, flagged, until dropFromSpace.
-  void detachPages(uint32_t Handle, bool YoungOnly = false);
+  /// Collector support: moves the pages of the live region at stack
+  /// index \p Index (with \p YoungOnly, its young pages only — a minor
+  /// collection) onto from-space and leaves the region to be refilled by
+  /// evacuation. From-space pages stay in the page table, flagged, until
+  /// dropFromSpace.
+  void detachPages(uint32_t Index, bool YoungOnly = false);
   /// Unmaps and retires every from-space page.
   void dropFromSpace();
   /// The forwarding bitmap: one bit per from-space word, set on the
@@ -306,8 +321,10 @@ private:
   /// Appends record \p Idx to the chain [First, Last].
   void append(uint32_t &First, uint32_t &Last, uint32_t Idx);
 
+  /// The region stack: [0, Depth) live, the rest released records
+  /// kept for reuse.
   std::vector<Region> Regions;
-  uint32_t LiveFirst = NoRegion, LiveLast = NoRegion;
+  uint32_t Depth = 1;
   std::vector<Page> Pages; // every page record, by index
   PageTable Table;
   uint32_t FreePages = NoPage;   // local free list of standard pages
@@ -320,11 +337,9 @@ private:
   /// region of a dangling pointer.
   std::map<uintptr_t, std::pair<uintptr_t, uint32_t>> Graveyard;
   uint64_t AllocSinceGc = 0;
-  /// Profiles by slot; each region holds its slot, so allocation
-  /// indexes this directly. ProfileSlots maps a static id to its slot
-  /// once per letregion.
+  /// Profiles by the slot create was given; slot 0 is the global
+  /// region's.
   std::vector<RegionProfile> Profiles;
-  std::unordered_map<uint32_t, uint32_t> ProfileSlots;
 };
 
 } // namespace rml::rt

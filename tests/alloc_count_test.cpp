@@ -3,9 +3,10 @@
 // Counts global operator new calls made by Compiler::run for the
 // region-churning corpus programs under rg with default EvalOptions.
 // The region heap's per-step, per-allocation and per-letregion
-// bookkeeping (page table, live-region list, profile slots, collector
-// forwarding) allocates nothing in steady state, so a run's count is a
-// small multiple of its collections and distinct regions. Each bound is
+// bookkeeping (page table, region stack, profile table, collector
+// forwarding) allocates nothing in steady state, so a run's count is its
+// fresh pages and finite blocks plus a small multiple of its collections
+// and its deepest region nesting. Each bound is
 // the measured count with headroom: an ordered map or a per-object
 // hash node creeping back onto the run path fails here, not only in
 // the benchmark.
@@ -104,7 +105,7 @@ TEST_P(AllocCountTest, RunStaysUnderItsAllocationBound) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, AllocCountTest,
-                         // Measured: 26119, 6548 and 33175 calls, of
+                         // Measured: 26080, 6517 and 33131 calls, of
                          // which 25433, 5744 and 32862 are fresh pages
                          // and finite blocks (HeapStats::PagesAllocated).
                          ::testing::Values(Case{"qsort", 32000},

@@ -165,11 +165,11 @@ TEST_F(GcTest, DanglingPointerIsDetected) {
   // Graveyard mode makes detection exact (page reuse could otherwise let
   // a dangling pointer alias a fresh page).
   H.RetainReleasedPages = true;
+  uint32_t R = H.create(1, RegionKind::Mixed, 0);
   uint32_t Dead = H.create(86, RegionKind::Mixed, 0);
   Value Doomed = pair(Dead, boxScalar(1), boxScalar(2));
-  uint32_t R = H.create(1, RegionKind::Mixed, 0);
   Value Holder = pair(R, Doomed, boxScalar(0));
-  H.release(Dead);
+  H.release(Dead); // the inner region dies; the outer one holds its pair
   std::vector<Value *> Roots{&Holder};
   GcResult G = collectGarbage(H, Roots);
   EXPECT_FALSE(G.Ok);

@@ -14,7 +14,8 @@ namespace {
 TEST(Heap, GlobalRegionExists) {
   RegionHeap H;
   ASSERT_EQ(H.numRegions(), 1u);
-  EXPECT_TRUE(H.region(0).Live);
+  EXPECT_EQ(H.depth(), 1u);
+  EXPECT_TRUE(H.live(0));
   EXPECT_EQ(H.region(0).StaticId, 0u);
 }
 
@@ -27,9 +28,9 @@ TEST(Heap, CreateAllocRelease) {
   P[1] = 2;
   P[2] = 3;
   EXPECT_EQ(H.Stats.AllocWords, 3u);
-  EXPECT_TRUE(H.region(R).Live);
+  EXPECT_TRUE(H.live(R));
   H.release(R);
-  EXPECT_FALSE(H.region(R).Live);
+  EXPECT_FALSE(H.live(R));
 }
 
 TEST(Heap, OwnerOfResolvesLivePointers) {
@@ -96,12 +97,14 @@ TEST(Heap, FiniteRegionsUseExactBlocks) {
   RegionHeap H;
   uint64_t Before = H.Stats.CurrentHeapWords;
   uint32_t R = H.create(3, RegionKind::Pair, /*FiniteWords=*/2);
-  EXPECT_TRUE(H.region(R).Finite);
   EXPECT_EQ(H.Stats.CurrentHeapWords - Before, 2u);
   EXPECT_EQ(H.Stats.FiniteRegionsCreated, 1u);
   uint64_t *P = H.alloc(R, 2);
   ASSERT_NE(P, nullptr);
   H.release(R);
+  std::vector<RegionProfile> Profiles = H.profiles();
+  ASSERT_EQ(Profiles.size(), 1u);
+  EXPECT_TRUE(Profiles[0].Finite);
 }
 
 TEST(Heap, PeakTracksHighWaterMark) {
@@ -194,13 +197,14 @@ TEST(HeapPageTable, FiniteBlocksSharingAChunkResolveToTheirOwnRegions) {
   }
   // 64 two-word blocks cannot all sit in distinct 2 KiB chunks.
   EXPECT_GT(Sharing, 0u);
-  // Releasing every other block leaves its chunk-mates resolvable.
-  for (size_t I = 0; I < Blocks.size(); I += 2)
+  // Releasing the top half leaves its chunk-mates resolvable.
+  const size_t Half = Blocks.size() / 2;
+  for (size_t I = Blocks.size(); I-- > Half;)
     H.release(Blocks[I].first);
   for (size_t I = 0; I < Blocks.size(); ++I)
     EXPECT_EQ(H.ownerOf(Blocks[I].second),
-              I % 2 ? std::optional<uint32_t>(Blocks[I].first)
-                    : std::nullopt);
+              I < Half ? std::optional<uint32_t>(Blocks[I].first)
+                       : std::nullopt);
 }
 
 TEST(HeapPageTable, ReusedPageResolvesToItsNewRegionAndIsYoung) {
@@ -234,8 +238,8 @@ TEST(HeapPageTable, RetainedPagesAreKnownOnlyToTheGraveyard) {
   } Spans[] = {{Std, 11, H.alloc(Std, 1), RegionHeap::PageWords},
                {Big, 12, H.alloc(Big, BigWords), BigWords},
                {Fin, 13, H.alloc(Fin, 5), 5}};
-  for (const Span &S : Spans)
-    H.release(S.Region);
+  for (size_t I = std::size(Spans); I-- > 0;)
+    H.release(Spans[I].Region);
   for (const Span &S : Spans) {
     for (const uint64_t *P : {S.First, S.First + S.Words - 1}) {
       EXPECT_EQ(H.ownerOf(P), std::nullopt) << S.StaticId;
@@ -249,8 +253,8 @@ TEST(HeapPageTable, RetainedPagesAreKnownOnlyToTheGraveyard) {
 
 TEST(HeapPageTable, ManyPagesSurviveGrowthAndDeletion) {
   // Enough pages to grow the table several times (finite blocks first,
-  // so that many share chunks and so table keys), then unmap every
-  // other region: the survivors must all still resolve.
+  // so that many share chunks and so table keys), then unmap the top
+  // half: the survivors must all still resolve.
   RegionHeap H;
   std::vector<std::pair<uint32_t, std::vector<uint64_t *>>> Regions;
   for (uint32_t I = 0; I < 300; ++I) {
@@ -266,31 +270,51 @@ TEST(HeapPageTable, ManyPagesSurviveGrowthAndDeletion) {
     }
     Regions.emplace_back(R, std::move(Ptrs));
   }
-  for (size_t I = 0; I < Regions.size(); I += 2)
+  const size_t Half = Regions.size() / 2;
+  for (size_t I = Regions.size(); I-- > Half;)
     H.release(Regions[I].first);
   for (size_t I = 0; I < Regions.size(); ++I)
     for (uint64_t *P : Regions[I].second)
       EXPECT_EQ(H.ownerOf(P),
-                I % 2 ? std::optional<uint32_t>(Regions[I].first)
-                      : std::nullopt);
+                I < Half ? std::optional<uint32_t>(Regions[I].first)
+                         : std::nullopt);
 }
 
-TEST(HeapPageTable, LiveRegionsStayAscendingAfterOutOfOrderReleases) {
+//===----------------------------------------------------------------------===//
+// Region stack: letregion is LIFO, so the table holds the deepest nesting
+// and a released slot is reused under a fresh generation.
+//===----------------------------------------------------------------------===//
+
+TEST(HeapStack, MillionLetregionsKeepTheTableAtMaxDepth) {
   RegionHeap H;
-  std::vector<uint32_t> R;
-  for (uint32_t I = 0; I < 6; ++I)
-    R.push_back(H.create(I + 1, RegionKind::Mixed, 0));
-  H.release(R[2]);
-  H.release(R[0]);
-  H.release(R[5]);
-  EXPECT_EQ(H.liveRegions(), (std::vector<uint32_t>{0, R[1], R[3], R[4]}));
-  uint32_t Late = H.create(7, RegionKind::Mixed, 0);
-  H.release(R[4]);
-  EXPECT_EQ(H.liveRegions(), (std::vector<uint32_t>{0, R[1], R[3], Late}));
-  H.release(R[1]);
-  H.release(R[3]);
-  H.release(Late);
-  EXPECT_EQ(H.liveRegions(), std::vector<uint32_t>{0});
+  uint32_t Stack[3];
+  uint64_t Pairs = 0;
+  for (uint32_t I = 0; Pairs < 1'000'000; ++I) {
+    const uint32_t Nest = 1 + I % 3;
+    for (uint32_t D = 0; D < Nest; ++D) {
+      Stack[D] = H.create(D + 1, RegionKind::Mixed, 0);
+      H.alloc(Stack[D], 2);
+    }
+    for (uint32_t D = Nest; D-- > 0;)
+      H.release(Stack[D]);
+    Pairs += Nest;
+  }
+  EXPECT_EQ(H.depth(), 1u);
+  EXPECT_LE(H.numRegions(), 4u);
+  EXPECT_EQ(H.Stats.RegionsCreated, 1 + Pairs);
+}
+
+TEST(HeapStack, AReusedSlotGetsAFreshHandle) {
+  RegionHeap H;
+  uint32_t Stale = H.create(1, RegionKind::Mixed, 0);
+  H.release(Stale);
+  uint32_t Fresh = H.create(2, RegionKind::Mixed, 0);
+  EXPECT_EQ(Fresh & RegionHeap::IndexMask, Stale & RegionHeap::IndexMask)
+      << "the same stack slot";
+  EXPECT_NE(Fresh, Stale);
+  EXPECT_FALSE(H.live(Stale));
+  EXPECT_TRUE(H.live(Fresh));
+  EXPECT_EQ(H.numRegions(), 2u);
 }
 
 } // namespace

@@ -212,8 +212,8 @@ TEST(PagePoolTest, OversizedPagesBypassThePool) {
     // oversized page; a finite region gets an exact-size small block.
     Heap.alloc(R, 4 * RegionHeap::PageWords);
     uint32_t F = Heap.create(2, RegionKind::Pair, /*FiniteWords=*/4);
-    Heap.release(R);
     Heap.release(F);
+    Heap.release(R);
   }
   // Neither the oversized nor the finite block entered the pool.
   EXPECT_EQ(Pool.freePages(), 0u);

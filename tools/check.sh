@@ -18,7 +18,9 @@
 #      cache tiers and process restarts, the CaptureQuery wire kind,
 #      and the disk-format version gate), and
 #   3. a -DRML_SANITIZE=undefined build in build-ubsan/ running the
-#      full suite, halting on the first undefined-behaviour report.
+#      full suite, halting on the first undefined-behaviour report. This
+#      preset undefines NDEBUG, so it is the leg where the asserts in
+#      src (region-stack order, handle generations, ...) run.
 #
 # Usage: tools/check.sh            # from anywhere inside the repo
 #
