@@ -59,11 +59,14 @@ std::string rml::printTyExpr(const TyExpr *T, const Interner &Names) {
   case TyExpr::Kind::Var:
     return Names.text(T->VarName);
   case TyExpr::Kind::Arrow:
-    return "(" + printTyExpr(T->A, Names) + " -> " + printTyExpr(T->B, Names) +
-           ")";
-  case TyExpr::Kind::Pair:
-    return "(" + printTyExpr(T->A, Names) + " * " + printTyExpr(T->B, Names) +
-           ")";
+  case TyExpr::Kind::Pair: {
+    std::string Out = "(";
+    Out += printTyExpr(T->A, Names);
+    Out += T->K == TyExpr::Kind::Arrow ? " -> " : " * ";
+    Out += printTyExpr(T->B, Names);
+    Out += ')';
+    return Out;
+  }
   case TyExpr::Kind::List:
     return printTyExpr(T->A, Names) + " list";
   case TyExpr::Kind::Ref:

@@ -33,7 +33,7 @@ struct FnInfo {
   const RExpr *Body = nullptr;
   Symbol Param;
   Symbol SelfName;
-  std::vector<Symbol> Captures;
+  std::span<const Symbol> Captures; // the node's free variables
   std::vector<uint32_t> FreeRegions;
   std::vector<uint32_t> RuntimeFormals;
 };
@@ -53,6 +53,7 @@ public:
   std::set<uint32_t> RegionIds{0};
 
   void run(const RProgram &P) {
+    Free = &P.FreeVars;
     for (const auto &[Name, Sig] : P.ExnSigs)
       if (!ExnIds.count(Name))
         ExnIds.emplace(Name, NextExnId++);
@@ -81,7 +82,7 @@ private:
       F.Node = E;
       F.Body = E->A;
       F.Param = E->Param;
-      F.Captures = freeVars(E);
+      F.Captures = Free->of(E);
       FnIndex.emplace(E, static_cast<uint32_t>(Fns.size()));
       Fns.push_back(std::move(F));
       walk(E->A);
@@ -93,7 +94,7 @@ private:
       F.Body = E->A;
       F.Param = E->Param;
       F.SelfName = E->Name;
-      F.Captures = freeVars(E);
+      F.Captures = Free->of(E);
       for (RegionVar R : E->Sigma.QRegions)
         if (!Drops.isDropped(E, R))
           F.RuntimeFormals.push_back(R.Id);
@@ -190,6 +191,7 @@ private:
   }
 
   const DropInfo &Drops;
+  const FreeVarTable *Free = nullptr;
   std::vector<std::pair<Symbol, const RExpr *>> FunScope;
 };
 
@@ -285,18 +287,26 @@ private:
   }
 
   uint32_t stringId(std::string_view S) {
-    auto It = StringIndex.find(std::string(S));
+    auto It = StringIndex.find(S);
     if (It != StringIndex.end())
       return It->second;
     uint32_t Id = static_cast<uint32_t>(U.StringEnds.size());
     U.Blob.append(S);
     U.StringEnds.push_back(static_cast<uint32_t>(U.Blob.size()));
-    StringIndex.emplace(std::string(S), Id);
+    StringIndex.emplace(S, Id);
     return Id;
   }
 
+  /// A name's string id, looked up once per symbol.
   uint32_t nameId(Symbol S) {
-    return S.isValid() ? stringId(Names.text(S)) : NoIndex;
+    if (!S.isValid())
+      return NoIndex;
+    if (S.Id >= NameIds.size())
+      NameIds.resize(S.Id + 1, NoIndex);
+    uint32_t &Id = NameIds[S.Id];
+    if (Id == NoIndex)
+      Id = stringId(Names.text(S));
+    return Id;
   }
 
   uint32_t exnIdOf(Symbol Name) const {
@@ -638,7 +648,16 @@ private:
   std::unordered_map<NodeKey, uint32_t, NodeKeyHash> NodeIndex;
   std::unordered_map<const Mu *, uint32_t> MuIndex;
   std::unordered_map<const Tau *, uint32_t> TauIndex;
-  std::unordered_map<std::string, uint32_t> StringIndex;
+  /// Hashes views and strings alike, so a lookup allocates nothing.
+  struct StringHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view S) const {
+      return std::hash<std::string_view>()(S);
+    }
+  };
+  std::unordered_map<std::string, uint32_t, StringHash, std::equal_to<>>
+      StringIndex;
+  std::vector<uint32_t> NameIds; // by Symbol::Id; NoIndex until looked up
 };
 
 } // namespace

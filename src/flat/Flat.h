@@ -55,7 +55,7 @@
 /// **Frames (lexical addressing).** Every variable and region occurrence
 /// is resolved to a frame slot at flatten time, so the evaluator indexes
 /// instead of searching by name. A function's variable frame is its
-/// captures (in freeVars order), then self for a `fun`, then the
+/// captures (in FreeVars order), then self for a `fun`, then the
 /// parameter, then the let / case / handle binders in nesting order; the
 /// root frame starts empty. A function's region frame is its free
 /// regions, then its runtime formals, then its letregion binders. A
@@ -168,7 +168,7 @@ struct FlatFn {
   uint32_t Body = NoIndex;  ///< body node
   uint32_t Param = NoIndex; ///< parameter name id
   uint32_t Self = NoIndex;  ///< self name id (FunBind), else NoIndex
-  /// Captured variable name ids, in freeVars order (span into Aux).
+  /// Captured variable name ids, in FreeVars order (span into Aux).
   uint32_t CapturesBegin = 0, CapturesCount = 0;
   /// Free static region ids to pack into closures (span into Aux;
   /// ascending).
@@ -342,7 +342,8 @@ public:
 /// unit header. \p Caps is the capture-tracking table for \p P, in the
 /// same closure pre-order this pass discovers functions in, and must be
 /// present exactly when Opts.Captures; it is embedded as the Caps/Aux
-/// sections so the report survives serialisation.
+/// sections so the report survives serialisation. P.FreeVars must cover
+/// P.Root: it gives each closure its capture list.
 FlatUnit flattenProgram(const RProgram &P, const Mu *RootMu,
                         const MultiplicityInfo &Mult,
                         const RegionKindInfo &Kinds, const DropInfo &Drops,

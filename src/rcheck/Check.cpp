@@ -115,9 +115,9 @@ namespace {
 
 class RChecker {
 public:
-  RChecker(RTypeArena &Arena, const Interner &Names, DiagnosticEngine &Diags,
-           GcSafety Safety)
-      : Arena(Arena), Names(Names), Diags(Diags), Safety(Safety) {}
+  RChecker(const FreeVarTable &Free, RTypeArena &Arena, const Interner &Names,
+           DiagnosticEngine &Diags, GcSafety Safety)
+      : Free(Free), Arena(Arena), Names(Names), Diags(Diags), Safety(Safety) {}
 
   std::vector<std::pair<Symbol, Pi>> Gamma;
   std::vector<std::pair<Symbol, const Mu *>> ExnSigs;
@@ -178,6 +178,7 @@ private:
     return nullptr;
   }
 
+  const FreeVarTable &Free;
   RTypeArena &Arena;
   const Interner &Names;
   DiagnosticEngine &Diags;
@@ -247,7 +248,7 @@ std::vector<std::pair<Symbol, Pi>>
 RChecker::freeBindings(const RExpr *E,
                        const std::vector<Symbol> &Exclude) const {
   std::vector<std::pair<Symbol, Pi>> Out;
-  for (Symbol S : freeVars(E)) {
+  for (Symbol S : Free.of(E)) {
     if (std::find(Exclude.begin(), Exclude.end(), S) != Exclude.end())
       continue;
     if (const Pi *P = lookup(S))
@@ -259,11 +260,11 @@ RChecker::freeBindings(const RExpr *E,
 Effect RChecker::contextFrev(const TyVarCtx &Omega, const RExpr *Scope,
                              const Mu *M) const {
   Effect Out = Omega.frev();
-  for (Symbol S : freeVars(Scope))
+  for (Symbol S : Free.of(Scope))
     if (const Pi *P = lookup(S))
-      Out = Out.unionWith(frevOf(*P));
+      Out.insertAll(frevOf(*P));
   if (M)
-    Out = Out.unionWith(frevOf(M));
+    Out.insertAll(frevOf(M));
   return Out;
 }
 
@@ -365,10 +366,7 @@ std::optional<Pi> RChecker::checkValue(const RExpr *V) {
       Diags.error(V->Loc, "fun value quantifies its own region");
       return std::nullopt;
     }
-    std::vector<Symbol> Free = freeVars(V->A);
-    bool Recursive = std::find(Free.begin(), Free.end(), V->Name) !=
-                         Free.end() &&
-                     V->Name != V->Param;
+    bool Recursive = Free.isFree(V->A, V->Name) && V->Name != V->Param;
     if (Recursive && !Bound.disjointFrom(S.Delta.frev())) {
       Diags.error(V->Loc,
                   "[TvRec]: quantified region/effect variables intersect "
@@ -487,10 +485,7 @@ std::optional<CheckResult> RChecker::checkFun(const TyVarCtx &Omega,
       return fail(E, "fun binding re-quantifies type variable " +
                          printTyVar(Alpha));
 
-  std::vector<Symbol> Free = freeVars(E->A);
-  bool Recursive =
-      std::find(Free.begin(), Free.end(), E->Name) != Free.end() &&
-      E->Name != E->Param;
+  bool Recursive = Free.isFree(E->A, E->Name) && E->Name != E->Param;
   if (Recursive && !Bound.disjointFrom(S.Delta.frev()))
     return fail(E, "[TeFun-rec]: quantified region/effect variables "
                    "intersect frev(Delta)");
@@ -1051,15 +1046,13 @@ std::optional<CheckResult> RChecker::check(const TyVarCtx &Omega,
   return fail(E, "unhandled region expression kind");
 }
 
-} // namespace
-
 std::optional<CheckResult>
-rml::checkRExpr(const RExpr *E, const TyVarCtx &Omega,
-                const std::vector<std::pair<Symbol, Pi>> &Gamma,
-                const std::vector<std::pair<Symbol, const Mu *>> &ExnSigs,
-                RTypeArena &Arena, const Interner &Names,
-                DiagnosticEngine &Diags, GcSafety Safety) {
-  RChecker C(Arena, Names, Diags, Safety);
+checkWith(const FreeVarTable &Free, const RExpr *E, const TyVarCtx &Omega,
+          const std::vector<std::pair<Symbol, Pi>> &Gamma,
+          const std::vector<std::pair<Symbol, const Mu *>> &ExnSigs,
+          RTypeArena &Arena, const Interner &Names, DiagnosticEngine &Diags,
+          GcSafety Safety) {
+  RChecker C(Free, Arena, Names, Diags, Safety);
   C.Gamma = Gamma;
   C.ExnSigs = ExnSigs;
   std::optional<CheckResult> R = C.check(Omega, E);
@@ -1068,10 +1061,24 @@ rml::checkRExpr(const RExpr *E, const TyVarCtx &Omega,
   return R;
 }
 
+} // namespace
+
+std::optional<CheckResult>
+rml::checkRExpr(const RExpr *E, const TyVarCtx &Omega,
+                const std::vector<std::pair<Symbol, Pi>> &Gamma,
+                const std::vector<std::pair<Symbol, const Mu *>> &ExnSigs,
+                RTypeArena &Arena, const Interner &Names,
+                DiagnosticEngine &Diags, GcSafety Safety) {
+  FreeVarTable Free;
+  Free.fill(E);
+  return checkWith(Free, E, Omega, Gamma, ExnSigs, Arena, Names, Diags,
+                   Safety);
+}
+
 std::optional<CheckResult>
 rml::checkRProgram(const RProgram &P, RTypeArena &Arena,
                    const Interner &Names, DiagnosticEngine &Diags,
                    GcSafety Safety) {
-  return checkRExpr(P.Root, TyVarCtx(), {}, P.ExnSigs, Arena, Names, Diags,
-                    Safety);
+  return checkWith(P.FreeVars, P.Root, TyVarCtx(), {}, P.ExnSigs, Arena,
+                   Names, Diags, Safety);
 }

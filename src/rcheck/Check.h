@@ -69,7 +69,8 @@ bool gcSafe(const TyVarCtx &Omega,
             const std::vector<std::pair<Symbol, Pi>> &FreeBindings,
             const RExpr *E, const Pi &P, std::string *Why = nullptr);
 
-/// Checks a whole region-annotated program. Returns the root's type and
+/// Checks a whole region-annotated program, reading free variables from
+/// P.FreeVars (which must cover P.Root). Returns the root's type and
 /// effect, or std::nullopt after reporting through \p Diags.
 std::optional<CheckResult>
 checkRProgram(const RProgram &P, RTypeArena &Arena, const Interner &Names,

@@ -14,6 +14,26 @@ Effect Effect::unionWith(const Effect &Other) const {
   return E;
 }
 
+void Effect::insertAll(const Effect &Other) {
+  if (Other.Items.empty())
+    return;
+  if (Items.empty()) {
+    Items = Other.Items;
+    return;
+  }
+  // Merge from the back into the grown vector, then drop the duplicates
+  // the merge left side by side.
+  size_t I = Items.size(), J = Other.Items.size();
+  Items.resize(I + J);
+  for (size_t K = Items.size(); J > 0;) {
+    if (I > 0 && Other.Items[J - 1] < Items[I - 1])
+      Items[--K] = Items[--I];
+    else
+      Items[--K] = Other.Items[--J];
+  }
+  Items.erase(std::unique(Items.begin(), Items.end()), Items.end());
+}
+
 Effect Effect::minus(const Effect &Other) const {
   std::vector<AtomicEffect> Out;
   std::set_difference(Items.begin(), Items.end(), Other.Items.begin(),
@@ -53,7 +73,9 @@ std::string rml::printRegionVar(RegionVar R) {
     return "r?";
   if (R.isGlobal())
     return "rG";
-  return "r" + std::to_string(R.Id);
+  std::string Out = "r";
+  Out += std::to_string(R.Id);
+  return Out;
 }
 
 std::string rml::printEffectVar(EffectVar E) {
@@ -61,7 +83,9 @@ std::string rml::printEffectVar(EffectVar E) {
     return "e?";
   if (E == EffectVar::global())
     return "eG";
-  return "e" + std::to_string(E.Id);
+  std::string Out = "e";
+  Out += std::to_string(E.Id);
+  return Out;
 }
 
 std::string rml::printAtomic(AtomicEffect A) {

@@ -124,6 +124,10 @@ public:
       Items.insert(It, A);
   }
 
+  /// In-place union: this becomes this union \p Other, with no
+  /// temporary set.
+  void insertAll(const Effect &Other);
+
   /// Set union / difference / intersection (pure).
   Effect unionWith(const Effect &Other) const;
   Effect minus(const Effect &Other) const;

@@ -7,82 +7,103 @@
 
 using namespace rml;
 
-namespace {
-
-void collectFree(const RExpr *E, std::vector<Symbol> &Bound,
-                 std::vector<Symbol> &Out) {
-  if (!E)
+void FreeVarTable::fill(const RExpr *E) {
+  if (!E || has(E))
     return;
-  auto IsBound = [&](Symbol S) {
-    return std::find(Bound.begin(), Bound.end(), S) != Bound.end();
+  fill(E->A);
+  fill(E->B);
+  fill(E->C);
+  for (const RExpr *Item : E->Items)
+    fill(Item);
+  compute(E);
+}
+
+void FreeVarTable::compute(const RExpr *E) {
+  if (++Epoch == 0) { // wrapped: forget every mark
+    std::fill(Seen.begin(), Seen.end(), 0);
+    Epoch = 1;
+  }
+  uint32_t Begin = static_cast<uint32_t>(Syms.size());
+  Entry First; // the first child that contributed, if any
+  auto Take = [&](Symbol S) {
+    if (S.Id >= Seen.size())
+      Seen.resize(S.Id + 1, 0);
+    if (Seen[S.Id] == Epoch)
+      return;
+    Seen[S.Id] = Epoch;
+    Syms.push_back(S);
   };
-  auto Add = [&](Symbol S) {
-    if (!IsBound(S) && std::find(Out.begin(), Out.end(), S) == Out.end())
-      Out.push_back(S);
+  // Child C's list without the binders \p B1 and \p B2 (invalid symbols
+  // bind nothing).
+  auto TakeChild = [&](const RExpr *C, Symbol B1 = Symbol(),
+                       Symbol B2 = Symbol()) {
+    if (!C)
+      return;
+    Entry X = *find(C);
+    if (First.Size == 0)
+      First = X;
+    // Indices, not pointers: Take may reallocate Syms.
+    for (uint32_t I = X.Begin, End = X.Begin + X.Size; I < End; ++I) {
+      Symbol S = Syms[I];
+      if ((B1.isValid() && S == B1) || (B2.isValid() && S == B2))
+        continue;
+      Take(S);
+    }
   };
 
   switch (E->K) {
   case RExpr::Kind::Var:
-    Add(E->Name);
-    return;
+    Take(E->Name);
+    break;
   case RExpr::Kind::Lam:
-  case RExpr::Kind::ClosVal: {
-    Bound.push_back(E->Param);
-    collectFree(E->A, Bound, Out);
-    Bound.pop_back();
-    return;
-  }
+  case RExpr::Kind::ClosVal:
+    TakeChild(E->A, E->Param);
+    break;
   case RExpr::Kind::FunBind:
-  case RExpr::Kind::FunVal: {
-    Bound.push_back(E->Name);
-    Bound.push_back(E->Param);
-    collectFree(E->A, Bound, Out);
-    Bound.pop_back();
-    Bound.pop_back();
-    return;
-  }
-  case RExpr::Kind::Let: {
-    collectFree(E->A, Bound, Out);
-    Bound.push_back(E->Name);
-    collectFree(E->B, Bound, Out);
-    Bound.pop_back();
-    return;
-  }
-  case RExpr::Kind::ListCase: {
-    collectFree(E->A, Bound, Out);
-    collectFree(E->B, Bound, Out);
-    Bound.push_back(E->HeadName);
-    Bound.push_back(E->TailName);
-    collectFree(E->C, Bound, Out);
-    Bound.pop_back();
-    Bound.pop_back();
-    return;
-  }
-  case RExpr::Kind::Handle: {
-    collectFree(E->A, Bound, Out);
-    if (E->BindName.isValid())
-      Bound.push_back(E->BindName);
-    collectFree(E->B, Bound, Out);
-    if (E->BindName.isValid())
-      Bound.pop_back();
-    return;
-  }
+  case RExpr::Kind::FunVal:
+    TakeChild(E->A, E->Name, E->Param);
+    break;
+  case RExpr::Kind::Let:
+    TakeChild(E->A);
+    TakeChild(E->B, E->Name);
+    break;
+  case RExpr::Kind::ListCase:
+    TakeChild(E->A);
+    TakeChild(E->B);
+    TakeChild(E->C, E->HeadName, E->TailName);
+    break;
+  case RExpr::Kind::Handle:
+    TakeChild(E->A);
+    TakeChild(E->B, E->BindName);
+    break;
   default:
-    collectFree(E->A, Bound, Out);
-    collectFree(E->B, Bound, Out);
-    collectFree(E->C, Bound, Out);
+    TakeChild(E->A);
+    TakeChild(E->B);
+    TakeChild(E->C);
     for (const RExpr *Item : E->Items)
-      collectFree(Item, Bound, Out);
-    return;
+      TakeChild(Item);
+    break;
   }
-}
 
-} // namespace
-
-std::vector<Symbol> rml::freeVars(const RExpr *E) {
-  std::vector<Symbol> Bound, Out;
-  collectFree(E, Bound, Out);
-  return Out;
+  Entry Mine{E, Begin, static_cast<uint32_t>(Syms.size() - Begin)};
+  if (Mine.Size == 0) {
+    Mine.Begin = 0;
+  } else if (First.Size == Mine.Size &&
+             std::equal(Syms.begin() + Begin, Syms.end(),
+                        Syms.begin() + First.Begin)) {
+    Mine.Begin = First.Begin;
+    Syms.resize(Begin);
+  }
+  if (E->Id >= FirstId) {
+    size_t I = E->Id - FirstId;
+    if (I >= Dense.size())
+      Dense.resize(I + 1);
+    if (!Dense[I].Node) {
+      Dense[I] = Mine;
+      return;
+    }
+  }
+  Spill.emplace(E, Mine);
 }
 
 //===----------------------------------------------------------------------===//
@@ -126,8 +147,10 @@ private:
         Out += ',';
       First = false;
       Out += printTyVar(A);
-      if (Nu)
-        Out += ":" + printArrowEff(*Nu);
+      if (Nu) {
+        Out += ':';
+        Out += printArrowEff(*Nu);
+      }
     }
     Out += ']';
   }

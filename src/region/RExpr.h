@@ -46,9 +46,13 @@
 #include "region/Subst.h"
 #include "support/Interner.h"
 
+#include <algorithm>
+#include <cassert>
 #include <deque>
 #include <memory>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace rml {
@@ -143,6 +147,10 @@ struct RExpr {
   // Prim.
   Expr::PrimKind PrimK = Expr::PrimKind::Print;
 
+  /// The node's index in its arena (RExprArena::make and clone number
+  /// nodes densely from 0), which keys per-node tables.
+  uint32_t Id = 0;
+
   explicit RExpr(Kind K) : K(K) {}
 
   bool isValue() const {
@@ -168,11 +176,15 @@ struct RExpr {
 class RExprArena {
 public:
   RExpr *make(RExpr::Kind K) {
-    return &Nodes.emplace_back(K);
+    RExpr &N = Nodes.emplace_back(K);
+    N.Id = static_cast<uint32_t>(Nodes.size() - 1);
+    return &N;
   }
   /// Shallow copy (children shared) — the workhorse of substitution.
   RExpr *clone(const RExpr *E) {
-    return &Nodes.emplace_back(*E);
+    RExpr &N = Nodes.emplace_back(*E);
+    N.Id = static_cast<uint32_t>(Nodes.size() - 1);
+    return &N;
   }
   size_t size() const { return Nodes.size(); }
 
@@ -182,16 +194,83 @@ private:
   std::deque<RExpr> Nodes;
 };
 
+/// The free program variables (fpv, Section 3.6) of every node of a
+/// term, each computed once. fill() works bottom-up: a node's list is
+/// its children's lists in child order, minus the binders the node puts
+/// in scope over each child, keeping each variable's first occurrence.
+/// That is the order a pre-order walk from the node meets them in,
+/// which the flattener's capture slots depend on.
+///
+/// All lists live in one symbol array; a node's entry is a span of it,
+/// and a node whose list equals its first contributing child's shares
+/// that child's span. Entries sit in a vector indexed by RExpr::Id from
+/// \p FirstId on, so the nodes one arena made from that id on (a
+/// compile's) are found by one index. Each entry names its node; a node
+/// whose slot another node holds (a term mixing two arenas, as the
+/// small-step machine's do) or whose id lies below \p FirstId spills
+/// into a map. A node must not change its children or binders once it
+/// has an entry; inference only ever wraps finished nodes or clones
+/// them.
+class FreeVarTable {
+public:
+  explicit FreeVarTable(uint32_t FirstId = 0) : FirstId(FirstId) {}
+
+  /// Gives \p E, and every node beneath it that has none, its entry.
+  void fill(const RExpr *E);
+
+  /// The free variables of \p E, in first-occurrence pre-order. \p E
+  /// must have an entry; the span lasts until the next fill().
+  std::span<const Symbol> of(const RExpr *E) const {
+    const Entry *X = find(E);
+    assert(X && "node has no free-variable entry");
+    return {Syms.data() + X->Begin, X->Size};
+  }
+
+  bool has(const RExpr *E) const { return find(E) != nullptr; }
+
+  /// Whether \p S is free in \p E (which must have an entry).
+  bool isFree(const RExpr *E, Symbol S) const {
+    std::span<const Symbol> Free = of(E);
+    return std::find(Free.begin(), Free.end(), S) != Free.end();
+  }
+
+private:
+  struct Entry {
+    const RExpr *Node = nullptr;
+    uint32_t Begin = 0, Size = 0; // into Syms
+  };
+
+  const Entry *find(const RExpr *E) const {
+    if (E->Id >= FirstId && E->Id - FirstId < Dense.size() &&
+        Dense[E->Id - FirstId].Node == E)
+      return &Dense[E->Id - FirstId];
+    if (Spill.empty())
+      return nullptr;
+    auto It = Spill.find(E);
+    return It == Spill.end() ? nullptr : &It->second;
+  }
+  void compute(const RExpr *E);
+
+  uint32_t FirstId;
+  std::vector<Entry> Dense; // by RExpr::Id - FirstId
+  std::unordered_map<const RExpr *, Entry> Spill; // see the class comment
+  std::vector<Symbol> Syms;   // every list, back to back
+  std::vector<uint32_t> Seen; // by Symbol::Id: the Epoch it was last taken
+  uint32_t Epoch = 0;
+};
+
 /// A whole region-annotated program together with the bookkeeping the
 /// later phases need.
 struct RProgram {
   const RExpr *Root = nullptr;
   /// Exception constructor argument types (null = nullary), keyed by name.
   std::vector<std::pair<Symbol, const Mu *>> ExnSigs;
+  /// Free variables of every node under Root. Region inference fills it
+  /// while it builds the program; the checker and the flattener only
+  /// look entries up. A program built by hand fills it over Root before
+  /// it is checked or flattened.
+  FreeVarTable FreeVars;
 };
-
-/// Free program variables of \p E (fpv of Section 3.6).
-std::vector<Symbol> freeVars(const RExpr *E);
 
 /// Renders \p E in paper-like notation, e.g.
 /// "letregion r1 in (\x.() at r1) end". Multi-line with indentation.

@@ -267,8 +267,14 @@ std::string rml::printMu(const Mu *M) {
     return "bool";
   case Mu::Kind::Unit:
     return "unit";
-  case Mu::Kind::Boxed:
-    return "(" + printTau(M->T) + ", " + printRegionVar(M->Rho) + ")";
+  case Mu::Kind::Boxed: {
+    std::string Out = "(";
+    Out += printTau(M->T);
+    Out += ", ";
+    Out += printRegionVar(M->Rho);
+    Out += ')';
+    return Out;
+  }
   }
   return "?";
 }
@@ -280,10 +286,13 @@ std::string rml::printTyVarCtx(const TyVarCtx &Ctx) {
     if (!First)
       Out += " ";
     First = false;
-    Out += "(" + printTyVar(Alpha);
-    if (Nu)
-      Out += ":" + printArrowEff(*Nu);
-    Out += ")";
+    Out += '(';
+    Out += printTyVar(Alpha);
+    if (Nu) {
+      Out += ':';
+      Out += printArrowEff(*Nu);
+    }
+    Out += ')';
   }
   return Out;
 }
@@ -292,12 +301,18 @@ std::string rml::printScheme(const RScheme &S) {
   if (!S.hasQuantifiers())
     return printTau(S.Body);
   std::string Out = "forall";
-  for (RegionVar R : S.QRegions)
-    Out += " " + printRegionVar(R);
-  for (EffectVar E : S.QEffects)
-    Out += " " + printEffectVar(E);
-  if (!S.Delta.empty())
-    Out += " " + printTyVarCtx(S.Delta);
+  for (RegionVar R : S.QRegions) {
+    Out += ' ';
+    Out += printRegionVar(R);
+  }
+  for (EffectVar E : S.QEffects) {
+    Out += ' ';
+    Out += printEffectVar(E);
+  }
+  if (!S.Delta.empty()) {
+    Out += ' ';
+    Out += printTyVarCtx(S.Delta);
+  }
   Out += ". ";
   Out += printTau(S.Body);
   return Out;
@@ -306,5 +321,10 @@ std::string rml::printScheme(const RScheme &S) {
 std::string rml::printPi(const Pi &P) {
   if (P.isMu())
     return printMu(P.AsMu);
-  return "(" + printScheme(P.Sigma) + ", " + printRegionVar(P.Place) + ")";
+  std::string Out = "(";
+  Out += printScheme(P.Sigma);
+  Out += ", ";
+  Out += printRegionVar(P.Place);
+  Out += ')';
+  return Out;
 }

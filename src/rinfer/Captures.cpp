@@ -12,9 +12,9 @@ using namespace rml;
 namespace {
 
 /// Collects the free region variables of the types of \p E's free
-/// program-variable occurrences. The binder scoping mirrors freeVars
-/// (region/RExpr.cpp) exactly: a symbol bound between the closure and
-/// the occurrence is not captured.
+/// program-variable occurrences. The binder scoping mirrors
+/// FreeVarTable (region/RExpr.cpp) exactly: a symbol bound between the
+/// closure and the occurrence is not captured.
 void collectValueRegions(const RExpr *E, std::vector<Symbol> &Bound,
                          std::set<uint32_t> &Out) {
   if (!E)

@@ -2,10 +2,12 @@
 
 #include "rinfer/Infer.h"
 
+#include "rinfer/InferStore.h"
+
 #include <algorithm>
 #include <cassert>
 #include <map>
-#include <set>
+#include <span>
 #include <unordered_map>
 
 using namespace rml;
@@ -23,184 +25,6 @@ const char *rml::strategyName(Strategy S) {
 }
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// The inference store: union-find over region and effect variables with
-// levels ("cones") and grow-only effect-variable denotations.
-//===----------------------------------------------------------------------===//
-
-class InferStore {
-public:
-  InferStore() {
-    // Region 0 / effect variable 0 are the global region and its effect
-    // variable; the global region is permanently allocated.
-    RegionVar G = freshRegion(0);
-    EffectVar GE = freshEffect(0);
-    assert(G.isGlobal() && GE == EffectVar::global());
-    Regions[0].Bound = true;
-    include(GE, AtomicEffect(G));
-  }
-
-  RegionVar freshRegion(uint32_t Level) {
-    Regions.push_back({static_cast<uint32_t>(Regions.size()), Level, false,
-                       false});
-    return RegionVar(static_cast<uint32_t>(Regions.size() - 1));
-  }
-
-  EffectVar freshEffect(uint32_t Level) {
-    Effects.push_back({static_cast<uint32_t>(Effects.size()), Level, false,
-                       {}});
-    return EffectVar(static_cast<uint32_t>(Effects.size() - 1));
-  }
-
-  RegionVar find(RegionVar R) {
-    uint32_t I = R.Id;
-    while (Regions[I].Parent != I) {
-      Regions[I].Parent = Regions[Regions[I].Parent].Parent;
-      I = Regions[I].Parent;
-    }
-    return RegionVar(I);
-  }
-
-  EffectVar find(EffectVar E) {
-    uint32_t I = E.Id;
-    while (Effects[I].Parent != I) {
-      Effects[I].Parent = Effects[Effects[I].Parent].Parent;
-      I = Effects[I].Parent;
-    }
-    return EffectVar(I);
-  }
-
-  AtomicEffect canon(AtomicEffect A) {
-    return A.isRegion() ? AtomicEffect(find(A.region()))
-                        : AtomicEffect(find(A.effect()));
-  }
-
-  void unifyRegion(RegionVar A, RegionVar B) {
-    A = find(A);
-    B = find(B);
-    if (A == B)
-      return;
-    // The global region wins; otherwise keep the lower id (older).
-    if (B.isGlobal() || (!A.isGlobal() && B.Id < A.Id))
-      std::swap(A, B);
-    Regions[B.Id].Parent = A.Id;
-    Regions[A.Id].Level = std::min(Regions[A.Id].Level, Regions[B.Id].Level);
-    Regions[A.Id].Bound = Regions[A.Id].Bound || Regions[B.Id].Bound;
-  }
-
-  void unifyEffect(EffectVar A, EffectVar B) {
-    A = find(A);
-    B = find(B);
-    if (A == B)
-      return;
-    if (B == EffectVar::global() || (A != EffectVar::global() && B.Id < A.Id))
-      std::swap(A, B);
-    Effects[B.Id].Parent = A.Id;
-    Effects[A.Id].Level = std::min(Effects[A.Id].Level, Effects[B.Id].Level);
-    for (AtomicEffect X : Effects[B.Id].Deno)
-      Effects[A.Id].Deno.insert(canon(X));
-    Effects[B.Id].Deno.clear();
-    lowerTransitively(AtomicEffect(A), Effects[A.Id].Level);
-  }
-
-  void include(EffectVar E, AtomicEffect A) {
-    E = find(E);
-    A = canon(A);
-    // A recursive function's latent effect legitimately contains its own
-    // handle (the body applies the function); closure() handles cycles.
-    Effects[E.Id].Deno.insert(A);
-    // Cone invariant: everything reachable from an effect variable lives
-    // at most at the variable's level — a region reachable from an
-    // escaping effect variable escapes too and must not be quantified.
-    lowerTransitively(A, Effects[E.Id].Level);
-  }
-
-  /// Lowers \p A (and, through denotations, everything it reaches) to at
-  /// most level \p L.
-  void lowerTransitively(AtomicEffect A, uint32_t L) {
-    std::vector<AtomicEffect> Work{canon(A)};
-    while (!Work.empty()) {
-      AtomicEffect Cur = Work.back();
-      Work.pop_back();
-      if (Cur.isRegion()) {
-        RInfo &R = Regions[find(Cur.region()).Id];
-        if (R.Level > L)
-          R.Level = L;
-        continue;
-      }
-      EInfo &E = Effects[find(Cur.effect()).Id];
-      if (E.Level <= L)
-        continue; // members already at most E.Level <= L
-      E.Level = L;
-      for (AtomicEffect M : E.Deno)
-        Work.push_back(canon(M));
-    }
-  }
-
-  void includeAll(EffectVar E, const Effect &Phi) {
-    for (AtomicEffect A : Phi)
-      include(E, A);
-  }
-
-  /// The transitively closed set of canonical atomic effects reachable
-  /// from \p Seeds through effect-variable denotations.
-  Effect closure(const Effect &Seeds) {
-    std::set<AtomicEffect> Out;
-    std::vector<EffectVar> Work;
-    auto Add = [&](AtomicEffect A) {
-      A = canon(A);
-      if (Out.insert(A).second && A.isEffect())
-        Work.push_back(A.effect());
-    };
-    for (AtomicEffect A : Seeds)
-      Add(A);
-    while (!Work.empty()) {
-      EffectVar E = find(Work.back());
-      Work.pop_back();
-      // Copy: Add may not invalidate, but Deno canonicalisation below can.
-      std::vector<AtomicEffect> Members(Effects[E.Id].Deno.begin(),
-                                        Effects[E.Id].Deno.end());
-      for (AtomicEffect A : Members)
-        Add(A);
-    }
-    return Effect(std::vector<AtomicEffect>(Out.begin(), Out.end()));
-  }
-
-  uint32_t regionLevel(RegionVar R) { return Regions[find(R).Id].Level; }
-  uint32_t effectLevel(EffectVar E) { return Effects[find(E).Id].Level; }
-
-  bool isBound(RegionVar R) { return Regions[find(R).Id].Bound; }
-  void markBound(RegionVar R) { Regions[find(R).Id].Bound = true; }
-
-  bool isQuantified(RegionVar R) { return Regions[find(R).Id].Quantified; }
-  bool isQuantified(EffectVar E) { return Effects[find(E).Id].Quantified; }
-  void markQuantified(RegionVar R) { Regions[find(R).Id].Quantified = true; }
-  void markQuantified(EffectVar E) { Effects[find(E).Id].Quantified = true; }
-
-  const std::set<AtomicEffect> &denotation(EffectVar E) {
-    return Effects[find(E).Id].Deno;
-  }
-
-  size_t numRegions() const { return Regions.size(); }
-  size_t numEffects() const { return Effects.size(); }
-
-private:
-  struct RInfo {
-    uint32_t Parent;
-    uint32_t Level;
-    bool Bound;      // discharged by letregion (or the global region)
-    bool Quantified; // frozen in some scheme
-  };
-  struct EInfo {
-    uint32_t Parent;
-    uint32_t Level;
-    bool Quantified;
-    std::set<AtomicEffect> Deno;
-  };
-  std::vector<RInfo> Regions;
-  std::vector<EInfo> Effects;
-};
 
 //===----------------------------------------------------------------------===//
 // Environment bindings
@@ -247,9 +71,10 @@ class Inferencer {
 public:
   Inferencer(const TypeInfo &Types, const SpuriousInfo &Spurious,
              const InferOptions &Opts, RTypeArena &RArena, RExprArena &EArena,
-             Interner &Names, DiagnosticEngine &Diags)
+             Interner &Names, DiagnosticEngine &Diags, InferStore &Store)
       : Types(Types), Spurious(Spurious), Opts(Opts), RArena(RArena),
-        EArena(EArena), Names(Names), Diags(Diags) {}
+        EArena(EArena), Names(Names), Diags(Diags), Store(Store),
+        Free(static_cast<uint32_t>(EArena.size())) {}
 
   std::optional<InferResult> run(const Program &P);
 
@@ -378,14 +203,17 @@ private:
   // variables contributing their arrow-effect handles
   //===--------------------------------------------------------------------===//
 
-  /// Seed atomics of a type. When \p TyVarEffects is set, a type
-  /// variable contributes its ambient arrow-effect handle (the paper's
-  /// frev(Omega(alpha)) reading, used for *requirements*: captured types,
-  /// escape tests). When clear, type variables contribute nothing — the
-  /// *syntactic* frev of the typing rules, used for what a function type
-  /// already provides: an occurrence under a type variable is erased by
-  /// type substitution, which is exactly the paper's counterexample.
-  void frevSeedsMu(const Mu *M, Effect &Out, bool TyVarEffects = true) {
+  /// Appends the seed atomics of a type to \p Out (a list that may
+  /// repeat atoms; Effect's constructor and closure() dedupe). When
+  /// \p TyVarEffects is set, a type variable contributes its ambient
+  /// arrow-effect handle (the paper's frev(Omega(alpha)) reading, used
+  /// for *requirements*: captured types, escape tests). When clear, type
+  /// variables contribute nothing — the *syntactic* frev of the typing
+  /// rules, used for what a function type already provides: an
+  /// occurrence under a type variable is erased by type substitution,
+  /// which is exactly the paper's counterexample.
+  void frevSeedsMu(const Mu *M, std::vector<AtomicEffect> &Out,
+                   bool TyVarEffects = true) {
     switch (M->K) {
     case Mu::Kind::Int:
     case Mu::Kind::Bool:
@@ -396,19 +224,20 @@ private:
         return;
       auto It = TyCtx.find(M->Alpha);
       if (It != TyCtx.end() && It->second)
-        Out.insert(AtomicEffect(Store.find(*It->second)));
+        Out.push_back(AtomicEffect(Store.find(*It->second)));
       return;
     }
     case Mu::Kind::Boxed:
-      Out.insert(AtomicEffect(Store.find(M->Rho)));
+      Out.push_back(AtomicEffect(Store.find(M->Rho)));
       frevSeedsTau(M->T, Out, TyVarEffects);
       return;
     }
   }
 
-  void frevSeedsTau(const Tau *T, Effect &Out, bool TyVarEffects = true) {
+  void frevSeedsTau(const Tau *T, std::vector<AtomicEffect> &Out,
+                    bool TyVarEffects = true) {
     if (T->K == Tau::Kind::Arrow)
-      Out.insert(AtomicEffect(Store.find(T->Nu.Handle)));
+      Out.push_back(AtomicEffect(Store.find(T->Nu.Handle)));
     if (T->A)
       frevSeedsMu(T->A, Out, TyVarEffects);
     if (T->B)
@@ -416,34 +245,32 @@ private:
   }
 
   Effect frevSeeds(const Mu *M) {
-    Effect Out;
+    std::vector<AtomicEffect> Out;
     frevSeedsMu(M, Out);
-    return Out;
+    return Effect(std::move(Out));
   }
 
   Effect frevSeedsSyntactic(const Mu *M) {
-    Effect Out;
+    std::vector<AtomicEffect> Out;
     frevSeedsMu(M, Out, /*TyVarEffects=*/false);
-    return Out;
+    return Effect(std::move(Out));
   }
 
   Effect frevSeeds(const InfBinding &B) {
-    Effect Out;
-    if (B.Mono) {
-      frevSeedsMu(B.Mono, Out);
-      return Out;
-    }
+    if (B.Mono)
+      return frevSeeds(B.Mono);
     if (B.ConstValue)
-      return Out; // constants reference no regions until re-synthesised
+      return Effect(); // constants reference no regions until re-synthesised
     // frev of a scheme: body + place + spurious arrow effects, minus the
     // quantified variables. Close *before* subtracting: a quantified
     // handle's denotation may mention free atoms (e.g. the region of a
     // global closure the body applies) that stay free in the scheme.
+    std::vector<AtomicEffect> Out;
     frevSeedsTau(B.Poly.Body, Out);
-    Out.insert(AtomicEffect(Store.find(B.Poly.Place)));
+    Out.push_back(AtomicEffect(Store.find(B.Poly.Place)));
     for (const DeltaEntry &D : B.Poly.Delta)
       if (D.Eps)
-        Out.insert(AtomicEffect(Store.find(*D.Eps)));
+        Out.push_back(AtomicEffect(Store.find(*D.Eps)));
     Effect Closed = Store.closure(Out);
     Effect Bound;
     for (RegionVar R : B.Poly.QRegions)
@@ -470,17 +297,23 @@ private:
     return nullptr;
   }
 
-  /// Seed atomics of the environment restricted to \p Syms.
-  Effect envSeeds(const std::vector<Symbol> &Syms) {
-    Effect Out;
-    for (Symbol S : Syms)
-      if (const InfBinding *B = lookup(S))
-        Out = Out.unionWith(frevSeeds(*B));
+  /// Appends the seed atomics of the environment restricted to \p Syms.
+  void envSeeds(std::span<const Symbol> Syms, std::vector<AtomicEffect> &Out) {
+    for (Symbol S : Syms) {
+      const InfBinding *B = lookup(S);
+      if (!B)
+        continue;
+      if (B->Mono) {
+        frevSeedsMu(B->Mono, Out);
+      } else {
+        Effect Scheme = frevSeeds(*B);
+        Out.insert(Out.end(), Scheme.begin(), Scheme.end());
+      }
+    }
     // The ambient type-variable context's arrow effects are also pinned.
     for (const auto &[Alpha, Eps] : TyCtx)
       if (Eps)
-        Out.insert(AtomicEffect(Store.find(*Eps)));
-    return Out;
+        Out.push_back(AtomicEffect(Store.find(*Eps)));
   }
 
   //===--------------------------------------------------------------------===//
@@ -493,9 +326,11 @@ private:
   /// type-variable context. Updates R.Phi.
   void insertLetregions(Res &R) {
     Effect PhiC = Store.closure(R.Phi);
-    Effect Escaping =
-        Store.closure(envSeeds(freeVars(R.Term)).unionWith(
-            frevSeeds(R.M)));
+    Free.fill(R.Term);
+    std::vector<AtomicEffect> Seeds;
+    envSeeds(Free.of(R.Term), Seeds);
+    frevSeedsMu(R.M, Seeds);
+    Effect Escaping = Store.closure(Seeds);
     std::vector<RegionVar> MaskR;
     std::vector<EffectVar> MaskE;
     for (AtomicEffect A : PhiC) {
@@ -564,7 +399,8 @@ private:
     if (Opts.Strat == Strategy::R)
       return;
     Effect Have = Store.closure(frevSeedsSyntactic(FnMu));
-    for (Symbol S : freeVars(Body)) {
+    Free.fill(Body);
+    for (Symbol S : Free.of(Body)) {
       if (std::find(Params.begin(), Params.end(), S) != Params.end())
         continue;
       const InfBinding *B = lookup(S);
@@ -575,7 +411,7 @@ private:
         if (Have.contains(A))
           continue;
         Store.include(Eps, A);
-        Have = Have.unionWith(Store.closure(Effect{A}));
+        Have.insertAll(Store.closure(std::span(&A, 1)));
       }
     }
   }
@@ -735,12 +571,23 @@ private:
     return Effect(std::move(Out));
   }
 
+  /// The materialised arrow effect of \p E, computed once per
+  /// canonical effect variable: materialisation runs after inference
+  /// has finished, and only calls find on the store, so neither a
+  /// variable's representative nor its closure can change under the
+  /// memo.
   ArrowEff outArrow(EffectVar E) {
     E = Store.find(E);
-    Effect Seeds;
-    for (AtomicEffect A : Store.denotation(E))
-      Seeds.insert(A);
-    return ArrowEff(E, outEffect(Seeds));
+    if (OutArrows.size() <= E.Id)
+      OutArrows.resize(Store.numEffects());
+    std::optional<Effect> &Phi = OutArrows[E.Id];
+    if (!Phi) {
+      Effect Seeds;
+      for (AtomicEffect A : Store.denotation(E))
+        Seeds.insert(A);
+      Phi = outEffect(Seeds);
+    }
+    return ArrowEff(E, *Phi);
   }
 
   const Mu *outMu(const Mu *M) {
@@ -845,7 +692,7 @@ private:
   Interner &Names;
   DiagnosticEngine &Diags;
 
-  InferStore Store;
+  InferStore &Store;
   uint32_t Level = 0;
   bool Failed = false;
 
@@ -867,6 +714,12 @@ private:
   };
   std::unordered_map<const RExpr *, PolyScheme> PendingSchemes;
   std::unordered_map<const RExpr *, PendingInst> PendingInsts;
+
+  /// Free variables of every term built so far (moved into the
+  /// program at the end).
+  FreeVarTable Free;
+  /// outArrow's memo, by canonical effect id.
+  std::vector<std::optional<Effect>> OutArrows;
 
   unsigned NumLetRegions = 0;
   unsigned NumSchemes = 0;
@@ -1091,6 +944,16 @@ rml::inferRegions(const Program &P, const TypeInfo &Types,
                   const SpuriousInfo &Spurious, const InferOptions &Opts,
                   RTypeArena &RArena, RExprArena &EArena, Interner &Names,
                   DiagnosticEngine &Diags) {
-  Inferencer I(Types, Spurious, Opts, RArena, EArena, Names, Diags);
+  InferStore Store;
+  return inferRegions(P, Types, Spurious, Opts, RArena, EArena, Names, Diags,
+                      Store);
+}
+
+std::optional<InferResult>
+rml::inferRegions(const Program &P, const TypeInfo &Types,
+                  const SpuriousInfo &Spurious, const InferOptions &Opts,
+                  RTypeArena &RArena, RExprArena &EArena, Interner &Names,
+                  DiagnosticEngine &Diags, InferStore &Store) {
+  Inferencer I(Types, Spurious, Opts, RArena, EArena, Names, Diags, Store);
   return I.run(P);
 }

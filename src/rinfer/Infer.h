@@ -75,6 +75,8 @@ struct InferResult {
   unsigned NumSchemes = 0;
 };
 
+class InferStore;
+
 /// Runs region inference over a typed program. \p RArena owns the emitted
 /// region types and \p EArena the emitted terms; both must outlive the
 /// result. Returns std::nullopt after reporting through \p Diags.
@@ -83,6 +85,14 @@ inferRegions(const Program &P, const TypeInfo &Types,
              const SpuriousInfo &Spurious, const InferOptions &Opts,
              RTypeArena &RArena, RExprArena &EArena, Interner &Names,
              DiagnosticEngine &Diags);
+
+/// The same run over a fresh \p Store the caller owns, which keeps the
+/// variables' final union-find state and denotations afterwards.
+std::optional<InferResult>
+inferRegions(const Program &P, const TypeInfo &Types,
+             const SpuriousInfo &Spurious, const InferOptions &Opts,
+             RTypeArena &RArena, RExprArena &EArena, Interner &Names,
+             DiagnosticEngine &Diags, InferStore &Store);
 
 } // namespace rml
 

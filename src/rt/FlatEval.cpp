@@ -326,8 +326,12 @@ private:
     }
     const flat::FlatTau &T = U.Taus[M.T];
     switch (static_cast<Tau::Kind>(T.Kind)) {
-    case Tau::Kind::String:
-      return "\"" + std::string(readString(V)) + "\"";
+    case Tau::Kind::String: {
+      std::string Out = "\"";
+      Out.append(readString(V));
+      Out += '"';
+      return Out;
+    }
     case Tau::Kind::Arrow:
       return "fn";
     case Tau::Kind::Exn:
@@ -341,8 +345,12 @@ private:
     case Tau::Kind::Pair: {
       Value A, B;
       readCell(V, A, B);
-      return "(" + render(A, T.A, Depth + 1) + ", " +
-             render(B, T.B, Depth + 1) + ")";
+      std::string Out = "(";
+      Out.append(render(A, T.A, Depth + 1));
+      Out.append(", ");
+      Out.append(render(B, T.B, Depth + 1));
+      Out += ')';
+      return Out;
     }
     case Tau::Kind::List: {
       std::string Out = "[";

@@ -21,6 +21,7 @@
 
 #include "core/Pipeline.h"
 
+#include "free_vars_oracle.h"
 #include "runtime_golden.h"
 #include "scope_oracle.h"
 #include "smallstep/Step.h"
@@ -329,8 +330,14 @@ TEST_P(FuzzTest, PipelineAgreementAndGcSafety) {
     auto Unit = C.compile(Src);
     ASSERT_NE(Unit, nullptr)
         << "rg compile failed:\n" << C.diagnostics().str() << "\n" << Src;
-    // Every slot names the binder the old name scan finds.
+    // Every slot names the binder the old name scan finds, every node's
+    // free variables are the naive walk's, and the store's closure is
+    // the std::set search's.
     EXPECT_EQ(scope_oracle::checkScopes(*Unit->Flat).Problem, "") << Src;
+    EXPECT_EQ(free_vars_oracle::checkTable(Unit->program(), C.names()), "")
+        << Src;
+    EXPECT_EQ(free_vars_oracle::checkClosuresOf(Src, InferOptions()), "")
+        << Src;
     rt::EvalOptions Aggressive;
     Aggressive.GcThresholdWords = 256; // collect constantly
     Aggressive.RetainReleasedPages = true;
@@ -397,6 +404,8 @@ TEST_P(FuzzTest, PipelineAgreementAndGcSafety) {
       ASSERT_NE(U2, nullptr) << Cfg.Name << " compile failed:\n"
                              << C2.diagnostics().str() << "\n" << Src;
       EXPECT_EQ(scope_oracle::checkScopes(*U2->Flat).Problem, "")
+          << Cfg.Name << "\n" << Src;
+      EXPECT_EQ(free_vars_oracle::checkTable(U2->program(), C2.names()), "")
           << Cfg.Name << "\n" << Src;
       rt::EvalOptions E = Aggressive;
       E.Generational = Cfg.Generational;

@@ -81,6 +81,7 @@ protected:
     Diags.clear();
     RProgram P;
     P.Root = E;
+    P.FreeVars.fill(E);
     return checkRProgram(P, A, Names, Diags, S);
   }
 
@@ -233,6 +234,7 @@ TEST_F(RCheckTest, ConsMustShareSpineRegion) {
   Diags.clear();
   RProgram P;
   P.Root = Cons;
+  P.FreeVars.fill(Cons);
   EXPECT_TRUE(checkRProgram(P, A, Names, Diags).has_value()) << Diags.str();
 }
 

@@ -1,6 +1,6 @@
 //===- tests/rexpr_test.cpp - Region-term utilities tests -----------------===//
 //
-// freeVars (fpv of Section 3.6), value classification, and the two
+// FreeVarTable (fpv of Section 3.6), value classification, and the two
 // substitutions the dynamic semantics is built from: program-variable
 // substitution e[v/x] and annotation substitution e[S] (capture-free at
 // binders).
@@ -53,8 +53,9 @@ protected:
   }
 
   bool hasFree(const RExpr *E, const char *S) {
-    std::vector<Symbol> Free = freeVars(E);
-    return std::find(Free.begin(), Free.end(), sym(S)) != Free.end();
+    FreeVarTable Free;
+    Free.fill(E);
+    return Free.isFree(E, sym(S));
   }
 
   RExprArena Arena;
