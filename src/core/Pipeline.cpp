@@ -8,8 +8,6 @@
 
 using namespace rml;
 
-PhaseGovernor::~PhaseGovernor() = default;
-
 //===----------------------------------------------------------------------===//
 // The phase registry and the individual steps
 //===----------------------------------------------------------------------===//
@@ -142,7 +140,6 @@ std::unique_ptr<CompiledUnit> Compiler::compile(std::string_view Source,
                                                 const CompileOptions &Opts) {
   Diags.clear();
   LastProfiles.clear();
-  CutOff = false;
   auto Unit = std::make_unique<CompiledUnit>();
   Unit->Options = Opts;
 
@@ -172,13 +169,6 @@ std::unique_ptr<CompiledUnit> Compiler::compile(std::string_view Source,
     }
     if (!Ok)
       return nullptr; // early exit: later phases never run or record
-    // The budget check sits at the phase boundary: an over-budget phase
-    // finishes (its profile records the real cost) and then the
-    // governor cuts the pipeline off before the next phase starts.
-    if (Governor && !Governor->keepGoing(LastProfiles.back())) {
-      CutOff = true;
-      return nullptr;
-    }
   }
 
   Unit->Profiles = LastProfiles;

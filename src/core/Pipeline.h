@@ -54,28 +54,6 @@
 
 namespace rml {
 
-/// Budget policy consulted at phase boundaries. compile() asks after
-/// every finished phase whether to keep going; a refusal stops the
-/// pipeline exactly like a failed phase (nullptr, profiles up to and
-/// including the over-budget phase), but without emitting diagnostics —
-/// the governor owns the messaging. The service's Executor implements
-/// this over ServiceConfig::PhaseBudgets.
-///
-/// The hook doubles as the pipeline's per-phase *observation stream*:
-/// compile() guarantees keepGoing() fires exactly once per finished
-/// phase, in execution order, Skipped phases included (with zero cost),
-/// stopping only at a phase that fails outright (its profile never
-/// reaches the hook — the early diagnostic exit predates the governor).
-class PhaseGovernor {
-public:
-  virtual ~PhaseGovernor();
-  /// \returns false to cut compilation off at this phase boundary.
-  /// \p P is the finished phase's profile (name, wall nanos, Skipped).
-  /// Called exactly once per finished phase (see the class comment), so
-  /// implementations may also treat it as an observation point.
-  virtual bool keepGoing(const PhaseProfile &P) = 0;
-};
-
 /// Everything produced by a successful compilation.
 struct CompiledUnit {
   CompileOptions Options;
@@ -184,18 +162,6 @@ public:
   /// (ChromeTraceSink and NoopTraceSink are).
   void setTraceSink(TraceSink *S) { Sink = S; }
 
-  /// Installs (or, with null, removes) the budget policy compile()
-  /// consults at every phase boundary. Non-owning: the governor must
-  /// outlive every compile() it governs, so owners with stack-local
-  /// governors (the service Executor) must clear it before the Compiler
-  /// escapes their scope. wasCutOff() distinguishes a governor stop
-  /// from an ordinary failed compile.
-  void setPhaseGovernor(PhaseGovernor *G) { Governor = G; }
-
-  /// True iff the most recent compile() on this instance was stopped by
-  /// the phase governor rather than finishing or failing on its own.
-  bool wasCutOff() const { return CutOff; }
-
   /// Executes a compiled unit on the region runtime: runFlat() over
   /// Unit.Flat, with this Compiler's trace sink.
   rt::RunResult run(const CompiledUnit &Unit,
@@ -293,8 +259,6 @@ private:
   RExprArena RExprs;
   std::vector<PhaseProfile> LastProfiles;
   TraceSink *Sink = nullptr;
-  PhaseGovernor *Governor = nullptr;
-  bool CutOff = false;
 };
 
 } // namespace rml

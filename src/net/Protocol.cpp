@@ -141,8 +141,6 @@ const char *rml::net::wireStatusName(WireStatus S) {
     return "compile_error";
   case WireStatus::RunFailed:
     return "run_failed";
-  case WireStatus::Budget:
-    return "budget";
   case WireStatus::Shutdown:
     return "shutdown";
   case WireStatus::InternalError:
@@ -200,7 +198,8 @@ Decode rml::net::decodeRequest(std::string_view Buf, size_t &Consumed,
       return bad(Err, "tenant label exceeds the bound of " +
                           std::to_string(MaxTenantBytes));
   }
-  if ((Flags & ReqFlagDeadline) && !R.u64(Req.DeadlineNanos))
+  uint64_t Deadline = 0; // read for framing, then dropped
+  if ((Flags & ReqFlagDeadline) && !R.u64(Deadline))
     return bad(Err, "truncated deadline");
   if (!R.done())
     return bad(Err, "trailing bytes in frame body");
@@ -226,7 +225,8 @@ Decode rml::net::decodeResponse(std::string_view Buf, size_t &Consumed,
   uint16_t NSchemes = 0;
   if (!R.u64(Resp.Id) || !R.u8(Status) || !R.u8(Flags))
     return bad(Err, "truncated response header");
-  if (Status > static_cast<uint8_t>(WireStatus::ProtocolError))
+  // Status 3 is reserved (see WireStatus): no server sends it.
+  if (Status == 3 || Status > static_cast<uint8_t>(WireStatus::ProtocolError))
     return bad(Err, "unknown response status " + std::to_string(Status));
   if (Flags & ~0x7u)
     return bad(Err, "unknown response flag bits");
@@ -264,8 +264,7 @@ void rml::net::encodeRequest(const WireRequest &R, std::string &Out) {
   putU32(Out, 0); // body length, patched below
   putU64(Out, R.Id);
   Out.push_back(static_cast<char>(R.Kind));
-  uint8_t Flags = (R.Tenant.empty() ? 0 : ReqFlagTenant) |
-                  (R.DeadlineNanos ? ReqFlagDeadline : 0);
+  uint8_t Flags = R.Tenant.empty() ? 0 : ReqFlagTenant;
   Out.push_back(static_cast<char>(Flags));
   std::string_view Src = clamp(R.Source, MaxBodyBytes / 2);
   putU32(Out, static_cast<uint32_t>(Src.size()));
@@ -282,8 +281,6 @@ void rml::net::encodeRequest(const WireRequest &R, std::string &Out) {
     putU16(Out, static_cast<uint16_t>(Tenant.size()));
     Out += Tenant;
   }
-  if (Flags & ReqFlagDeadline)
-    putU64(Out, R.DeadlineNanos);
   patchU32(Out, Mark, static_cast<uint32_t>(Out.size() - Mark - 4));
 }
 

@@ -2,8 +2,6 @@
 
 #include "net/Server.h"
 
-#include "service/Hash.h"
-
 #include <arpa/inet.h>
 #include <cerrno>
 #include <csignal>
@@ -20,15 +18,14 @@ using namespace rml;
 using namespace rml::net;
 
 // WireStatus values 0..5 are defined to mirror RequestOutcome so the
-// wire mapping is a cast; keep the two enums in lockstep.
+// wire mapping is a cast; keep the two enums in lockstep (3 is
+// reserved in both).
 static_assert(static_cast<uint8_t>(WireStatus::Ok) ==
               static_cast<uint8_t>(service::RequestOutcome::Ok));
 static_assert(static_cast<uint8_t>(WireStatus::CompileError) ==
               static_cast<uint8_t>(service::RequestOutcome::CompileError));
 static_assert(static_cast<uint8_t>(WireStatus::RunFailed) ==
               static_cast<uint8_t>(service::RequestOutcome::RunFailed));
-static_assert(static_cast<uint8_t>(WireStatus::Budget) ==
-              static_cast<uint8_t>(service::RequestOutcome::Budget));
 static_assert(static_cast<uint8_t>(WireStatus::Shutdown) ==
               static_cast<uint8_t>(service::RequestOutcome::Shutdown));
 static_assert(static_cast<uint8_t>(WireStatus::InternalError) ==
@@ -241,7 +238,6 @@ void Server::onRequest(Connection &C, WireRequest Req) {
   service::Request SR;
   SR.Source = std::move(Req.Source);
   SR.Tenant = Req.Tenant.empty() ? Cfg.TenantDefault : std::move(Req.Tenant);
-  SR.DeadlineNanos = Req.DeadlineNanos;
   if (Cfg.StepLimit)
     SR.EvalOpts.StepLimit = Cfg.StepLimit;
   if (Cfg.GcThresholdWords)
@@ -264,60 +260,6 @@ void Server::onRequest(Connection &C, WireRequest Req) {
   }
   uint64_t Id = Req.Id;
   uint64_t ConnId = C.id();
-  // Deadline-aware admission: when the model has *learned* this exact
-  // source's cost (never on the per-byte prior — cold sources always
-  // get their chance) and it already exceeds the client's deadline,
-  // queueing the request only burns a worker on an answer the client
-  // will have given up on. Shed it now, with the prediction.
-  if (SR.DeadlineNanos) {
-    service::CostModel::Prediction P = Svc.costModel().predict(
-        service::hashCompileInputs(SR.Source, SR.Opts), SR.Source.size());
-    if (!P.FromPrior && P.Nanos > SR.DeadlineNanos) {
-      {
-        std::lock_guard<std::mutex> Lock(StatsMutex);
-        ++Stats.DeadlineSheds;
-        ++Stats.Responses;
-      }
-      WireResponse W;
-      W.Id = Id;
-      W.Status = WireStatus::Shed;
-      W.Error = "predicted cost " + std::to_string(P.Nanos) +
-                "ns exceeds deadline " + std::to_string(SR.DeadlineNanos) +
-                "ns: request shed at admission";
-      std::string Out;
-      encodeResponse(W, Out);
-      C.sendBytes(std::move(Out));
-      return;
-    }
-    // Predicted-wait shedding: the request may be cheap enough on its
-    // own, but behind the currently queued work it would still miss its
-    // deadline. The expected wait is the summed predicted cost of the
-    // queued jobs spread over the workers — zero on an idle service, so
-    // this path never sheds without actual queueing. Unlike the
-    // own-cost check above, prior-based estimates participate: the wait
-    // term is an aggregate over many requests, where the prior's noise
-    // averages out instead of condemning one source.
-    uint64_t Workers = Svc.config().effectiveWorkers();
-    uint64_t Wait = Svc.queuedCostNanos() / (Workers ? Workers : 1);
-    if (Wait && Wait + P.Nanos > SR.DeadlineNanos) {
-      {
-        std::lock_guard<std::mutex> Lock(StatsMutex);
-        ++Stats.WaitSheds;
-        ++Stats.Responses;
-      }
-      WireResponse W;
-      W.Id = Id;
-      W.Status = WireStatus::Shed;
-      W.Error = "predicted wait " + std::to_string(Wait) + "ns + cost " +
-                std::to_string(P.Nanos) + "ns exceeds deadline " +
-                std::to_string(SR.DeadlineNanos) +
-                "ns: request shed at admission";
-      std::string Out;
-      encodeResponse(W, Out);
-      C.sendBytes(std::move(Out));
-      return;
-    }
-  }
   // Count optimistically so a completion that races the admission
   // return can never observe InService == 0.
   ++InService;

@@ -19,7 +19,9 @@
 /// Admission is non-blocking by construction: the loop thread must
 /// never park on a full queue, so a full queue turns into an immediate
 /// Shed response — open-loop clients (bench_traffic) measure that shed
-/// rate as the overload signal. Completions arrive on worker threads;
+/// rate as the overload signal. That capacity check is the only one:
+/// NetStats::DeadlineSheds and WaitSheds are constant 0, kept only for
+/// bench_report. Completions arrive on worker threads;
 /// the callback encodes the response, pushes it onto a mutex-protected
 /// queue and rings an eventfd, and the loop drains the queue and writes
 /// the frames out — workers never touch a socket.
@@ -68,16 +70,9 @@ struct NetStats {
   /// Requests answered Shed because Service::trySubmit found the queue
   /// full — the wire-level view of ServiceStats::Rejected.
   uint64_t Sheds = 0;
-  /// Requests answered Shed at admission because the cost model's
-  /// *learned* estimate for that exact source already exceeded the
-  /// client's deadline (never on prior-based estimates — cold sources
-  /// always get their chance). Disjoint from Sheds (queue-full).
+  /// Always 0: the server sheds only at a full queue. Both fields stay
+  /// because bench_report sums them into its net.sheds metric.
   uint64_t DeadlineSheds = 0;
-  /// Requests answered Shed at admission because the *expected wait*
-  /// (summed predicted cost of the queued jobs divided by the worker
-  /// count) plus the request's own predicted cost already exceeded its
-  /// deadline. Fires only when work is actually queued, so an idle
-  /// service never wait-sheds. Disjoint from Sheds and DeadlineSheds.
   uint64_t WaitSheds = 0;
   /// Malformed frames / HTTP noise; each costs its connection.
   uint64_t ProtocolErrors = 0;

@@ -8,11 +8,9 @@ using namespace rml;
 using namespace rml::service;
 
 CachedCompileRef rml::service::compileShared(std::string_view Source,
-                                             const CompileOptions &Opts,
-                                             PhaseGovernor *Governor) {
+                                             const CompileOptions &Opts) {
   auto CC = std::make_shared<CachedCompile>();
   Compiler C;
-  C.setPhaseGovernor(Governor);
   std::unique_ptr<CompiledUnit> Unit = C.compile(Source, Opts);
   CC->Ok = Unit != nullptr;
   CC->Diagnostics = C.diagnostics().str();

@@ -103,13 +103,11 @@ struct CachedCompile {
 using CachedCompileRef = std::shared_ptr<const CachedCompile>;
 
 /// Compiles \p Source on a fresh Compiler, renders its products into a
-/// shareable CachedCompile and destroys the Compiler. An optional
-/// \p Governor is consulted at every phase boundary (per-phase
-/// budgets). A governed cut-off looks like a failed compile here (not
-/// Ok, partial Profiles); callers that care ask their governor.
+/// shareable CachedCompile and destroys the Compiler. A failed compile
+/// yields an entry that is not Ok, with its diagnostics and the
+/// profiles of the phases that ran.
 CachedCompileRef compileShared(std::string_view Source,
-                               const CompileOptions &Opts,
-                               PhaseGovernor *Governor = nullptr);
+                               const CompileOptions &Opts);
 
 /// Thread-safe LRU cache: one mutex-guarded recency list (front = most
 /// recently used) and its key map. Capacity 0 disables caching (every

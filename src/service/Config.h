@@ -12,7 +12,6 @@
 #include "support/Trace.h"
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -23,19 +22,16 @@ namespace rml::service {
 enum class SchedPolicy : uint8_t {
   /// Strict submission order — the default, and the fairness baseline.
   Fifo,
-  /// Earliest-deadline-first on Request::DeadlineNanos; deadline-free
-  /// requests sort after every dated one.
-  Deadline,
   /// Per-tenant deficit round-robin on Request::Tenant: every active
   /// tenant gets an equal share of predicted cost, so one tenant's
   /// expensive sources cannot starve another's cheap ones.
   FairShare,
 };
 
-/// \returns "fifo" / "deadline" / "fair".
+/// \returns "fifo" / "fair".
 const char *schedPolicyName(SchedPolicy P);
 
-/// Parses "fifo"/"deadline"/"fair"; false on anything else
+/// Parses "fifo"/"fair"; false on anything else
 /// (\p Out untouched).
 bool parseSchedPolicy(std::string_view Name, SchedPolicy &Out);
 
@@ -79,18 +75,8 @@ struct ServiceConfig {
   /// thread-safe (workers record concurrently) and outlive the service.
   /// Null disables forwarding.
   TraceSink *Trace = nullptr;
-  /// Dequeue policy (rmlc/rmld --sched fifo|deadline|fair).
+  /// Dequeue policy (rmlc/rmld --sched fifo|fair).
   SchedPolicy Policy = SchedPolicy::Fifo;
-  /// Per-phase wall-clock budgets in nanoseconds, keyed by static phase
-  /// name ("parse", "infer", ...; see Compiler::staticPhaseNames()). A
-  /// phase absent from the map is unlimited; a present value (zero
-  /// included) cuts the request off at the next phase boundary once the
-  /// phase's wall time exceeds it — RequestOutcome::Budget, counted in
-  /// ServiceStats::BudgetExceeded. Budgets bind cold compiles only: a
-  /// cache hit reuses finished work and pays no phase time, and the
-  /// runtime "run" phase is not budgeted (interrupting the interpreter
-  /// mid-flight is a different mechanism).
-  std::map<std::string, uint64_t> PhaseBudgets = {};
   /// DRR quantum for SchedPolicy::FairShare, in cost-key units
   /// (predicted nanos once the model has history): the credit each
   /// active tenant receives per round-robin round. Smaller is fairer

@@ -26,21 +26,20 @@ uint64_t executedNanos(const std::vector<PhaseProfile> &Profiles) {
 
 } // namespace
 
-CostModel::Prediction CostModel::predict(uint64_t Hash,
-                                         size_t SourceBytes) const {
+uint64_t CostModel::predict(uint64_t Hash, size_t SourceBytes) const {
   std::lock_guard<std::mutex> Lock(M);
   auto It = Entries.find(Hash);
   if (It != Entries.end()) {
     ++Hits;
-    return {toNanos(It->second.TotalNanos), /*FromPrior=*/false};
+    return toNanos(It->second.TotalNanos);
   }
   ++PriorUses;
   double Bytes = static_cast<double>(std::max<size_t>(SourceBytes, 1));
   if (PriorCount)
-    return {toNanos(PriorPerByte * Bytes), /*FromPrior=*/true};
+    return toNanos(PriorPerByte * Bytes);
   // Bootstrap: no observation yet, so the byte count itself is the
   // estimate — wrong units, right order (see the file comment).
-  return {toNanos(Bytes), /*FromPrior=*/true};
+  return toNanos(Bytes);
 }
 
 void CostModel::observe(uint64_t Hash, size_t SourceBytes,

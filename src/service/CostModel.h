@@ -6,25 +6,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The learned cost model behind scheduling and admission decisions.
-/// Every completed request feeds one observation — the summed wall time
-/// of its executed (non-Skipped) phases, keyed by the same FNV-1a
-/// content hash the compile cache uses — and two consumers read the
-/// accumulated state:
-///
-///   - the Scheduler's cost provider calls predict() so FairShare
-///     charges each tenant *predicted* processing nanos instead of raw
-///     source length;
-///   - net::Server admission calls predict() to shed work whose learned
-///     cost already exceeds the client's deadline.
+/// The learned cost model behind scheduling decisions. Every completed
+/// request feeds one observation — the summed wall time of its executed
+/// (non-Skipped) phases, keyed by the same FNV-1a content hash the
+/// compile cache uses — and the Scheduler's cost provider calls
+/// predict() so FairShare charges each tenant *predicted* processing
+/// nanos instead of raw source length.
 ///
 /// Never-seen sources fall back to a global *per-byte* prior (EWMA of
 /// cost/byte over cold compiles), so a cold prediction is PerByte x
 /// sourceBytes — proportional to length, so longer sources cost more
 /// before any key has history. Before the first observation the
 /// bootstrap prediction is the byte count itself: the units are wrong
-/// but the *order* is right, and Prediction::FromPrior tells admission
-/// never to shed on it.
+/// but the *order* is right, which is all a scheduling weight needs.
+/// The snapshot's Hits and PriorUses count the two kinds of answer.
 ///
 /// Thread-safe: one mutex guards all state. Observations are O(phases),
 /// predictions O(1), and both are negligible next to a parse.
@@ -50,18 +45,6 @@ public:
   /// a handful of passes, low enough to ride out one noisy run.
   static constexpr double Alpha = 0.4;
 
-  /// One answer from predict().
-  struct Prediction {
-    /// Predicted total processing nanoseconds (>= 1). When FromPrior is
-    /// set and the model has never observed anything, this is the raw
-    /// byte count instead — ordinally useful, dimensionally meaningless.
-    uint64_t Nanos = 1;
-    /// True when the estimate came from the per-byte prior (or the
-    /// bootstrap fallback) rather than a per-key entry. Admission must
-    /// not shed on prior-based predictions: they rank, they don't time.
-    bool FromPrior = true;
-  };
-
   /// Counters + gauges for /stats ("cost_model": {...}).
   struct Snapshot {
     uint64_t Entries = 0;   ///< distinct keys with history
@@ -70,18 +53,18 @@ public:
     double PriorPerByte = 0.0; ///< current cost-per-byte prior (nanos)
   };
 
-  /// Predicts the total processing cost of the source hashing to
-  /// \p Hash with \p SourceBytes bytes. Never fails: falls through
-  /// entry -> per-byte prior -> bootstrap (see file comment).
-  Prediction predict(uint64_t Hash, size_t SourceBytes) const;
+  /// Predicts the total processing nanoseconds (>= 1) of the source
+  /// hashing to \p Hash with \p SourceBytes bytes. Never fails: falls
+  /// through entry -> per-byte prior -> bootstrap (see file comment).
+  uint64_t predict(uint64_t Hash, size_t SourceBytes) const;
 
   /// Folds one completed request into the model: the entry for \p Hash
   /// absorbs the summed non-Skipped wall nanos of \p Profiles. Pass
   /// \p UpdatePrior only for cold (non-cache-hit) completions, so the
   /// per-byte prior keeps meaning "a full compile costs this much per
-  /// byte" and is not dragged down by cheap cache-hit runs. Callers
-  /// skip Budget/Shutdown/InternalError outcomes — a cut-off's partial
-  /// cost is not the source's cost.
+  /// byte" and is not dragged down by cheap cache-hit runs. The
+  /// Executor observes every request it completes; Shutdown and
+  /// InternalError responses never reach it.
   void observe(uint64_t Hash, size_t SourceBytes,
                const std::vector<PhaseProfile> &Profiles, bool UpdatePrior);
 

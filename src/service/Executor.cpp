@@ -15,8 +15,6 @@ const char *rml::service::requestOutcomeName(RequestOutcome O) {
     return "compile_error";
   case RequestOutcome::RunFailed:
     return "run_failed";
-  case RequestOutcome::Budget:
-    return "budget";
   case RequestOutcome::Shutdown:
     return "shutdown";
   case RequestOutcome::InternalError:
@@ -25,43 +23,10 @@ const char *rml::service::requestOutcomeName(RequestOutcome O) {
   return "ok";
 }
 
-namespace {
-
-/// ServiceConfig::PhaseBudgets as a PhaseGovernor: trips on the first
-/// executed phase whose wall time exceeds its (present) budget. Lives
-/// on the Executor's stack for exactly one compile, which compileShared
-/// runs on a Compiler that dies before it returns.
-class BudgetGovernor final : public PhaseGovernor {
-public:
-  explicit BudgetGovernor(const std::map<std::string, uint64_t> &Budgets)
-      : Budgets(Budgets) {}
-
-  bool keepGoing(const PhaseProfile &P) override {
-    auto It = Budgets.find(P.Name);
-    // Absent = unlimited; a present 0 budgets out any executed phase
-    // (real phases always take > 0 ns). Skipped phases cost nothing.
-    if (It == Budgets.end() || P.Skipped || P.WallNanos <= It->second)
-      return true;
-    TrippedPhase = P.Name;
-    return false;
-  }
-
-  const std::string &tripped() const { return TrippedPhase; }
-
-private:
-  const std::map<std::string, uint64_t> &Budgets;
-  std::string TrippedPhase; // empty until a budget trips
-};
-
-} // namespace
-
 Response Executor::process(const Request &Req, const CacheKey &Key) const {
   Response Resp = processImpl(Req, Key);
   // One observation per completion, under the carried key's hash.
-  // Budget cut-offs are excluded: a partial compile's cost is not the
-  // source's cost, and learning it would teach the model that expensive
-  // sources are cheap.
-  if (Model && Resp.Status != RequestOutcome::Budget)
+  if (Model)
     Model->observe(Key.Hash, Key.Source.size(), Resp.Profiles,
                    /*UpdatePrior=*/!Resp.CacheHit);
   return Resp;
@@ -90,23 +55,8 @@ Response Executor::processImpl(const Request &Req, const CacheKey &Key) const {
     // Two workers racing on the same key both compile; the results are
     // bit-identical (the pipeline is deterministic) and the cache keeps
     // whichever insert lands last.
-    BudgetGovernor Gov(Cfg.PhaseBudgets);
-    CC = compileShared(Key.Source, Key.Opts,
-                       Cfg.PhaseBudgets.empty() ? nullptr : &Gov);
+    CC = compileShared(Key.Source, Key.Opts);
     Resp.Profiles = CC->Profiles;
-    if (!Gov.tripped().empty()) {
-      // Over budget: report which phase blew it and keep the entry out
-      // of the cache — the cut-off produced no unit, and a cached
-      // failure would wrongly stick even under a looser budget.
-      Resp.Status = RequestOutcome::Budget;
-      Resp.Error = "phase '" + Gov.tripped() + "' exceeded its budget";
-      Resp.Diagnostics = "error: " + Resp.Error;
-      // The phases that did run may have produced real diagnostics
-      // (warnings, notes); the budget line must not erase them.
-      if (!CC->Diagnostics.empty())
-        Resp.Diagnostics += "\n" + CC->Diagnostics;
-      return Resp;
-    }
     Cache.insert(Key, CC);
   }
 

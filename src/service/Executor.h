@@ -1,4 +1,4 @@
-//===- service/Executor.h - Per-request execution with budgets --*- C++ -*-===//
+//===- service/Executor.h - Per-request execution ---------------*- C++ -*-===//
 //
 // Part of RegionML, a reproduction of "Garbage-Collection Safety for
 // Region-Based Type-Polymorphic Programs" (Elsman, PLDI 2023).
@@ -7,12 +7,12 @@
 ///
 /// \file
 /// The execution layer: everything that happens to one request after a
-/// worker picks it up — cache lookup, cold compile under the configured
-/// per-phase budgets, scheme rendering, and the region-runtime run
-/// through the shared page pool. Stateless apart from the references it
-/// is built over, so any number of workers share one Executor; the
-/// thread-pool mechanics stay in Service, the dequeue policy in
-/// Scheduler, and this file owns only *what running a request means*.
+/// worker picks it up — cache lookup, cold compile, scheme rendering,
+/// and the region-runtime run through the shared page pool. Stateless
+/// apart from the references it is built over, so any number of
+/// workers share one Executor; the thread-pool mechanics stay in
+/// Service, the dequeue policy in Scheduler, and this file owns only
+/// *what running a request means*.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +20,6 @@
 #define RML_SERVICE_EXECUTOR_H
 
 #include "service/Cache.h"
-#include "service/Config.h"
 #include "service/Request.h"
 
 #include "rt/PagePool.h"
@@ -29,26 +28,21 @@ namespace rml::service {
 
 class CostModel;
 
-/// Runs requests against a compile cache and a page pool under one
-/// ServiceConfig. process() is safe from any number of threads: the
-/// cache and pool are thread-safe, and each cold compile happens on a
-/// fresh Compiler governed by a stack-local budget governor.
+/// Runs requests against a compile cache and a page pool. process() is
+/// safe from any number of threads: the cache and pool are thread-safe,
+/// and each cold compile happens on a fresh Compiler.
 class Executor {
 public:
   /// All referents are non-owning and must outlive the Executor.
   /// \p Model (nullable) receives one observation per completion.
-  Executor(const ServiceConfig &Cfg, CompileCache &Cache, rt::PagePool *Pool,
-           CostModel *Model = nullptr)
-      : Cfg(Cfg), Cache(Cache), Pool(Pool), Model(Model) {}
+  Executor(CompileCache &Cache, rt::PagePool *Pool, CostModel *Model = nullptr)
+      : Cache(Cache), Pool(Pool), Model(Model) {}
 
   /// The whole lifecycle of one request under \p Key, Req's cache key
   /// as built at admission (the source is read from Key.Source; Req's
   /// own may already have been moved into it): cache lookup -> (on a
-  /// miss) budgeted cold compile + cache insert -> schemes -> optional
-  /// run. A compile cut off by ServiceConfig::PhaseBudgets returns
-  /// RequestOutcome::Budget with the partial phase profiles and is *not*
-  /// cached (a later, unbudgeted submission must be able to finish the
-  /// work).
+  /// miss) cold compile + cache insert -> schemes -> optional run.
+  /// Every completion, failed compiles included, feeds the cost model.
   Response process(const Request &Req, const CacheKey &Key) const;
 
 private:
@@ -56,7 +50,6 @@ private:
   /// cost model exactly once per completion.
   Response processImpl(const Request &Req, const CacheKey &Key) const;
 
-  const ServiceConfig &Cfg;
   CompileCache &Cache;
   rt::PagePool *Pool;
   /// Nullable; fed on completion.

@@ -41,38 +41,30 @@ struct Request {
   /// untagged traffic shares one aggregate slot instead of bypassing
   /// fairness.
   std::string Tenant;
-  /// Relative completion deadline in nanoseconds from admission; 0
-  /// means none. The Deadline policy orders on the absolute deadline
-  /// stamped at admission (ScheduledJob::DeadlineAt), and net::Server
-  /// admission sheds requests whose *learned* predicted cost already
-  /// exceeds this before they ever queue.
-  uint64_t DeadlineNanos = 0;
 };
 
 /// The service-level disposition of a request — orthogonal to the
 /// runtime's rt::RunOutcome (which only describes how an execution
 /// ended, and stays rt::RunOutcome::Ok for requests that never ran).
+/// The values are the wire status bytes net::Server sends (its
+/// static_asserts pin each one); 3 is reserved and never reused.
 enum class RequestOutcome : uint8_t {
   /// Compiled (and, if requested, ran) cleanly.
-  Ok,
+  Ok = 0,
   /// The static pipeline failed; Response::Diagnostics says why.
-  CompileError,
+  CompileError = 1,
   /// Compiled but the execution ended non-Ok (see Response::Outcome).
-  RunFailed,
-  /// Cut off at a phase boundary by a ServiceConfig::PhaseBudgets
-  /// budget; counted in ServiceStats::BudgetExceeded. Never cached, so
-  /// a later submission under a looser budget recompiles from scratch.
-  Budget,
+  RunFailed = 2,
   /// Rejected because the service was (or began) shutting down.
-  Shutdown,
-  /// An exception escaped request processing (a throwing trace sink or
-  /// governor, bad_alloc, ...). The worker survives, the response
-  /// carries e.what() in Error, and the event is counted in
+  Shutdown = 4,
+  /// An exception escaped request processing (a throwing trace sink,
+  /// bad_alloc, ...). The worker survives, the response carries
+  /// e.what() in Error, and the event is counted in
   /// ServiceStats::InternalErrors. Never cached.
-  InternalError,
+  InternalError = 5,
 };
 
-/// \returns the stable lower-case name ("ok", "budget", ...).
+/// \returns the stable lower-case name ("ok", "compile_error", ...).
 const char *requestOutcomeName(RequestOutcome O);
 
 /// Everything the service produced for one request.
@@ -104,9 +96,9 @@ struct Response {
   uint64_t Steps = 0;
   /// Per-phase profiles for this request: the static phases in registry
   /// order (on a cache hit they are present but Skipped with zero
-  /// nanos — the work was reused, not redone; on a Budget cut-off the
-  /// list stops at the over-budget phase) followed, when the program
-  /// ran, by a fresh runtime phase carrying the run's GcPauses.
+  /// nanos — the work was reused, not redone; a failed compile stops
+  /// the list at the failing phase) followed, when the program ran, by
+  /// a fresh runtime phase carrying the run's GcPauses.
   std::vector<PhaseProfile> Profiles;
 };
 

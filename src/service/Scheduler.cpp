@@ -17,8 +17,6 @@ const char *rml::service::schedPolicyName(SchedPolicy P) {
   switch (P) {
   case SchedPolicy::Fifo:
     return "fifo";
-  case SchedPolicy::Deadline:
-    return "deadline";
   case SchedPolicy::FairShare:
     return "fair";
   }
@@ -28,10 +26,6 @@ const char *rml::service::schedPolicyName(SchedPolicy P) {
 bool rml::service::parseSchedPolicy(std::string_view Name, SchedPolicy &Out) {
   if (Name == "fifo") {
     Out = SchedPolicy::Fifo;
-    return true;
-  }
-  if (Name == "deadline") {
-    Out = SchedPolicy::Deadline;
     return true;
   }
   if (Name == "fair") {
@@ -59,41 +53,6 @@ public:
 
 private:
   std::deque<ScheduledJob> Jobs;
-};
-
-/// Earliest-deadline-first: a min-heap on (DeadlineAt, earliest Seq).
-/// std::priority_queue cannot hand out its move-only top, so the heap
-/// lives in a plain vector driven by push_heap/pop_heap — pop_heap
-/// rotates the minimum to the back, where it can be moved from.
-/// Requests without a deadline carry ScheduledJob::NoDeadline and sort
-/// after every dated request, degrading to FIFO among themselves.
-class DeadlineScheduler final : public Scheduler {
-public:
-  void push(ScheduledJob J) override {
-    Jobs.push_back(std::move(J));
-    std::push_heap(Jobs.begin(), Jobs.end(), After);
-  }
-
-  ScheduledJob pop() override {
-    std::pop_heap(Jobs.begin(), Jobs.end(), After);
-    ScheduledJob J = std::move(Jobs.back());
-    Jobs.pop_back();
-    return J;
-  }
-
-  size_t size() const override { return Jobs.size(); }
-  const char *policyName() const override { return "deadline"; }
-
-private:
-  /// Heap "less-than" for a min-heap: the top is the *smallest*
-  /// DeadlineAt, so A orders below B when A's deadline is later.
-  static bool After(const ScheduledJob &A, const ScheduledJob &B) {
-    if (A.DeadlineAt != B.DeadlineAt)
-      return A.DeadlineAt > B.DeadlineAt;
-    return A.Seq > B.Seq;
-  }
-
-  std::vector<ScheduledJob> Jobs;
 };
 
 /// Per-tenant deficit round-robin: each tenant keeps a FIFO of its own
@@ -193,8 +152,6 @@ std::unique_ptr<Scheduler> rml::service::makeScheduler(SchedPolicy P,
   switch (P) {
   case SchedPolicy::Fifo:
     return std::make_unique<FifoScheduler>();
-  case SchedPolicy::Deadline:
-    return std::make_unique<DeadlineScheduler>();
   case SchedPolicy::FairShare:
     return std::make_unique<FairShareScheduler>(Quantum);
   }

@@ -17,11 +17,9 @@
 /// once at admission; the cost provider prices the job from it) and one
 /// completion callback.
 ///
-/// Three policies ship today: Fifo (submission order, the fairness
-/// baseline), Deadline (earliest-deadline-first on the
-/// admission-stamped absolute deadline), and FairShare (per-tenant
-/// deficit round-robin, so one tenant's expensive sources cannot starve
-/// another's cheap ones).
+/// Two policies ship today: Fifo (submission order, the fairness
+/// baseline) and FairShare (per-tenant deficit round-robin, so one
+/// tenant's expensive sources cannot starve another's cheap ones).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,8 +30,6 @@
 #include "service/Hash.h"
 #include "service/Request.h"
 
-#include "support/Trace.h"
-
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -43,10 +39,6 @@ namespace rml::service {
 /// One admitted request travelling through the service, with its one
 /// completion callback.
 struct ScheduledJob {
-  /// DeadlineAt for a request that set no deadline: sorts after every
-  /// real deadline, so deadline-free work never preempts dated work.
-  static constexpr uint64_t NoDeadline = UINT64_MAX;
-
   /// The request, minus its source: admission moves Req.Source into
   /// Key.Source, so a queued job holds the source once.
   Request Req;
@@ -64,14 +56,6 @@ struct ScheduledJob {
   /// (Service wires the CostModel here), the raw source length
   /// otherwise. FairShare charges it against the tenant's deficit.
   uint64_t CostKey = 0;
-  /// Admission sequence number: ties in DeadlineAt resolve to the
-  /// earliest submission, keeping every policy deterministic and
-  /// starvation-free within a batch.
-  uint64_t Seq = 0;
-  /// Absolute deadline in traceNowNanos() time, stamped at admission
-  /// from Request::DeadlineNanos (NoDeadline when the request set
-  /// none). Only the Deadline policy orders on it.
-  uint64_t DeadlineAt = NoDeadline;
 };
 
 /// The dequeue-policy interface. Externally synchronized (see the file
@@ -90,18 +74,10 @@ public:
   void setCostProvider(CostFn F) { Provider = std::move(F); }
 
   /// Admission: stamps CostKey (from the provider — consulted exactly
-  /// once, here and nowhere else) and the absolute DeadlineAt, then
-  /// hands the job to the policy. The caller stamps Seq first.
-  /// \returns the stamped CostKey, so the caller can account queued
-  /// predicted cost without consulting the provider a second time.
-  uint64_t admit(ScheduledJob J) {
+  /// once, here and nowhere else), then hands the job to the policy.
+  void admit(ScheduledJob J) {
     J.CostKey = Provider ? Provider(J.Key) : J.Key.Source.size();
-    J.DeadlineAt = J.Req.DeadlineNanos
-                       ? traceNowNanos() + J.Req.DeadlineNanos
-                       : ScheduledJob::NoDeadline;
-    uint64_t Cost = J.CostKey;
     push(std::move(J));
-    return Cost;
   }
 
   /// Enqueues a fully stamped job (admit() is the normal entry; tests
@@ -110,7 +86,7 @@ public:
   /// Removes and returns the next job; undefined when empty.
   virtual ScheduledJob pop() = 0;
   virtual size_t size() const = 0;
-  /// The policy's stable name ("fifo", "deadline", "fair").
+  /// The policy's stable name ("fifo", "fair").
   virtual const char *policyName() const = 0;
 
   bool empty() const { return size() == 0; }

@@ -45,7 +45,7 @@ Response shutdownResponse() {
 Service::Service(ServiceConfig CfgIn)
     : Cfg(std::move(CfgIn)), Disk(makeDisk(Cfg)),
       Cache(Cfg.CacheCapacity, Disk.get()),
-      Pool(makePool(Cfg)), Exec(Cfg, Cache, Pool.get(), &Model),
+      Pool(makePool(Cfg)), Exec(Cache, Pool.get(), &Model),
       Started(std::chrono::steady_clock::now()),
       Sched(makeScheduler(Cfg.Policy, Cfg.FairShareQuantum)) {
   // Scheduling weights come from the learned model: predicted
@@ -54,7 +54,7 @@ Service::Service(ServiceConfig CfgIn)
   // runs under QueueMutex on the job's carried key, so it never hashes;
   // predict() is O(1) under its own lock.
   Sched->setCostProvider([this](const CacheKey &K) {
-    return Model.predict(K.Hash, K.Source.size()).Nanos;
+    return Model.predict(K.Hash, K.Source.size());
   });
   // One aggregate slot per pipeline phase, in stable reporting order.
   for (const std::string &Name : Compiler::staticPhaseNames())
@@ -114,12 +114,8 @@ bool Service::enqueue(Request R, std::function<void(Response)> Done,
         if (Depth > Counters.QueueHighWater)
           Counters.QueueHighWater = Depth;
       }
-      // admit() stamps CostKey (consulting the cost provider exactly
-      // once) and the absolute deadline; Seq is stamped here because
-      // admission order is the Service's to define.
-      J.Seq = NextSeq++;
-      QueuedCost.fetch_add(Sched->admit(std::move(J)),
-                           std::memory_order_relaxed);
+      // admit() stamps CostKey, consulting the cost provider once.
+      Sched->admit(std::move(J));
       Lock.unlock();
       NotEmpty.notify_one();
       return true;
@@ -182,7 +178,6 @@ void Service::workerMain() {
         return; // stopping and drained
       J = Sched->pop();
     }
-    QueuedCost.fetch_sub(J.CostKey, std::memory_order_relaxed);
     NotFull.notify_one();
     {
       std::lock_guard<std::mutex> SLock(StatsMutex);
@@ -216,9 +211,7 @@ void Service::workerMain() {
     {
       std::lock_guard<std::mutex> SLock(StatsMutex);
       ++Counters.Completed;
-      if (Resp.Status == RequestOutcome::Budget)
-        ++Counters.BudgetExceeded;
-      else if (Resp.Status == RequestOutcome::InternalError)
+      if (Resp.Status == RequestOutcome::InternalError)
         ++Counters.InternalErrors;
       else if (!Resp.CompileOk)
         ++Counters.CompileErrors;

@@ -12,10 +12,10 @@
 ///
 ///   admission            policy                 execution
 ///   submit/trySubmit ──> Scheduler ──────────> N workers x Executor
-///     (backpressure or    (Fifo | Deadline |     (compile cache,
-///      load shedding,      FairShare,             per-phase budgets,
-///      one cache key,      externally             region runtime + GC,
-///      one callback)       synchronized)          shared PagePool)
+///     (backpressure or    (Fifo | FairShare,     (compile cache,
+///      load shedding,      externally             region runtime + GC,
+///      one cache key,      synchronized)          shared PagePool)
+///      one callback)
 ///
 /// Admission has two entry points over one private path: the blocking
 /// submit() returns a future, the non-blocking trySubmit() takes a
@@ -51,7 +51,6 @@
 
 #include "rt/PagePool.h"
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -103,26 +102,17 @@ public:
   const ServiceConfig &config() const { return Cfg; }
   /// The cross-request page pool (null when PagePoolPages == 0).
   const rt::PagePool *pagePool() const { return Pool.get(); }
-  /// The learned cost model every completion feeds. Exposed so the
-  /// network front door can consult predictions at admission (shedding
-  /// predicted-over-deadline work before it queues).
+  /// The learned cost model every completion feeds. Exposed so
+  /// callers can read predictions and the model's snapshot.
   const CostModel &costModel() const { return Model; }
-  /// Summed predicted cost (CostKey nanos) of the jobs currently
-  /// queued — not yet picked up by a worker. The network front door
-  /// divides this by the worker count for an expected-wait estimate at
-  /// admission (predicted-wait shedding). Relaxed: a load races with
-  /// enqueues/dequeues by design; shedding is heuristic.
-  uint64_t queuedCostNanos() const {
-    return QueuedCost.load(std::memory_order_relaxed);
-  }
 
 private:
   /// The one admission path behind submit() and trySubmit(). Builds
   /// the request's cache key before taking QueueMutex, then rejects at
   /// shutdown (\p Done runs inline with a Shutdown response), waits for
   /// room when \p Block is set or sheds at a full queue (\returns
-  /// false), and otherwise stamps Seq, counts the admission and hands
-  /// the job to Scheduler::admit().
+  /// false), and otherwise counts the admission and hands the job to
+  /// Scheduler::admit().
   bool enqueue(Request R, std::function<void(Response)> Done, bool Block);
   void workerMain();
 
@@ -136,10 +126,10 @@ private:
   /// shutdown() joins them before any member dies anyway.
   std::unique_ptr<rt::PagePool> Pool;
   /// Learned per-source/per-phase costs; fed by the Executor on every
-  /// completion, read by the scheduler's cost provider and by admission
-  /// layers. Declared before Exec, which holds a pointer to it.
+  /// completion, read by the scheduler's cost provider. Declared before
+  /// Exec, which holds a pointer to it.
   CostModel Model;
-  /// Stateless over Cfg/Cache/Pool/Model; shared by all workers.
+  /// Stateless over Cache/Pool/Model; shared by all workers.
   Executor Exec;
   std::vector<std::thread> Threads;
   std::chrono::steady_clock::time_point Started;
@@ -149,12 +139,7 @@ private:
   std::condition_variable NotFull;  // producers wait: queue has room
   /// The dequeue policy; externally synchronized by QueueMutex.
   std::unique_ptr<Scheduler> Sched;
-  /// Admission order stamp for ScheduledJob::Seq (under QueueMutex).
-  uint64_t NextSeq = 0;
   bool Stopping = false;
-  /// Summed CostKeys of queued (admitted, not yet dequeued) jobs.
-  /// Atomic so queuedCostNanos() needs no lock.
-  std::atomic<uint64_t> QueuedCost{0};
 
   /// Serializes the join phase of racing shutdown() calls (QueueMutex
   /// cannot be held across join — workers take it to drain).

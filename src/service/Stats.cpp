@@ -33,7 +33,6 @@ std::string ServiceStats::json() const {
       << ",\"shutdown_rejected\":" << ShutdownRejected
       << ",\"completed\":" << Completed
       << ",\"compile_errors\":" << CompileErrors
-      << ",\"budget_exceeded\":" << BudgetExceeded
       << ",\"internal_errors\":" << InternalErrors
       << ",\"runs_ok\":" << RunsOk << ",\"runs_failed\":" << RunsFailed
       << ",\"cache_hits\":" << CacheHits << ",\"cache_misses\":" << CacheMisses

@@ -52,9 +52,6 @@ struct ServiceStats {
   uint64_t ShutdownRejected = 0;
   uint64_t Completed = 0;
   uint64_t CompileErrors = 0;
-  /// Requests cut off by a ServiceConfig::PhaseBudgets budget
-  /// (RequestOutcome::Budget). Disjoint from CompileErrors.
-  uint64_t BudgetExceeded = 0;
   /// Requests whose processing threw (RequestOutcome::InternalError).
   /// The worker survived and the caller got a resolved response.
   uint64_t InternalErrors = 0;
@@ -85,7 +82,7 @@ struct ServiceStats {
   /// operator polls from rmld's /stats endpoint.
   uint64_t InFlight = 0;
   unsigned Workers = 0;
-  /// The active scheduler's policy name ("fifo", "deadline", "fair").
+  /// The active scheduler's policy name ("fifo", "fair").
   std::string Policy;
   /// Sum over runs of HeapStats counters (the serving-level GC bill).
   uint64_t TotalGcCount = 0;

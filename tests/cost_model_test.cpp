@@ -1,8 +1,9 @@
 //===- tests/cost_model_test.cpp - Learned cost-model tests ---------------===//
 //
 // The CostModel in isolation: the bootstrap and per-byte-prior
-// prediction ladder (and its FromPrior marking, which admission's
-// never-shed-cold rule rides on), EWMA convergence of per-key entries,
+// prediction ladder (whether a prediction came from the prior or from
+// a learned entry shows in the snapshot's PriorUses and Hits), EWMA
+// convergence of per-key entries,
 // the prior's cold-completions-only update rule, and the snapshot
 // counters /stats exposes.
 // Labelled `cost` in ctest and expected to be clean under
@@ -35,15 +36,13 @@ PhaseProfile phase(const char *Name, uint64_t Nanos, bool Skipped = false) {
 TEST(CostModelUnit, BootstrapPredictionIsByteCountAndFromPrior) {
   CostModel M;
   // No history at all: the prediction is the byte count itself — wrong
-  // units, right order — and marked FromPrior so admission never sheds
-  // on it.
-  CostModel::Prediction P = M.predict(/*Hash=*/1, /*SourceBytes=*/100);
-  EXPECT_EQ(P.Nanos, 100u);
-  EXPECT_TRUE(P.FromPrior);
-  // Predictions are clamped to >= 1 (a zero cost would confuse every
-  // consumer: deficit charges, shed comparisons).
-  EXPECT_EQ(M.predict(2, 0).Nanos, 1u);
-  EXPECT_TRUE(M.predict(2, 0).FromPrior);
+  // units, right order — and counted as a prior use.
+  EXPECT_EQ(M.predict(/*Hash=*/1, /*SourceBytes=*/100), 100u);
+  // Predictions are clamped to >= 1 (a zero cost would confuse the
+  // deficit charges).
+  EXPECT_EQ(M.predict(2, 0), 1u);
+  EXPECT_EQ(M.snapshot().PriorUses, 2u);
+  EXPECT_EQ(M.snapshot().Hits, 0u);
 }
 
 TEST(CostModelUnit, ObservationCreatesALearnedEntry) {
@@ -54,9 +53,8 @@ TEST(CostModelUnit, ObservationCreatesALearnedEntry) {
       phase("eval", 400),
   };
   M.observe(/*Hash=*/7, /*SourceBytes=*/50, Profiles, /*UpdatePrior=*/true);
-  CostModel::Prediction P = M.predict(7, 50);
-  EXPECT_FALSE(P.FromPrior);
-  EXPECT_EQ(P.Nanos, 1000u); // 600 + 400; the skipped phase is free
+  EXPECT_EQ(M.predict(7, 50), 1000u); // 600 + 400; the skipped phase is free
+  EXPECT_EQ(M.snapshot().Hits, 1u);    // answered from the learned entry
 }
 
 TEST(CostModelUnit, EntryEwmaWeighsNewObservationsByAlpha) {
@@ -65,14 +63,14 @@ TEST(CostModelUnit, EntryEwmaWeighsNewObservationsByAlpha) {
   M.observe(7, 10, {phase("parse", 2000)}, true);
   // First observation seeds the entry, the second folds in at Alpha:
   // 0.4 * 2000 + 0.6 * 1000 = 1400.
-  EXPECT_EQ(M.predict(7, 10).Nanos, 1400u);
+  EXPECT_EQ(M.predict(7, 10), 1400u);
 
   // Repeated identical observations converge on the stable cost, each
   // step shrinking the gap by (1 - Alpha).
   uint64_t PrevGap = UINT64_MAX;
   for (int I = 0; I < 12; ++I) {
     M.observe(7, 10, {phase("parse", 2000)}, true);
-    uint64_t Gap = 2000 - M.predict(7, 10).Nanos;
+    uint64_t Gap = 2000 - M.predict(7, 10);
     EXPECT_LE(Gap, PrevGap);
     PrevGap = Gap;
   }
@@ -85,17 +83,16 @@ TEST(CostModelUnit, PerBytePriorScalesColdPredictions) {
   // 10ns/byte; a never-seen 50-byte source now predicts 500ns.
   M.observe(/*Hash=*/1, /*SourceBytes=*/100, {phase("parse", 1000)},
             /*UpdatePrior=*/true);
-  CostModel::Prediction Cold = M.predict(/*Hash=*/999, /*SourceBytes=*/50);
-  EXPECT_TRUE(Cold.FromPrior);
-  EXPECT_EQ(Cold.Nanos, 500u);
+  EXPECT_EQ(M.predict(/*Hash=*/999, /*SourceBytes=*/50), 500u);
+  EXPECT_EQ(M.snapshot().PriorUses, 1u);
 
   // Cache-hit completions must not drag the prior down: UpdatePrior is
   // false, so the per-key entry moves but the prior holds at 10ns/byte.
   M.observe(/*Hash=*/2, /*SourceBytes=*/100, {phase("run", 10)},
             /*UpdatePrior=*/false);
-  EXPECT_EQ(M.predict(999, 50).Nanos, 500u);
-  EXPECT_EQ(M.predict(2, 100).Nanos, 10u); // the entry itself did learn
-  EXPECT_FALSE(M.predict(2, 100).FromPrior);
+  EXPECT_EQ(M.predict(999, 50), 500u);
+  EXPECT_EQ(M.predict(2, 100), 10u); // the entry itself did learn
+  EXPECT_EQ(M.snapshot().Hits, 1u);  // ... and answered that prediction
 }
 
 TEST(CostModelUnit, SnapshotCountsEntriesHitsAndPriorUses) {

@@ -101,15 +101,15 @@ TEST(NetProtocol, ResponseRoundTrip) {
   EXPECT_EQ(Out.Schemes, In.Schemes);
 }
 
-TEST(NetProtocol, TenantAndDeadlineRoundTrip) {
-  // Requests that carry the optional tenant / deadline fields flag
-  // them on the wire and round-trip exactly; requests that omit them
-  // decode to the defaults (empty tenant, no deadline).
+TEST(NetProtocol, TenantRoundTrip) {
+  // A request that carries the optional tenant flags it on the wire
+  // and round-trips exactly; one that omits it decodes to the default
+  // (empty tenant) and pays nothing for it.
   WireRequest In = sampleRequest();
   In.Tenant = "team-a";
-  In.DeadlineNanos = 123456789;
   std::string Wire;
   encodeRequest(In, Wire);
+  EXPECT_EQ(Wire[4 + 9], static_cast<char>(ReqFlagTenant));
 
   WireRequest Out;
   std::string Err;
@@ -117,20 +117,97 @@ TEST(NetProtocol, TenantAndDeadlineRoundTrip) {
   ASSERT_EQ(decodeRequest(Wire, Consumed, Out, Err), Decode::Frame) << Err;
   EXPECT_EQ(Consumed, Wire.size());
   EXPECT_EQ(Out.Tenant, "team-a");
-  EXPECT_EQ(Out.DeadlineNanos, 123456789u);
   EXPECT_EQ(Out.Source, In.Source);
   EXPECT_EQ(Out.SchemeNames, In.SchemeNames);
 
   WireRequest Plain = sampleRequest();
   std::string PlainWire;
   encodeRequest(Plain, PlainWire);
-  // The optional fields cost nothing when absent.
   EXPECT_LT(PlainWire.size(), Wire.size());
   WireRequest PlainOut;
   ASSERT_EQ(decodeRequest(PlainWire, Consumed, PlainOut, Err), Decode::Frame)
       << Err;
   EXPECT_TRUE(PlainOut.Tenant.empty());
-  EXPECT_EQ(PlainOut.DeadlineNanos, 0u);
+}
+
+/// \p Frame with its flags byte or-ed with ReqFlagDeadline and \p Tail
+/// appended to the body, the length prefix patched to match: the frame
+/// an older client that still sends a deadline puts on the wire.
+std::string withDeadlineField(std::string Frame, const std::string &Tail) {
+  Frame[4 + 9] = static_cast<char>(Frame[4 + 9] | ReqFlagDeadline);
+  Frame += Tail;
+  uint32_t Body = static_cast<uint32_t>(Frame.size() - 4);
+  for (int I = 0; I < 4; ++I)
+    Frame[static_cast<size_t>(I)] = static_cast<char>(Body >> (24 - 8 * I));
+  return Frame;
+}
+
+TEST(NetProtocol, DeadlineFieldStillDecodesAndIsDropped) {
+  // Flag bit 1 and its u64 are still accepted, and decode to exactly
+  // the request the same frame without them carries. The re-encoded
+  // bytes compare every WireRequest field at once.
+  WireRequest In = sampleRequest();
+  In.Tenant = "team-a";
+  std::string Plain;
+  encodeRequest(In, Plain);
+  std::string Dated =
+      withDeadlineField(Plain, std::string("\0\0\0\0\x07\x5B\xCD\x15", 8));
+
+  WireRequest FromPlain, FromDated;
+  std::string Err;
+  size_t Consumed = 0;
+  ASSERT_EQ(decodeRequest(Plain, Consumed, FromPlain, Err), Decode::Frame)
+      << Err;
+  ASSERT_EQ(decodeRequest(Dated, Consumed, FromDated, Err), Decode::Frame)
+      << Err;
+  EXPECT_EQ(Consumed, Dated.size());
+  std::string PlainAgain, DatedAgain;
+  encodeRequest(FromPlain, PlainAgain);
+  encodeRequest(FromDated, DatedAgain);
+  EXPECT_EQ(PlainAgain, Plain);
+  EXPECT_EQ(DatedAgain, Plain);
+}
+
+TEST(NetProtocol, TruncatedDeadlineFieldFailsClosed) {
+  // A body that ends inside the u64 is Bad ("truncated deadline") and
+  // consumes nothing; a buffer that ends inside it is NeedMore.
+  std::string Plain;
+  encodeRequest(sampleRequest(), Plain);
+  std::string Full = withDeadlineField(Plain, std::string(8, '\x01'));
+  for (size_t Cut = 0; Cut < 8; ++Cut) {
+    std::string Short = withDeadlineField(Plain, std::string(Cut, '\x01'));
+    WireRequest Out;
+    std::string Err;
+    size_t Consumed = 99;
+    EXPECT_EQ(decodeRequest(Short, Consumed, Out, Err), Decode::Bad)
+        << "cut " << Cut;
+    EXPECT_EQ(Consumed, 0u);
+    EXPECT_NE(Err.find("truncated deadline"), std::string::npos) << Err;
+
+    std::string Partial = Full.substr(0, Plain.size() + Cut);
+    EXPECT_EQ(decodeRequest(Partial, Consumed, Out, Err), Decode::NeedMore)
+        << "cut " << Cut;
+    EXPECT_EQ(Consumed, 0u);
+  }
+}
+
+TEST(NetProtocol, ReservedResponseStatusThreeIsBad) {
+  // Status 3 was once a budget cut-off. It is reserved: no server sends
+  // it, and a decoder must not accept it as any disposition.
+  std::string Wire;
+  encodeResponse(sampleResponse(), Wire);
+  Wire[4 + 8] = '\x03';
+  WireResponse Out;
+  std::string Err;
+  size_t Consumed = 99;
+  EXPECT_EQ(decodeResponse(Wire, Consumed, Out, Err), Decode::Bad);
+  EXPECT_EQ(Consumed, 0u);
+  EXPECT_NE(Err.find("status"), std::string::npos) << Err;
+  // Its neighbours still decode.
+  for (char Status : {'\x02', '\x04'}) {
+    Wire[4 + 8] = Status;
+    EXPECT_EQ(decodeResponse(Wire, Consumed, Out, Err), Decode::Frame) << Err;
+  }
 }
 
 TEST(NetProtocol, PipelinedFramesDecodeInSequence) {
@@ -801,42 +878,6 @@ TEST(NetServer, HttpKeepAlivePipelineCapForcesClose) {
   EXPECT_GT(LastClose, All.rfind("Connection: keep-alive"));
   F.drain();
   EXPECT_EQ(F.Srv.stats().HttpRequests, uint64_t(MaxHttpRequestsPerConn));
-}
-
-TEST(NetServer, DeadlineShedsOnlyOnLearnedEstimates) {
-  ServerFixture F;
-  TestClient C(F.Srv.port());
-  // Cold source, absurd 1ns deadline: the model has no entry yet and
-  // prior-based estimates never shed, so the request runs.
-  WireRequest Cold;
-  Cold.Id = 1;
-  Cold.Kind = MsgKind::CompileRun;
-  Cold.Source = "5 + 6";
-  Cold.DeadlineNanos = 1;
-  C.sendRequest(Cold);
-  WireResponse R1 = C.recvResponse();
-  EXPECT_EQ(R1.Status, WireStatus::Ok);
-  EXPECT_EQ(R1.Result, "11");
-  // The completion fed the model a learned per-source estimate (far
-  // above 1ns): the identical request now sheds at admission, before
-  // touching the queue.
-  WireRequest Again = Cold;
-  Again.Id = 2;
-  C.sendRequest(Again);
-  WireResponse R2 = C.recvResponse();
-  EXPECT_EQ(R2.Status, WireStatus::Shed);
-  EXPECT_NE(R2.Error.find("deadline"), std::string::npos) << R2.Error;
-  // A generous deadline admits the same hot source again.
-  WireRequest Relaxed = Cold;
-  Relaxed.Id = 3;
-  Relaxed.DeadlineNanos = 60ull * 1000 * 1000 * 1000;
-  C.sendRequest(Relaxed);
-  WireResponse R3 = C.recvResponse();
-  EXPECT_EQ(R3.Status, WireStatus::Ok);
-  EXPECT_EQ(R3.Id, 3u);
-  F.drain();
-  EXPECT_EQ(F.Srv.stats().DeadlineSheds, 1u);
-  EXPECT_EQ(F.Srv.stats().Sheds, 0u); // disjoint from queue-full sheds
 }
 
 TEST(NetServer, BinaryGarbageGetsProtocolErrorAndCloses) {

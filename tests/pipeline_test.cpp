@@ -342,33 +342,6 @@ TEST_F(PipelineTest, EvalOptionsPauseSinkSeesEveryPause) {
   EXPECT_EQ(Sink.Copied, R.Heap.CopiedWords);
 }
 
-TEST_F(PipelineTest, PhaseGovernorCutsOffAtPhaseBoundary) {
-  /// Stops the pipeline right after the named phase executes.
-  class StopAfter final : public PhaseGovernor {
-  public:
-    explicit StopAfter(std::string Phase) : Phase(std::move(Phase)) {}
-    bool keepGoing(const PhaseProfile &P) override { return P.Name != Phase; }
-    std::string Phase;
-  };
-
-  StopAfter G("typecheck");
-  Compiler C;
-  C.setPhaseGovernor(&G);
-  EXPECT_EQ(C.compile("1 + 2"), nullptr);
-  EXPECT_TRUE(C.wasCutOff());
-  // A governor stop is not a diagnosed failure …
-  EXPECT_FALSE(C.diagnostics().hasErrors());
-  // … and the profile list ends at the phase that tripped it.
-  ASSERT_FALSE(C.lastPhaseProfiles().empty());
-  EXPECT_EQ(C.lastPhaseProfiles().back().Name, "typecheck");
-
-  // Removing the governor restores normal compilation, and a compile
-  // that finishes on its own clears the cut-off flag.
-  C.setPhaseGovernor(nullptr);
-  EXPECT_NE(C.compile("1 + 2"), nullptr);
-  EXPECT_FALSE(C.wasCutOff());
-}
-
 TEST_F(PipelineTest, TraceSinkSeesEveryExecutedPhase) {
   class Names final : public TraceSink {
   public:

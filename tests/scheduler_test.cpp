@@ -1,11 +1,10 @@
 //===- tests/scheduler_test.cpp - Dequeue-policy tests --------------------===//
 //
-// The Scheduler layer: policy objects in isolation (pop order, tie
-// breaking, deadline ordering, fair-share deficit accounting), the
-// admission stamping contract (cost provider consulted exactly once),
-// and end to end through the Service
-// (completion order under a deterministically parked worker, drain
-// under contention, tenant isolation under a flood). Labelled
+// The Scheduler layer: policy objects in isolation (pop order,
+// fair-share deficit accounting), the admission stamping contract
+// (cost provider consulted exactly once), and end to end through the
+// Service (completion order under a deterministically parked worker,
+// drain under contention, tenant isolation under a flood). Labelled
 // `service;sched` in ctest and expected to be clean under
 // -DRML_SANITIZE=thread.
 //
@@ -28,37 +27,28 @@ namespace {
 // Policy objects in isolation.
 //===----------------------------------------------------------------------===//
 
-/// Builds a job the way Service::enqueue stamps one.
-ScheduledJob job(uint64_t CostKey, uint64_t Seq) {
+/// A pre-stamped job tagged with \p Tag in Key.Hash, which no policy
+/// reads, so a test can name the order jobs pop in.
+ScheduledJob job(uint64_t CostKey, uint64_t Tag) {
   ScheduledJob J;
   J.CostKey = CostKey;
-  J.Seq = Seq;
+  J.Key.Hash = Tag;
   return J;
 }
 
-/// A job with an absolute deadline pre-stamped (the unit tests bypass
-/// admit() so deadlines are exact, not now-relative).
-ScheduledJob djob(uint64_t DeadlineAt, uint64_t Seq) {
-  ScheduledJob J;
-  J.DeadlineAt = DeadlineAt;
-  J.Seq = Seq;
-  return J;
-}
-
-/// A job carrying a tenant label and a cost, for the fair-share units.
-ScheduledJob tjob(const char *Tenant, uint64_t Cost, uint64_t Seq) {
-  ScheduledJob J;
+/// A tagged job carrying a tenant label and a cost, for the fair-share
+/// units.
+ScheduledJob tjob(const char *Tenant, uint64_t Cost, uint64_t Tag) {
+  ScheduledJob J = job(Cost, Tag);
   J.Req.Tenant = Tenant;
-  J.CostKey = Cost;
-  J.Seq = Seq;
   return J;
 }
 
-std::vector<uint64_t> popAllSeqs(Scheduler &S) {
-  std::vector<uint64_t> Seqs;
+std::vector<uint64_t> popAllTags(Scheduler &S) {
+  std::vector<uint64_t> Tags;
   while (!S.empty())
-    Seqs.push_back(S.pop().Seq);
-  return Seqs;
+    Tags.push_back(S.pop().Key.Hash);
+  return Tags;
 }
 
 TEST(SchedulerUnit, FifoPopsInSubmissionOrder) {
@@ -66,49 +56,26 @@ TEST(SchedulerUnit, FifoPopsInSubmissionOrder) {
   EXPECT_STREQ(S->policyName(), "fifo");
   EXPECT_TRUE(S->empty());
   // Cost keys are deliberately shuffled: Fifo must ignore them.
-  for (uint64_t CostAndSeq : {90u, 10u, 50u, 30u, 70u})
-    S->push(job(CostAndSeq, S->size()));
+  for (uint64_t Cost : {90u, 10u, 50u, 30u, 70u})
+    S->push(job(Cost, S->size()));
   EXPECT_EQ(S->size(), 5u);
-  EXPECT_EQ(popAllSeqs(*S), (std::vector<uint64_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(popAllTags(*S), (std::vector<uint64_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(SchedulerUnit, PolicyNamesRoundTrip) {
   EXPECT_STREQ(schedPolicyName(SchedPolicy::Fifo), "fifo");
-  EXPECT_STREQ(schedPolicyName(SchedPolicy::Deadline), "deadline");
   EXPECT_STREQ(schedPolicyName(SchedPolicy::FairShare), "fair");
   SchedPolicy P = SchedPolicy::Fifo;
-  EXPECT_TRUE(parseSchedPolicy("deadline", P));
-  EXPECT_EQ(P, SchedPolicy::Deadline);
-  EXPECT_TRUE(parseSchedPolicy("fifo", P));
-  EXPECT_EQ(P, SchedPolicy::Fifo);
   EXPECT_TRUE(parseSchedPolicy("fair", P));
   EXPECT_EQ(P, SchedPolicy::FairShare);
-  P = SchedPolicy::Deadline;
+  EXPECT_TRUE(parseSchedPolicy("fifo", P));
+  EXPECT_EQ(P, SchedPolicy::Fifo);
+  P = SchedPolicy::FairShare;
   EXPECT_FALSE(parseSchedPolicy("sjf", P));
-  EXPECT_FALSE(parseSchedPolicy("ljf", P)); // removed policy
-  EXPECT_EQ(P, SchedPolicy::Deadline); // unknown names leave Out untouched
+  EXPECT_FALSE(parseSchedPolicy("ljf", P));      // removed policy
+  EXPECT_FALSE(parseSchedPolicy("deadline", P)); // removed policy
+  EXPECT_EQ(P, SchedPolicy::FairShare); // unknown names leave Out untouched
   EXPECT_FALSE(parseSchedPolicy("", P));
-}
-
-TEST(SchedulerUnit, DeadlinePopsEarliestDeadlineFirstTiesBySeq) {
-  auto S = makeScheduler(SchedPolicy::Deadline);
-  EXPECT_STREQ(S->policyName(), "deadline");
-  S->push(djob(500, 0));
-  S->push(djob(100, 1));
-  S->push(djob(ScheduledJob::NoDeadline, 2)); // deadline-free: last
-  S->push(djob(300, 3));
-  S->push(djob(100, 4)); // ties with Seq 1, loses on Seq
-  EXPECT_EQ(popAllSeqs(*S), (std::vector<uint64_t>{1, 4, 3, 0, 2}));
-}
-
-TEST(SchedulerUnit, DeadlineFreeJobsDegradeToFifo) {
-  // All NoDeadline: the Seq tie-break makes EDF collapse to FIFO, so
-  // mixing dated and undated traffic never starves the undated side
-  // *within* its own class.
-  auto S = makeScheduler(SchedPolicy::Deadline);
-  for (uint64_t Seq : {2u, 0u, 4u, 1u, 3u})
-    S->push(djob(ScheduledJob::NoDeadline, Seq));
-  EXPECT_EQ(popAllSeqs(*S), (std::vector<uint64_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(SchedulerUnit, AdmitConsultsTheCostProviderExactlyOnce) {
@@ -121,12 +88,10 @@ TEST(SchedulerUnit, AdmitConsultsTheCostProviderExactlyOnce) {
   ScheduledJob J;
   J.Req.Source = "abc";
   J.Key = CacheKey::of(J.Req.Source, J.Req.Opts);
-  J.Seq = 7;
   S->admit(std::move(J));
   EXPECT_EQ(Calls, 1);
   ScheduledJob Out = S->pop();
   EXPECT_EQ(Out.CostKey, 1003u);
-  EXPECT_EQ(Out.DeadlineAt, ScheduledJob::NoDeadline);
   EXPECT_EQ(Calls, 1); // pop must not re-consult
 
   // A null provider restores the source-length fallback.
@@ -139,17 +104,6 @@ TEST(SchedulerUnit, AdmitConsultsTheCostProviderExactlyOnce) {
   EXPECT_EQ(Calls, 1);
 }
 
-TEST(SchedulerUnit, AdmitStampsAbsoluteDeadlines) {
-  auto S = makeScheduler(SchedPolicy::Deadline);
-  uint64_t Before = traceNowNanos();
-  ScheduledJob J;
-  J.Req.DeadlineNanos = 1000000000ull;
-  S->admit(std::move(J));
-  ScheduledJob Out = S->pop();
-  EXPECT_GE(Out.DeadlineAt, Before + 1000000000ull);
-  EXPECT_LT(Out.DeadlineAt, ScheduledJob::NoDeadline);
-}
-
 TEST(SchedulerUnit, FairShareSharesCostAcrossTenants) {
   // Two tenants, equal-cost jobs, quantum = one job's cost: after the
   // first top-up the ring alternates in two-job bursts (serve spends
@@ -160,7 +114,7 @@ TEST(SchedulerUnit, FairShareSharesCostAcrossTenants) {
   S->push(tjob("a", 10, 1));
   S->push(tjob("b", 10, 2));
   S->push(tjob("b", 10, 3));
-  EXPECT_EQ(popAllSeqs(*S), (std::vector<uint64_t>{0, 2, 3, 1}));
+  EXPECT_EQ(popAllTags(*S), (std::vector<uint64_t>{0, 2, 3, 1}));
 }
 
 TEST(SchedulerUnit, FairShareLetsCheapTenantThroughExpensiveFlood) {
@@ -169,11 +123,11 @@ TEST(SchedulerUnit, FairShareLetsCheapTenantThroughExpensiveFlood) {
   // because each DRR round credits both tenants equally and a cheap
   // head job is covered four rounds sooner.
   auto S = makeScheduler(SchedPolicy::FairShare, /*FairShareQuantum=*/1);
-  for (uint64_t Seq = 0; Seq < 3; ++Seq)
-    S->push(tjob("heavy", 4, Seq));
-  for (uint64_t Seq = 3; Seq < 7; ++Seq)
-    S->push(tjob("light", 1, Seq));
-  EXPECT_EQ(popAllSeqs(*S), (std::vector<uint64_t>{3, 4, 5, 6, 0, 1, 2}));
+  for (uint64_t Tag = 0; Tag < 3; ++Tag)
+    S->push(tjob("heavy", 4, Tag));
+  for (uint64_t Tag = 3; Tag < 7; ++Tag)
+    S->push(tjob("light", 1, Tag));
+  EXPECT_EQ(popAllTags(*S), (std::vector<uint64_t>{3, 4, 5, 6, 0, 1, 2}));
 }
 
 TEST(SchedulerUnit, FairShareDrainedTenantForfeitsDeficit) {
@@ -183,20 +137,20 @@ TEST(SchedulerUnit, FairShareDrainedTenantForfeitsDeficit) {
   // top-up, where b's earlier ring slot wins.
   auto S = makeScheduler(SchedPolicy::FairShare, /*FairShareQuantum=*/3);
   S->push(tjob("a", 1, 0));
-  EXPECT_EQ(S->pop().Seq, 0u); // a spends 1 of a 3-unit round, drains
+  EXPECT_EQ(S->pop().Key.Hash, 0u); // a spends 1 of a 3-unit round, drains
   S->push(tjob("b", 3, 1));
   S->push(tjob("a", 2, 2));
-  EXPECT_EQ(S->pop().Seq, 1u); // no banked credit: b is scanned first
-  EXPECT_EQ(S->pop().Seq, 2u);
+  EXPECT_EQ(S->pop().Key.Hash, 1u); // no banked credit: b is scanned first
+  EXPECT_EQ(S->pop().Key.Hash, 2u);
   EXPECT_TRUE(S->empty());
 }
 
 TEST(SchedulerUnit, FairShareSingleTenantIsFifo) {
   auto S = makeScheduler(SchedPolicy::FairShare, /*FairShareQuantum=*/2);
   const uint64_t Costs[] = {5, 1, 9, 3};
-  for (uint64_t Seq = 0; Seq < 4; ++Seq)
-    S->push(tjob("", Costs[Seq], Seq)); // the anonymous tenant bucket
-  EXPECT_EQ(popAllSeqs(*S), (std::vector<uint64_t>{0, 1, 2, 3}));
+  for (uint64_t Tag = 0; Tag < 4; ++Tag)
+    S->push(tjob("", Costs[Tag], Tag)); // the anonymous tenant bucket
+  EXPECT_EQ(popAllTags(*S), (std::vector<uint64_t>{0, 1, 2, 3}));
 }
 
 //===----------------------------------------------------------------------===//
@@ -278,23 +232,6 @@ TEST(SchedulerService, FifoCompletesInSubmissionOrder) {
             (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(SchedulerService, DeadlineCompletesUrgentFirst) {
-  // Submitted loosest-deadline first (and one request with none at
-  // all); completion runs tightest-first with the undated request last.
-  // Hour-scale gaps dwarf the microseconds between admissions, so the
-  // now-relative stamping cannot reorder the expectation.
-  constexpr uint64_t Hour = 3600ull * 1000 * 1000 * 1000;
-  std::vector<Request> Reqs(5);
-  Reqs[0].Source = "1 + 1"; // no deadline: sorts after all dated work
-  for (size_t I = 1; I < 5; ++I) {
-    Reqs[I].Source = "1 + " + std::to_string(I);
-    Reqs[I].DeadlineNanos = static_cast<uint64_t>(5 - I) * Hour;
-  }
-  ServiceConfig Cfg;
-  Cfg.Policy = SchedPolicy::Deadline;
-  EXPECT_EQ(completionOrderOf(Cfg, Reqs), (std::vector<int>{4, 3, 2, 1, 0}));
-}
-
 TEST(SchedulerService, FairShareBoundsLightTenantRankUnderFlood) {
   // A heavy tenant floods 24 equal-length sources, then a light tenant
   // submits 4. Under FIFO every light job waits for the whole flood;
@@ -337,8 +274,7 @@ TEST(SchedulerService, FairShareBoundsLightTenantRankUnderFlood) {
 }
 
 TEST(SchedulerService, AllPoliciesDrainUnderEightWorkers) {
-  for (SchedPolicy Policy :
-       {SchedPolicy::Fifo, SchedPolicy::Deadline, SchedPolicy::FairShare}) {
+  for (SchedPolicy Policy : {SchedPolicy::Fifo, SchedPolicy::FairShare}) {
     ServiceConfig Cfg;
     Cfg.Workers = 8;
     Cfg.QueueCapacity = 64;
@@ -347,9 +283,8 @@ TEST(SchedulerService, AllPoliciesDrainUnderEightWorkers) {
 
     // A mixed batch: every request computes its own index so responses
     // are checkable, with source lengths (the fallback cost key) spread
-    // by multi-digit additions, tenants spread across three buckets, and
-    // deadlines on every third request so Deadline and FairShare
-    // exercise their real data structures.
+    // by multi-digit additions, and tenants spread across three buckets
+    // so FairShare exercises its real data structures.
     constexpr int N = 48;
     std::vector<std::future<Response>> Futures;
     for (int I = 0; I < N; ++I) {
@@ -357,8 +292,6 @@ TEST(SchedulerService, AllPoliciesDrainUnderEightWorkers) {
       Req.Source = "0 + " + std::to_string(I * 111);
       Req.Run = true;
       Req.Tenant = "t" + std::to_string(I % 3);
-      if (I % 3 == 0)
-        Req.DeadlineNanos = 3600ull * 1000 * 1000 * 1000;
       Futures.push_back(Svc.submit(std::move(Req)));
     }
     for (int I = 0; I < N; ++I) {

@@ -46,15 +46,15 @@ public:
       fail(std::string(Flag) + " needs an argument");
     return Argv[++I];
   }
-  /// \p Text as a decimal number no greater than \p Max (see
-  /// parseUnsigned): a malformed or out-of-range value is a usage error.
-  uint64_t number(const char *Text, uint64_t Max) {
+  /// Consumes the current flag's value as a decimal number no greater
+  /// than \p Max (see parseUnsigned): a malformed or out-of-range value
+  /// is a usage error.
+  uint64_t number(uint64_t Max) {
+    const char *Text = value();
     if (std::optional<uint64_t> V = parseUnsigned(Text, Max))
       return *V;
     fail(std::string(Flag) + ": invalid number '" + Text + "'");
   }
-  /// Consumes the current flag's value as a number.
-  uint64_t number(uint64_t Max) { return number(value(), Max); }
 
   /// Prints "<tool>: \p Msg" and exits 2.
   [[noreturn]] void fail(const std::string &Msg) const {
@@ -93,13 +93,6 @@ inline bool parseServiceFlag(ArgCursor &Args, service::ServiceConfig &Cfg) {
     const char *S = Args.value();
     if (!service::parseSchedPolicy(S, Cfg.Policy))
       Args.fail(std::string("unknown scheduler '") + S + "'");
-  } else if (Args.is("--phase-budget")) {
-    const char *S = Args.value();
-    const char *Eq = std::strchr(S, '=');
-    if (!Eq || Eq == S)
-      Args.fail(std::string("--phase-budget wants PHASE=NANOS, got '") + S +
-                "'");
-    Cfg.PhaseBudgets[std::string(S, Eq)] = Args.number(Eq + 1, UINT64_MAX);
   } else {
     return false;
   }

@@ -93,14 +93,9 @@ void usage() {
       "  --page-pool N          standard pages the cross-request page\n"
       "                         pool may hold; 0 disables pooling\n"
       "                         (default 1024; --serve-batch only)\n"
-      "  --sched fifo|deadline|fair\n"
-      "                         service dequeue policy: submission order,\n"
-      "                         earliest-deadline-first, or per-tenant\n"
-      "                         fair share\n"
+      "  --sched fifo|fair      service dequeue policy: submission order\n"
+      "                         or per-tenant fair share\n"
       "                         (default fifo; --serve-batch only)\n"
-      "  --phase-budget P=NS    cut requests off once static phase P\n"
-      "                         (parse, infer, ...) exceeds NS nanos;\n"
-      "                         repeatable (--serve-batch only)\n"
       "  --time-phases          print a per-phase wall-time table (per\n"
       "                         request, or aggregated in --serve-batch)\n"
       "  --trace FILE           write a Chrome trace-event JSON of every\n"
@@ -231,11 +226,7 @@ int serveBatch(const std::string &Spec, service::ServiceConfig Cfg,
     service::Response R = Fut.get();
     const char *Status;
     std::string Detail;
-    if (R.Status == service::RequestOutcome::Budget) {
-      Status = "over budget";
-      Detail = R.Error;
-      ++Failures;
-    } else if (!R.CompileOk) {
+    if (!R.CompileOk) {
       Status = "compile error";
       Detail = R.Diagnostics;
       ++Failures;
@@ -259,9 +250,6 @@ int serveBatch(const std::string &Spec, service::ServiceConfig Cfg,
   // snapshot reads settled (in_flight 0, not a transient 1).
   Svc.shutdown();
   service::ServiceStats S = Svc.stats();
-  if (S.BudgetExceeded)
-    std::printf("[%llu request(s) cut off over phase budget]\n",
-                static_cast<unsigned long long>(S.BudgetExceeded));
   if (!Cfg.CacheDir.empty()) {
     std::printf("[disk cache '%s': %llu hit(s), %llu miss(es), %llu "
                 "reject(s), %llu write error(s)]\n",

@@ -9,8 +9,6 @@
 //   rmld --sched fair --tenant-default legacy
 //                                      per-tenant fair share, untagged
 //                                      traffic in the "legacy" bucket
-//   rmld --sched deadline --phase-budget infer=50000000
-//                                      EDF dequeue + a 50 ms infer budget
 //   curl http://127.0.0.1:PORT/stats   live ServiceStats JSON
 //
 // Clients speak the length-prefixed binary protocol (net/Protocol.h) —
@@ -57,15 +55,12 @@ void usage() {
       "  --cache-sweep-ms MS    sweep cadence (default 5000)\n"
       "  --page-pool N          cross-request page-pool pages; 0\n"
       "                         disables pooling (default 1024)\n"
-      "  --sched fifo|deadline|fair\n"
-      "                         dequeue policy (default fifo): deadline\n"
-      "                         is EDF on the request deadline, fair is\n"
+      "  --sched fifo|fair      dequeue policy (default fifo): fair is\n"
       "                         per-tenant deficit round-robin\n"
       "  --fair-quantum N       fair-share DRR quantum in cost units\n"
       "                         (default 1Mi)\n"
       "  --tenant-default NAME  fair-share bucket for requests that sent\n"
       "                         no tenant (default: anonymous bucket)\n"
-      "  --phase-budget P=NS    per-phase budget in nanos; repeatable\n"
       "  --step-limit N         evaluation fuel per run; 0 keeps the\n"
       "                         runtime default\n"
       "  --gc-threshold WORDS   collection trigger per run; 0 keeps the\n"
@@ -154,8 +149,7 @@ int main(int Argc, char **Argv) {
   net::NetStats NS = Srv.stats();
   std::fprintf(stderr,
                "rmld: net accepted=%llu closed=%llu requests=%llu "
-               "http=%llu responses=%llu sheds=%llu deadline_sheds=%llu "
-               "wait_sheds=%llu "
+               "http=%llu responses=%llu sheds=%llu "
                "protocol_errors=%llu orphaned=%llu overflows=%llu\n",
                static_cast<unsigned long long>(NS.Accepted),
                static_cast<unsigned long long>(NS.Closed),
@@ -163,8 +157,6 @@ int main(int Argc, char **Argv) {
                static_cast<unsigned long long>(NS.HttpRequests),
                static_cast<unsigned long long>(NS.Responses),
                static_cast<unsigned long long>(NS.Sheds),
-               static_cast<unsigned long long>(NS.DeadlineSheds),
-               static_cast<unsigned long long>(NS.WaitSheds),
                static_cast<unsigned long long>(NS.ProtocolErrors),
                static_cast<unsigned long long>(NS.OrphanedCompletions),
                static_cast<unsigned long long>(NS.AcceptOverflows));

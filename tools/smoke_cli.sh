@@ -48,7 +48,7 @@ TUTORIAL=examples/programs/tutorial.mml
 
 # A well-formed command passes, so the rejections below are not vacuous.
 expect 0 "$RMLC" --gc-threshold 2048 -e '1 + 2'
-expect 0 "$RMLC" --serve-batch "$TUTORIAL" --phase-budget infer=5000000000
+expect 0 "$RMLC" --serve-batch "$TUTORIAL" --sched fair
 
 # 1. Removed flags and values.
 for Flag in --prewarm-pool --auto-budget --adaptive-gc; do
@@ -56,6 +56,8 @@ for Flag in --prewarm-pool --auto-budget --adaptive-gc; do
 done
 expect 2 "$RMLC" --gc-pause-budget 1000 -e '1 + 2'
 expect 2 "$RMLC" --serve-batch "$TUTORIAL" --sched ljf
+expect 2 "$RMLC" --serve-batch "$TUTORIAL" --sched deadline
+expect 2 "$RMLC" --serve-batch "$TUTORIAL" --phase-budget infer=1
 expect 2 "$RMLD" --prewarm-pool
 expect 2 "$RMLD" --auto-budget
 expect 2 "$RMLD" --budget-quantile 0.95
@@ -63,9 +65,11 @@ expect 2 "$RMLD" --budget-multiplier 8
 expect 2 "$RMLD" --adaptive-gc
 expect 2 "$RMLD" --gc-pause-budget 1000
 expect 2 "$RMLD" --sched ljf
+expect 2 "$RMLD" --sched deadline
+expect 2 "$RMLD" --phase-budget infer=1
 
 # 2. Malformed numbers.
-expect 2 "$RMLC" --serve-batch "$TUTORIAL" --phase-budget infer=5ms
+expect 2 "$RMLC" --serve-batch "$TUTORIAL" --cache-max-age 5s
 expect 2 "$RMLC" --gc-threshold 2k -e '1 + 2'
 expect 2 "$RMLC" --jobs -1 -e '1 + 2'
 expect 2 "$RMLD" --port 70000
