@@ -5,6 +5,12 @@
 // (parse+typecheck, spurious analysis, region inference, region check)
 // per benchmark program and the scaling of inference with program size.
 //
+// compile_resumed/<prog> compiles the same sources through a prefix
+// store (core/Prefix.h) that already holds the basis's snapshot, so it
+// measures a new program against a familiar basis; compile_rg/<prog>
+// is the compile from scratch. Both report the mean microseconds of the
+// parse, typecheck, spurious and infer phases as counters.
+//
 // Scaling is read off the marginal time per added cluster between
 // consecutive sizes, printed after the table. Each size compiles the
 // same basis, a constant cost that a fit with no constant term (Google
@@ -20,6 +26,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <iterator>
 #include <cstdio>
 #include <utility>
 #include <vector>
@@ -28,17 +35,57 @@ using namespace rml;
 
 namespace {
 
-void BM_FullCompile(benchmark::State &State, const std::string &Source,
-                    Strategy S) {
+/// The phases a compile resumed after a declaration prefix skips work
+/// in; their mean microseconds per compile become counters.
+const char *const ResumedPhases[] = {"parse", "typecheck", "spurious",
+                                     "infer"};
+
+/// Compiles \p Source on a fresh Compiler per iteration, through
+/// \p Prefixes when set, and reports the mean time of ResumedPhases.
+void compileLoop(benchmark::State &State, const std::string &Source,
+                 Strategy S, PrefixStore *Prefixes) {
+  CompileOptions Opts;
+  Opts.Strat = S;
+  std::vector<double> PhaseNanos(std::size(ResumedPhases));
   for (auto _ : State) {
     Compiler C;
-    CompileOptions Opts;
-    Opts.Strat = S;
-    auto Unit = C.compile(Source, Opts);
+    auto Unit = Prefixes ? C.compile(Source, Opts, *Prefixes)
+                         : C.compile(Source, Opts);
     if (!Unit)
       State.SkipWithError("compile failed");
     benchmark::DoNotOptimize(Unit);
+    for (const PhaseProfile &P : C.lastPhaseProfiles())
+      for (size_t I = 0; I < std::size(ResumedPhases); ++I)
+        if (P.Name == ResumedPhases[I])
+          PhaseNanos[I] += static_cast<double>(P.WallNanos);
   }
+  for (size_t I = 0; I < std::size(ResumedPhases); ++I)
+    State.counters[std::string(ResumedPhases[I]) + "_us"] =
+        benchmark::Counter(PhaseNanos[I] / 1e3,
+                           benchmark::Counter::kAvgIterations);
+}
+
+void BM_FullCompile(benchmark::State &State, const std::string &Source,
+                    Strategy S) {
+  compileLoop(State, Source, S, nullptr);
+}
+
+/// The same compile resuming after the basis: before the timed loop,
+/// two other programs with the same basis leave its snapshot in the
+/// store, as earlier requests do in a service.
+void BM_ResumedCompile(benchmark::State &State, const std::string &Source) {
+  PrefixStore Prefixes;
+  for (const char *Body : {"fun warm1 x = x\n;0", "fun warm2 x = x\n;0"}) {
+    Compiler C;
+    C.compile(bench::basisSource() + Body, {}, Prefixes);
+  }
+  if (Prefixes.counters().Snapshots != 1) {
+    State.SkipWithError("the basis left no snapshot");
+    return;
+  }
+  compileLoop(State, Source, Strategy::Rg, &Prefixes);
+  if (Prefixes.counters().Hits == 0)
+    State.SkipWithError("no compile resumed");
 }
 
 /// Synthesises a program with N copies of a polymorphic HOF cluster, to
@@ -130,6 +177,12 @@ int main(int argc, char **argv) {
     benchmark::RegisterBenchmark(("compile_rg/" + P.Name).c_str(),
                                  [Src = P.Source](benchmark::State &S) {
                                    BM_FullCompile(S, Src, Strategy::Rg);
+                                 });
+  }
+  for (const bench::BenchProgram &P : bench::benchmarkSuite()) {
+    benchmark::RegisterBenchmark(("compile_resumed/" + P.Name).c_str(),
+                                 [Src = P.Source](benchmark::State &S) {
+                                   BM_ResumedCompile(S, Src);
                                  });
   }
   benchmark::RegisterBenchmark("compile_rg/suite_rgminus",

@@ -654,13 +654,7 @@ const Expr *Parser::parseAtExp() {
 
 std::optional<Program> Parser::parseProgram() {
   Program P;
-  while (atDecStart()) {
-    P.Decs.push_back(parseDec());
-    // SML-style optional ';' terminator; required before a result
-    // expression that could otherwise be swallowed as application
-    // arguments of the preceding declaration's body.
-    accept(TokKind::Semi);
-  }
+  parseTopDecs(Tokens.size(), P.Decs);
   if (!check(TokKind::Eof))
     P.Result = parseExp();
   else
@@ -674,11 +668,50 @@ std::optional<Program> Parser::parseProgram() {
   return P;
 }
 
+bool Parser::parseTopDecs(size_t End, std::vector<const Dec *> &Decs) {
+  while (Pos < End && atDecStart()) {
+    Decs.push_back(parseDec());
+    // SML-style optional ';' terminator; required before a result
+    // expression that could otherwise be swallowed as application
+    // arguments of the preceding declaration's body.
+    accept(TokKind::Semi);
+  }
+  return Pos == End && !Diags.hasErrors();
+}
+
 const Expr *Parser::parseExprOnly() {
   const Expr *E = parseExp();
   if (!check(TokKind::Eof))
     Diags.error(peek().Loc, "trailing tokens after expression");
   return E;
+}
+
+std::vector<size_t> rml::topLevelDecStarts(const std::vector<Token> &Tokens) {
+  std::vector<size_t> Starts;
+  int Depth = 0;
+  for (size_t I = 0; I < Tokens.size(); ++I) {
+    switch (Tokens[I].Kind) {
+    case TokKind::KwLet:
+    case TokKind::LParen:
+    case TokKind::LBracket:
+      ++Depth;
+      break;
+    case TokKind::KwEnd:
+    case TokKind::RParen:
+    case TokKind::RBracket:
+      --Depth;
+      break;
+    case TokKind::KwVal:
+    case TokKind::KwFun:
+    case TokKind::KwException:
+      if (Depth == 0)
+        Starts.push_back(I);
+      break;
+    default:
+      break;
+    }
+  }
+  return Starts;
 }
 
 std::optional<Program> rml::parseString(std::string_view Source,

@@ -39,6 +39,16 @@ public:
   /// diagnostics on malformed input.
   std::optional<Program> parseProgram();
 
+  /// Parses the top-level declarations that begin before token \p End,
+  /// each with its optional ';' terminator, into \p Decs. \returns
+  /// false unless they parse without error and end exactly at \p End:
+  /// this is how a declaration prefix is compiled on its own.
+  bool parseTopDecs(size_t End, std::vector<const Dec *> &Decs);
+
+  /// Continues at token \p Index: a compile that resumes after a
+  /// declaration prefix parses only the rest of the program.
+  void seek(size_t Index) { Pos = Index; }
+
   /// Parses a single expression (tests).
   const Expr *parseExprOnly();
 
@@ -93,6 +103,12 @@ private:
   DiagnosticEngine &Diags;
   size_t Pos = 0;
 };
+
+/// The index of every token that begins a top-level declaration: each
+/// `val`, `fun` and `exception` outside every `let ... end`,
+/// parenthesis and bracket. In a program that parses these are exactly
+/// where parseProgram() starts its declarations, found without parsing.
+std::vector<size_t> topLevelDecStarts(const std::vector<Token> &Tokens);
 
 /// Convenience: lex + parse \p Source.
 std::optional<Program> parseString(std::string_view Source, AstArena &Arena,

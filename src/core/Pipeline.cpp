@@ -2,6 +2,7 @@
 
 #include "core/Pipeline.h"
 
+#include "ast/Lexer.h"
 #include "rt/FlatEval.h"
 
 #include <unordered_set>
@@ -38,8 +39,36 @@ std::vector<std::string> Compiler::staticPhaseNames() {
   return Names;
 }
 
+namespace {
+
+/// The declarations of \p Unit after its prefix (all of them when the
+/// compile is cold).
+std::span<const Dec *const> decsAfterPrefix(const CompiledUnit &Unit) {
+  std::span<const Dec *const> All(Unit.Ast.Decs);
+  return Unit.Prefix ? All.subspan(Unit.Prefix->Decs.size()) : All;
+}
+
+} // namespace
+
 bool Compiler::phaseParse(std::string_view Source, CompiledUnit &Unit) {
-  std::optional<Program> P = parseString(Source, Ast, Names, Diags);
+  std::vector<Token> Toks = Lexer(Source, Diags).lexAll();
+  if (Diags.hasErrors())
+    return false;
+  // The store matches the source's declaration prefix on its tokens; a
+  // used Compiler's interner already holds other symbols, so only a
+  // fresh one resumes.
+  if (Prefixes && Names.size() == 0)
+    Unit.Prefix = Prefixes->acquire(Toks, Unit.Options);
+  Parser Parse(std::move(Toks), Ast, Names, Diags);
+  if (Unit.Prefix) {
+    // Parse only what follows the prefix, with the prefix's symbols.
+    Names = Unit.Prefix->Names;
+    Parse.seek(Unit.Prefix->Tokens.size());
+  }
+  std::optional<Program> P = Parse.parseProgram();
+  if (P && Unit.Prefix)
+    P->Decs.insert(P->Decs.begin(), Unit.Prefix->Decs.begin(),
+                   Unit.Prefix->Decs.end());
   if (!P)
     return false;
   Unit.Ast = std::move(*P);
@@ -61,11 +90,23 @@ bool Compiler::phaseParse(std::string_view Source, CompiledUnit &Unit) {
 }
 
 bool Compiler::phaseTypecheck(std::string_view, CompiledUnit &Unit) {
-  return checkProgram(Unit.Ast, Types, Names, Diags, Unit.Types);
+  if (!Unit.Prefix)
+    return checkProgram(Unit.Ast, Types, Names, Diags, Unit.Types);
+  const PrefixSnapshot &S = *Unit.Prefix;
+  for (const Diagnostic &D : S.TypecheckDiags)
+    Diags.report(D);
+  Types.setNextVarId(S.Types.nextVarId());
+  S.exportTypes(Unit.Types);
+  TopLevelTypeEnv Env = S.TypeEnv;
+  return checkTopLevel(decsAfterPrefix(Unit), Unit.Ast.Result, Env, Types,
+                       Names, Diags, Unit.Types);
 }
 
 bool Compiler::phaseSpurious(std::string_view, CompiledUnit &Unit) {
-  Unit.Spurious = analyzeSpurious(Unit.Ast, Unit.Types);
+  Unit.Spurious =
+      Unit.Prefix ? analyzeSpurious(decsAfterPrefix(Unit), Unit.Ast.Result,
+                                    Unit.Types, Unit.Prefix->Spurious)
+                  : analyzeSpurious(Unit.Ast, Unit.Types);
   return true;
 }
 
@@ -73,9 +114,17 @@ bool Compiler::phaseInfer(std::string_view, CompiledUnit &Unit) {
   InferOptions IOpts;
   IOpts.Strat = Unit.Options.Strat;
   IOpts.Spurious = Unit.Options.Spurious;
-  std::optional<InferResult> Inf =
-      inferRegions(Unit.Ast, Unit.Types, Unit.Spurious, IOpts, RTypes,
-                   RExprs, Names, Diags);
+  std::optional<InferResult> Inf;
+  if (Unit.Prefix) {
+    for (const Diagnostic &D : Unit.Prefix->InferDiags)
+      Diags.report(D);
+    Inf = inferRegions(*Unit.Prefix->Inferred, decsAfterPrefix(Unit),
+                       Unit.Ast.Result, Unit.Types, Unit.Spurious, IOpts,
+                       RTypes, RExprs, Names, Diags);
+  } else {
+    Inf = inferRegions(Unit.Ast, Unit.Types, Unit.Spurious, IOpts, RTypes,
+                       RExprs, Names, Diags);
+  }
   if (!Inf)
     return false;
   Unit.Inferred = std::move(*Inf);
@@ -172,6 +221,15 @@ std::unique_ptr<CompiledUnit> Compiler::compile(std::string_view Source,
   }
 
   Unit->Profiles = LastProfiles;
+  return Unit;
+}
+
+std::unique_ptr<CompiledUnit> Compiler::compile(std::string_view Source,
+                                                const CompileOptions &Opts,
+                                                PrefixStore &Store) {
+  Prefixes = &Store;
+  std::unique_ptr<CompiledUnit> Unit = compile(Source, Opts);
+  Prefixes = nullptr;
   return Unit;
 }
 

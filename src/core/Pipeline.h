@@ -31,6 +31,7 @@
 #include "ast/Ast.h"
 #include "ast/Parser.h"
 #include "core/Options.h"
+#include "core/Prefix.h"
 #include "flat/Flat.h"
 #include "rcheck/Check.h"
 #include "region/RExpr.h"
@@ -84,6 +85,13 @@ struct CompiledUnit {
   /// off. The runtime phase is not here — each run() returns its own
   /// profile in rt::RunResult::Phase.
   std::vector<PhaseProfile> Profiles;
+  /// The declaration prefix this unit's compile resumed after (null for
+  /// a cold compile). The unit points into the snapshot's AST, types
+  /// and region types, and this reference keeps them alive. A resumed
+  /// unit's Types covers the declarations after the prefix plus the
+  /// prefix's schemes; everything else covers the whole program and
+  /// equals a cold compile's.
+  std::shared_ptr<const PrefixSnapshot> Prefix;
 
   const RProgram &program() const { return Inferred.Prog; }
   const Mu *rootMu() const { return Inferred.RootMu; }
@@ -122,6 +130,13 @@ struct CompileAndRunResult {
 ///    each cold compile renders its products on a short-lived Compiler
 ///    that is destroyed before the entry is shared, so cache entries
 ///    hold no Compiler at all.
+///  * A PrefixStore is thread-safe, and any number of Compilers on
+///    distinct threads may compile through one at once. The snapshots
+///    it hands out are immutable: a resumed compile copies the
+///    interner, typing environment and inference store, clones the
+///    prefix's terms into its own arena, and only reads the shared AST
+///    and types, whose every Var link was compressed when the snapshot
+///    was taken, so reading them never writes.
 ///  * Arenas grow monotonically: compiling N sources through one
 ///    Compiler keeps every previously returned CompiledUnit valid, at
 ///    the cost of memory linear in the total source compiled (see
@@ -140,6 +155,17 @@ public:
   /// lastPhaseProfiles().
   std::unique_ptr<CompiledUnit> compile(std::string_view Source,
                                         const CompileOptions &Opts = {});
+
+  /// The same compile with a prefix store (core/Prefix.h): on a
+  /// Compiler that has compiled nothing yet, the parse phase looks the
+  /// source's declaration prefix up in \p Prefixes and the compile
+  /// resumes after it. The unit, diagnostics and every rendered output
+  /// equal what compile() gives; only the phase timings and arena node
+  /// counts show the work skipped. On a used Compiler the store is not
+  /// consulted (its interner already holds other symbols).
+  std::unique_ptr<CompiledUnit> compile(std::string_view Source,
+                                        const CompileOptions &Opts,
+                                        PrefixStore &Prefixes);
 
   /// The registered static phases, in execution order. The runtime
   /// phase (RunPhaseName) is appended by run(), not listed here.
@@ -259,6 +285,8 @@ private:
   RExprArena RExprs;
   std::vector<PhaseProfile> LastProfiles;
   TraceSink *Sink = nullptr;
+  /// Set for the duration of a compile with a prefix store.
+  PrefixStore *Prefixes = nullptr;
 };
 
 } // namespace rml

@@ -57,9 +57,8 @@ public:
     for (const auto &[Name, Sig] : P.ExnSigs)
       if (!ExnIds.count(Name))
         ExnIds.emplace(Name, NextExnId++);
-    walk(P.Root);
-    for (FnInfo &F : Fns)
-      computeFreeRegions(F);
+    std::vector<uint32_t> Refs;
+    walk(P.Root, Refs);
   }
 
 private:
@@ -73,9 +72,28 @@ private:
     return nullptr;
   }
 
-  void walk(const RExpr *E) {
+  /// Reduces Refs[Mark..] to its distinct ids, ascending.
+  static void distinct(std::vector<uint32_t> &Refs, size_t Mark) {
+    std::sort(Refs.begin() + Mark, Refs.end());
+    Refs.erase(std::unique(Refs.begin() + Mark, Refs.end()), Refs.end());
+  }
+
+  /// Drops \p Id from Refs[Mark..].
+  static void unbind(std::vector<uint32_t> &Refs, size_t Mark, uint32_t Id) {
+    Refs.erase(std::remove(Refs.begin() + Mark, Refs.end(), Id), Refs.end());
+  }
+
+  /// Walks \p E in pre-order, registering its functions and region
+  /// applications, and appends to \p Refs (repeats allowed) every
+  /// region id other than the global region's that \p E refers to and
+  /// does not bind: allocation sites and region application targets. A
+  /// function's free regions are its body's, minus its quantified
+  /// regions, so every node is visited once.
+  void walk(const RExpr *E, std::vector<uint32_t> &Refs) {
     if (!E)
       return;
+    if (E->AtRho.isValid() && E->AtRho.Id != 0)
+      Refs.push_back(E->AtRho.Id);
     switch (E->K) {
     case RExpr::Kind::Lam: {
       FnInfo F;
@@ -83,9 +101,13 @@ private:
       F.Body = E->A;
       F.Param = E->Param;
       F.Captures = Free->of(E);
-      FnIndex.emplace(E, static_cast<uint32_t>(Fns.size()));
+      uint32_t Index = static_cast<uint32_t>(Fns.size());
+      FnIndex.emplace(E, Index);
       Fns.push_back(std::move(F));
-      walk(E->A);
+      size_t Mark = Refs.size();
+      walk(E->A, Refs);
+      distinct(Refs, Mark);
+      Fns[Index].FreeRegions.assign(Refs.begin() + Mark, Refs.end());
       return;
     }
     case RExpr::Kind::FunBind: {
@@ -98,27 +120,36 @@ private:
       for (RegionVar R : E->Sigma.QRegions)
         if (!Drops.isDropped(E, R))
           F.RuntimeFormals.push_back(R.Id);
-      FnIndex.emplace(E, static_cast<uint32_t>(Fns.size()));
+      uint32_t Index = static_cast<uint32_t>(Fns.size());
+      FnIndex.emplace(E, Index);
       Fns.push_back(std::move(F));
-      size_t Mark = FunScope.size();
+      size_t Mark = Refs.size();
+      size_t ScopeMark = FunScope.size();
       bindFun(E->Name, E);
-      walk(E->A);
-      FunScope.resize(Mark);
+      walk(E->A, Refs);
+      FunScope.resize(ScopeMark);
+      distinct(Refs, Mark);
+      for (RegionVar R : E->Sigma.QRegions)
+        unbind(Refs, Mark, R.Id);
+      Fns[Index].FreeRegions.assign(Refs.begin() + Mark, Refs.end());
       return;
     }
     case RExpr::Kind::Let: {
-      walk(E->A);
+      walk(E->A, Refs);
       size_t Mark = FunScope.size();
       if (E->A->K == RExpr::Kind::FunBind)
         bindFun(E->Name, E->A);
-      walk(E->B);
+      walk(E->B, Refs);
       FunScope.resize(Mark);
       return;
     }
-    case RExpr::Kind::LetRegion:
+    case RExpr::Kind::LetRegion: {
       RegionIds.insert(E->BoundRho.Id);
-      walk(E->A);
+      size_t Mark = Refs.size();
+      walk(E->A, Refs);
+      unbind(Refs, Mark, E->BoundRho.Id);
       return;
+    }
     case RExpr::Kind::RApp: {
       assert(E->A->K == RExpr::Kind::Var && "region application target");
       const RExpr *Callee = lookupFun(E->A->Name);
@@ -132,62 +163,22 @@ private:
                             It != E->Inst.Sr.end() ? It->second.Id : Q.Id);
         }
       }
-      RAppArgs.emplace(E, std::move(Args));
-      walk(E->A);
+      // A term shared by two paths keeps the arguments of its first.
+      for (const auto &[Formal, Target] :
+           RAppArgs.emplace(E, std::move(Args)).first->second)
+        if (Target != 0)
+          Refs.push_back(Target);
+      walk(E->A, Refs);
       return;
     }
     default:
-      walk(E->A);
-      walk(E->B);
-      walk(E->C);
+      walk(E->A, Refs);
+      walk(E->B, Refs);
+      walk(E->C, Refs);
       for (const RExpr *Item : E->Items)
-        walk(Item);
+        walk(Item, Refs);
       return;
     }
-  }
-
-  void collectRegionRefs(const RExpr *E, std::set<uint32_t> &Bound,
-                         std::set<uint32_t> &Out) {
-    if (!E)
-      return;
-    if (E->AtRho.isValid() && E->AtRho.Id != 0 && !Bound.count(E->AtRho.Id))
-      Out.insert(E->AtRho.Id);
-    if (E->K == RExpr::Kind::RApp) {
-      auto It = RAppArgs.find(E);
-      if (It != RAppArgs.end())
-        for (const auto &[Formal, Target] : It->second)
-          if (Target != 0 && !Bound.count(Target))
-            Out.insert(Target);
-    }
-    if (E->K == RExpr::Kind::LetRegion) {
-      std::set<uint32_t> Inner = Bound;
-      Inner.insert(E->BoundRho.Id);
-      collectRegionRefs(E->A, Inner, Out);
-      return;
-    }
-    if (E->K == RExpr::Kind::FunBind) {
-      std::set<uint32_t> Inner = Bound;
-      for (RegionVar R : E->Sigma.QRegions)
-        Inner.insert(R.Id);
-      collectRegionRefs(E->A, Inner, Out);
-      return;
-    }
-    collectRegionRefs(E->A, Bound, Out);
-    collectRegionRefs(E->B, Bound, Out);
-    collectRegionRefs(E->C, Bound, Out);
-    for (const RExpr *Item : E->Items)
-      collectRegionRefs(Item, Bound, Out);
-  }
-
-  void computeFreeRegions(FnInfo &F) {
-    std::set<uint32_t> Bound, Out;
-    for (uint32_t R : F.RuntimeFormals)
-      Bound.insert(R);
-    if (F.Node->K == RExpr::Kind::FunBind)
-      for (RegionVar R : F.Node->Sigma.QRegions)
-        Bound.insert(R.Id);
-    collectRegionRefs(F.Body, Bound, Out);
-    F.FreeRegions.assign(Out.begin(), Out.end());
   }
 
   const DropInfo &Drops;

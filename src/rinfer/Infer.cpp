@@ -56,6 +56,40 @@ struct InfBinding {
   const Expr *ConstValue = nullptr;
 };
 
+/// An instantiating substitution over inference types.
+struct InstMaps {
+  std::map<TyVarId, const Mu *> St;
+  std::map<uint32_t, RegionVar> Sr; // canonical region id -> fresh
+  std::map<uint32_t, EffectVar> Se; // canonical effect id -> fresh
+};
+
+/// A region application's instantiation, materialised at the end.
+struct PendingInst {
+  InstMaps Maps;
+  std::vector<RegionVar> SchemeRegions;
+  std::vector<EffectVar> SchemeEffects;
+};
+
+/// What inference carries from one top-level declaration to the next,
+/// besides the store: everything a compile that resumes after a
+/// declaration prefix starts from.
+struct TopLevelState {
+  std::vector<std::pair<Symbol, InfBinding>> Env;
+  std::unordered_map<Type *, TyVarId> MLVarIds;
+  uint32_t NextTyVarId = 0;
+  std::vector<std::pair<Symbol, const Mu *>> ExnSigs, ExnSigsAll;
+  std::unordered_map<const RExpr *, PolyScheme> PendingSchemes;
+  std::unordered_map<const RExpr *, PendingInst> PendingInsts;
+  /// The declarations' right-hand sides, to be let-bound in order, and
+  /// their accumulated effect.
+  std::vector<std::pair<Symbol, RExpr *>> Chain;
+  Effect Phi;
+  /// One past the largest Id of a term the chain reaches.
+  uint32_t TermIds = 0;
+  unsigned NumLetRegions = 0;
+  unsigned NumSchemes = 0;
+};
+
 /// Result of inferring one expression.
 struct Res {
   const Mu *M = nullptr;
@@ -74,9 +108,34 @@ public:
              Interner &Names, DiagnosticEngine &Diags, InferStore &Store)
       : Types(Types), Spurious(Spurious), Opts(Opts), RArena(RArena),
         EArena(EArena), Names(Names), Diags(Diags), Store(Store),
-        Free(static_cast<uint32_t>(EArena.size())) {}
+        FirstTerm(static_cast<uint32_t>(EArena.size())), Free(FirstTerm) {}
 
-  std::optional<InferResult> run(const Program &P);
+  std::optional<InferResult> run(const Program &P) {
+    decls(P.Decs);
+    return finish(P.Result);
+  }
+
+  /// Infers top-level declarations, appending their right-hand sides
+  /// to the let chain finish() builds.
+  void decls(std::span<const Dec *const> Decs) {
+    for (const Dec *D : Decs)
+      if (RExpr *Rhs = inferDecl(D, TopPhi))
+        Chain.emplace_back(D->Name, Rhs);
+  }
+
+  /// Infers the result, wraps it in the let chain and the program's
+  /// letregions, and materialises the whole program.
+  std::optional<InferResult> finish(const Expr *Result);
+
+  bool failed() const { return Failed || Diags.hasErrors(); }
+
+  /// Moves the state between two top-level declarations into \p T.
+  void capture(TopLevelState &T);
+
+  /// Starts from \p T, cloning its terms into this run's arena (which
+  /// materialisation rewrites in place), so that the result is what a
+  /// run over the whole program gives. \p T must outlive this run.
+  void resume(const TopLevelState &T);
 
 private:
   //===--------------------------------------------------------------------===//
@@ -420,12 +479,6 @@ private:
   // Substitution over inference types (instantiation)
   //===--------------------------------------------------------------------===//
 
-  struct InstMaps {
-    std::map<TyVarId, const Mu *> St;
-    std::map<uint32_t, RegionVar> Sr;  // canonical region id -> fresh
-    std::map<uint32_t, EffectVar> Se;  // canonical effect id -> fresh
-  };
-
   RegionVar instRegion(const InstMaps &S, RegionVar R) {
     R = Store.find(R);
     auto It = S.Sr.find(R.Id);
@@ -637,6 +690,32 @@ private:
     return S;
   }
 
+  /// The prefix term \p E is a clone of (null for this run's own).
+  const RExpr *cloneOrigin(const RExpr *E) const {
+    uint32_t I = E->Id - FirstTerm;
+    return E->Id >= FirstTerm && I < CloneOrigins.size() ? CloneOrigins[I]
+                                                          : nullptr;
+  }
+
+  /// The scheme recorded for FunBind \p E; a clone of a prefix term
+  /// reads its original's record in place.
+  const PolyScheme &pendingScheme(const RExpr *E) const {
+    auto It = PendingSchemes.find(E);
+    if (It == PendingSchemes.end() && Prefix)
+      It = Prefix->PendingSchemes.find(cloneOrigin(E));
+    assert(It != PendingSchemes.end() && "fun without recorded scheme");
+    return It->second;
+  }
+
+  /// The instantiation recorded for RApp \p E, read the same way.
+  const PendingInst &pendingInst(const RExpr *E) const {
+    auto It = PendingInsts.find(E);
+    if (It == PendingInsts.end() && Prefix)
+      It = Prefix->PendingInsts.find(cloneOrigin(E));
+    assert(It != PendingInsts.end() && "rapp without recorded inst");
+    return It->second;
+  }
+
   void materialize(RExpr *E) {
     if (!E)
       return;
@@ -657,15 +736,10 @@ private:
       E->ParamMu = outMu(E->ParamMu);
     if (E->K == RExpr::Kind::Lam)
       E->LatentNu = outArrow(E->LatentNu.Handle);
-    if (E->K == RExpr::Kind::FunBind) {
-      auto It = PendingSchemes.find(E);
-      assert(It != PendingSchemes.end() && "fun without recorded scheme");
-      E->Sigma = outScheme(It->second);
-    }
+    if (E->K == RExpr::Kind::FunBind)
+      E->Sigma = outScheme(pendingScheme(E));
     if (E->K == RExpr::Kind::RApp) {
-      auto It = PendingInsts.find(E);
-      assert(It != PendingInsts.end() && "rapp without recorded inst");
-      const PendingInst &P = It->second;
+      const PendingInst &P = pendingInst(E);
       Subst S;
       for (const auto &[Alpha, M] : P.Maps.St)
         S.St.emplace(Alpha, outMu(M));
@@ -707,13 +781,19 @@ private:
   std::vector<std::pair<Symbol, const Mu *>> ExnSigsAll;
 
   // Deferred materialisation data.
-  struct PendingInst {
-    InstMaps Maps;
-    std::vector<RegionVar> SchemeRegions;
-    std::vector<EffectVar> SchemeEffects;
-  };
   std::unordered_map<const RExpr *, PolyScheme> PendingSchemes;
   std::unordered_map<const RExpr *, PendingInst> PendingInsts;
+
+  /// The top-level declarations' let chain and effect (see decls()).
+  std::vector<std::pair<Symbol, RExpr *>> Chain;
+  Effect TopPhi;
+
+  /// The prefix this run resumed from (see resume()), and the original
+  /// of each clone of its terms, by Id - FirstTerm: the clones are the
+  /// first terms this run makes.
+  const TopLevelState *Prefix = nullptr;
+  uint32_t FirstTerm;
+  std::vector<const RExpr *> CloneOrigins;
 
   /// Free variables of every term built so far (moved into the
   /// program at the end).
@@ -956,4 +1036,40 @@ rml::inferRegions(const Program &P, const TypeInfo &Types,
                   DiagnosticEngine &Diags, InferStore &Store) {
   Inferencer I(Types, Spurious, Opts, RArena, EArena, Names, Diags, Store);
   return I.run(P);
+}
+
+class rml::InferPrefix {
+public:
+  InferStore Store;
+  TopLevelState State;
+};
+
+std::shared_ptr<const InferPrefix>
+rml::inferPrefix(std::span<const Dec *const> Decs, const TypeInfo &Types,
+                 const SpuriousInfo &Spurious, const InferOptions &Opts,
+                 RTypeArena &RArena, RExprArena &EArena, Interner &Names,
+                 DiagnosticEngine &Diags) {
+  auto Prefix = std::make_shared<InferPrefix>();
+  Inferencer I(Types, Spurious, Opts, RArena, EArena, Names, Diags,
+               Prefix->Store);
+  I.decls(Decs);
+  if (I.failed())
+    return nullptr;
+  I.capture(Prefix->State);
+  return Prefix;
+}
+
+std::optional<InferResult>
+rml::inferRegions(const InferPrefix &Prefix, std::span<const Dec *const> Decs,
+                  const Expr *Result, const TypeInfo &Types,
+                  const SpuriousInfo &Spurious, const InferOptions &Opts,
+                  RTypeArena &RArena, RExprArena &EArena, Interner &Names,
+                  DiagnosticEngine &Diags) {
+  // Later declarations may unify the prefix's unquantified variables,
+  // so the store is this run's own copy.
+  InferStore Store = Prefix.Store;
+  Inferencer I(Types, Spurious, Opts, RArena, EArena, Names, Diags, Store);
+  I.resume(Prefix.State);
+  I.decls(Decs);
+  return I.finish(Result);
 }

@@ -53,7 +53,9 @@
 #include "support/Interner.h"
 #include "types/TypeCheck.h"
 
+#include <memory>
 #include <optional>
+#include <span>
 
 namespace rml {
 
@@ -77,6 +79,14 @@ struct InferResult {
 
 class InferStore;
 
+/// Region inference's state after a program's leading top-level
+/// declarations: the variable store, the environment of region type
+/// schemes, the declarations' terms and the records materialisation
+/// reads. Immutable once built, so compiles on any number of threads
+/// resume from one at once (each copies the store and clones the
+/// terms). See core/Prefix.h.
+class InferPrefix;
+
 /// Runs region inference over a typed program. \p RArena owns the emitted
 /// region types and \p EArena the emitted terms; both must outlive the
 /// result. Returns std::nullopt after reporting through \p Diags.
@@ -93,6 +103,29 @@ inferRegions(const Program &P, const TypeInfo &Types,
              const SpuriousInfo &Spurious, const InferOptions &Opts,
              RTypeArena &RArena, RExprArena &EArena, Interner &Names,
              DiagnosticEngine &Diags, InferStore &Store);
+
+/// Infers the top-level declarations \p Decs alone, emitting their
+/// terms into \p EArena (which must outlive the result), and captures
+/// the state a later compile resumes from. Returns null after reporting
+/// through \p Diags.
+std::shared_ptr<const InferPrefix>
+inferPrefix(std::span<const Dec *const> Decs, const TypeInfo &Types,
+            const SpuriousInfo &Spurious, const InferOptions &Opts,
+            RTypeArena &RArena, RExprArena &EArena, Interner &Names,
+            DiagnosticEngine &Diags);
+
+/// Infers the top-level declarations \p Decs and the result \p Result
+/// of a program whose earlier declarations \p Prefix holds, inferred
+/// under the same options. The prefix's terms are cloned into
+/// \p EArena, and the letregions around the program and the
+/// materialisation cover the whole program, so the result is what
+/// inferRegions over the whole program gives.
+std::optional<InferResult>
+inferRegions(const InferPrefix &Prefix, std::span<const Dec *const> Decs,
+             const Expr *Result, const TypeInfo &Types,
+             const SpuriousInfo &Spurious, const InferOptions &Opts,
+             RTypeArena &RArena, RExprArena &EArena, Interner &Names,
+             DiagnosticEngine &Diags);
 
 } // namespace rml
 

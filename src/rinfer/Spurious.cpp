@@ -18,10 +18,10 @@ class Walker {
 public:
   Walker(const TypeInfo &Info, SpuriousInfo &Out) : Info(Info), Out(Out) {}
 
-  void run(const Program &P) {
-    for (const Dec *D : P.Decs)
+  void run(std::span<const Dec *const> Decs, const Expr *Result) {
+    for (const Dec *D : Decs)
       walkDec(D);
-    walk(P.Result);
+    walk(Result);
   }
 
 private:
@@ -197,9 +197,17 @@ bool isBoxedMLType(Type *T) {
 } // namespace
 
 SpuriousInfo rml::analyzeSpurious(const Program &P, const TypeInfo &Info) {
-  SpuriousInfo Out;
+  return analyzeSpurious(P.Decs, P.Result, Info, SpuriousInfo());
+}
+
+SpuriousInfo rml::analyzeSpurious(std::span<const Dec *const> Decs,
+                                  const Expr *Result, const TypeInfo &Info,
+                                  const SpuriousInfo &Prefix) {
+  SpuriousInfo Out = Prefix;
+  // Top-level names sit outside every function frame, so the walk
+  // needs nothing of the prefix's.
   Walker W(Info, Out);
-  W.run(P);
+  W.run(Decs, Result);
 
   // Case (2): close under "occurs in a type instantiated for another
   // spurious variable" (the Figure 8 chain).
@@ -245,6 +253,7 @@ SpuriousInfo rml::analyzeSpurious(const Program &P, const TypeInfo &Info) {
   }
 
   // Figure 9 statistics.
+  Out.SpuriousFunctions = 0;
   for (const Dec *D : Out.SpuriousDecs) {
     if (D->K == Dec::Kind::Fun ||
         (D->K == Dec::Kind::Val && D->Body &&

@@ -37,6 +37,7 @@
 #include "types/TypeCheck.h"
 
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -65,6 +66,17 @@ struct SpuriousInfo {
 
 /// Runs the analysis over a typed program.
 SpuriousInfo analyzeSpurious(const Program &P, const TypeInfo &Info);
+
+/// Runs it over the top-level declarations \p Decs and then, when
+/// non-null, the result \p Result of a program whose earlier top-level
+/// declarations \p Prefix holds the analysis of. \p Info must type
+/// \p Decs and \p Result and hold the schemes of the earlier top-level
+/// declarations. A later declaration cannot make an earlier variable
+/// spurious (it only instantiates earlier schemes with fresh variables),
+/// so the result equals the analysis of the whole program.
+SpuriousInfo analyzeSpurious(std::span<const Dec *const> Decs,
+                             const Expr *Result, const TypeInfo &Info,
+                             const SpuriousInfo &Prefix);
 
 } // namespace rml
 

@@ -7,11 +7,13 @@
 using namespace rml;
 using namespace rml::service;
 
-CachedCompileRef rml::service::compileShared(std::string_view Source,
-                                             const CompileOptions &Opts) {
+namespace {
+
+/// Renders \p C's compile of \p Unit (null when it failed) into an
+/// entry; the Compiler dies with the caller's frame.
+CachedCompileRef renderEntry(Compiler &C,
+                             const std::unique_ptr<CompiledUnit> &Unit) {
   auto CC = std::make_shared<CachedCompile>();
-  Compiler C;
-  std::unique_ptr<CompiledUnit> Unit = C.compile(Source, Opts);
   CC->Ok = Unit != nullptr;
   CC->Diagnostics = C.diagnostics().str();
   if (Unit) {
@@ -24,6 +26,21 @@ CachedCompileRef rml::service::compileShared(std::string_view Source,
   }
   CC->Profiles = C.lastPhaseProfiles();
   return CC;
+}
+
+} // namespace
+
+CachedCompileRef rml::service::compileShared(std::string_view Source,
+                                             const CompileOptions &Opts) {
+  Compiler C;
+  return renderEntry(C, C.compile(Source, Opts));
+}
+
+CachedCompileRef rml::service::compileShared(std::string_view Source,
+                                             const CompileOptions &Opts,
+                                             PrefixStore &Prefixes) {
+  Compiler C;
+  return renderEntry(C, C.compile(Source, Opts, Prefixes));
 }
 
 CompileCache::CompileCache(size_t Capacity, DiskCache *DiskTier)

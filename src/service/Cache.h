@@ -109,6 +109,13 @@ using CachedCompileRef = std::shared_ptr<const CachedCompile>;
 CachedCompileRef compileShared(std::string_view Source,
                                const CompileOptions &Opts);
 
+/// The same, resuming after a declaration prefix \p Prefixes holds
+/// (core/Prefix.h). The entry equals the two-argument form's except
+/// for the phase profiles' timings and arena node deltas.
+CachedCompileRef compileShared(std::string_view Source,
+                               const CompileOptions &Opts,
+                               PrefixStore &Prefixes);
+
 /// Thread-safe LRU cache: one mutex-guarded recency list (front = most
 /// recently used) and its key map. Capacity 0 disables caching (every
 /// lookup misses, insert is a no-op); otherwise it never holds more than

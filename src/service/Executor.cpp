@@ -51,11 +51,12 @@ Response Executor::processImpl(const Request &Req, const CacheKey &Key) const {
       Resp.Profiles.push_back(std::move(P));
     }
   } else {
-    // Miss: compile on a fresh Compiler and cache the rendered entry.
-    // Two workers racing on the same key both compile; the results are
+    // Miss: compile on a fresh Compiler, resuming after a familiar
+    // declaration prefix, and cache the rendered entry. Two workers
+    // racing on the same key both compile; the results are
     // bit-identical (the pipeline is deterministic) and the cache keeps
     // whichever insert lands last.
-    CC = compileShared(Key.Source, Key.Opts);
+    CC = compileShared(Key.Source, Key.Opts, Prefixes);
     Resp.Profiles = CC->Profiles;
     Cache.insert(Key, CC);
   }

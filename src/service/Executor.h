@@ -29,14 +29,16 @@ namespace rml::service {
 class CostModel;
 
 /// Runs requests against a compile cache and a page pool. process() is
-/// safe from any number of threads: the cache and pool are thread-safe,
-/// and each cold compile happens on a fresh Compiler.
+/// safe from any number of threads: the cache, pool and prefix store
+/// are thread-safe, and each cold compile happens on a fresh Compiler.
 class Executor {
 public:
-  /// All referents are non-owning and must outlive the Executor.
+  /// All referents are non-owning and must outlive the Executor. Cold
+  /// compiles resume after the declaration prefixes \p Prefixes holds;
   /// \p Model (nullable) receives one observation per completion.
-  Executor(CompileCache &Cache, rt::PagePool *Pool, CostModel *Model = nullptr)
-      : Cache(Cache), Pool(Pool), Model(Model) {}
+  Executor(CompileCache &Cache, PrefixStore &Prefixes, rt::PagePool *Pool,
+           CostModel *Model = nullptr)
+      : Cache(Cache), Prefixes(Prefixes), Pool(Pool), Model(Model) {}
 
   /// The whole lifecycle of one request under \p Key, Req's cache key
   /// as built at admission (the source is read from Key.Source; Req's
@@ -51,6 +53,7 @@ private:
   Response processImpl(const Request &Req, const CacheKey &Key) const;
 
   CompileCache &Cache;
+  PrefixStore &Prefixes;
   rt::PagePool *Pool;
   /// Nullable; fed on completion.
   CostModel *Model;

@@ -26,6 +26,7 @@
 #define RML_SERVICE_HASH_H
 
 #include "core/Options.h"
+#include "support/Checksum.h"
 
 #include <cstdint>
 #include <string>
@@ -33,29 +34,7 @@
 
 namespace rml::service {
 
-/// 64-bit FNV-1a, incremental: fold in bytes as they arrive.
-class Fnv1a {
-public:
-  static constexpr uint64_t Offset = 0xcbf29ce484222325ull;
-  static constexpr uint64_t Prime = 0x100000001b3ull;
-
-  Fnv1a &bytes(std::string_view S) {
-    for (unsigned char C : S) {
-      H ^= C;
-      H *= Prime;
-    }
-    return *this;
-  }
-  Fnv1a &byte(uint8_t B) {
-    H ^= B;
-    H *= Prime;
-    return *this;
-  }
-  uint64_t value() const { return H; }
-
-private:
-  uint64_t H = Offset;
-};
+using rml::Fnv1a;
 
 /// Hash of everything the static pipeline reads.
 inline uint64_t hashCompileInputs(std::string_view Source,

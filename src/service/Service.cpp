@@ -45,7 +45,7 @@ Response shutdownResponse() {
 Service::Service(ServiceConfig CfgIn)
     : Cfg(std::move(CfgIn)), Disk(makeDisk(Cfg)),
       Cache(Cfg.CacheCapacity, Disk.get()),
-      Pool(makePool(Cfg)), Exec(Cache, Pool.get(), &Model),
+      Pool(makePool(Cfg)), Exec(Cache, Prefixes, Pool.get(), &Model),
       Started(std::chrono::steady_clock::now()),
       Sched(makeScheduler(Cfg.Policy, Cfg.FairShareQuantum)) {
   // Scheduling weights come from the learned model: predicted
@@ -286,6 +286,11 @@ ServiceStats Service::stats() const {
     Out.SweptBytes = DC.SweptBytes;
     Out.SweepErrors = DC.SweepErrors;
   }
+  PrefixStore::Counters PC = Prefixes.counters();
+  Out.PrefixHits = PC.Hits;
+  Out.PrefixMisses = PC.Misses;
+  Out.PrefixSnapshots = PC.Snapshots;
+  Out.PrefixEvictions = PC.Evictions;
   CostModel::Snapshot MS = Model.snapshot();
   Out.CostModelEntries = MS.Entries;
   Out.CostModelHits = MS.Hits;

@@ -129,7 +129,11 @@ private:
   /// completion, read by the scheduler's cost provider. Declared before
   /// Exec, which holds a pointer to it.
   CostModel Model;
-  /// Stateless over Cache/Pool/Model; shared by all workers.
+  /// Declaration-prefix snapshots every cold compile resumes from
+  /// (core/Prefix.h): bounded, built only from prefixes compiles sent.
+  /// Declared before Exec, which holds a reference to it.
+  PrefixStore Prefixes;
+  /// Stateless over Cache/Prefixes/Pool/Model; shared by all workers.
   Executor Exec;
   std::vector<std::thread> Threads;
   std::chrono::steady_clock::time_point Started;

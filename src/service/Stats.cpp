@@ -43,6 +43,10 @@ std::string ServiceStats::json() const {
       << ",\"swept_files\":" << SweptFiles
       << ",\"swept_bytes\":" << SweptBytes
       << ",\"sweep_errors\":" << SweepErrors
+      << ",\"prefix_hits\":" << PrefixHits
+      << ",\"prefix_misses\":" << PrefixMisses
+      << ",\"prefix_snapshots\":" << PrefixSnapshots
+      << ",\"prefix_evictions\":" << PrefixEvictions
       << ",\"queue_depth\":" << QueueDepth
       << ",\"queue_high_water\":" << QueueHighWater
       << ",\"in_flight\":" << InFlight

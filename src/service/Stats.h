@@ -74,6 +74,13 @@ struct ServiceStats {
   uint64_t SweptFiles = 0;
   uint64_t SweptBytes = 0;
   uint64_t SweepErrors = 0;
+  /// Declaration-prefix store counters (core/Prefix.h): cold compiles
+  /// that resumed after a stored prefix, those that found none,
+  /// snapshots built, and snapshots evicted at the store's bound.
+  uint64_t PrefixHits = 0;
+  uint64_t PrefixMisses = 0;
+  uint64_t PrefixSnapshots = 0;
+  uint64_t PrefixEvictions = 0;
   /// Deepest the queue ever got (backpressure high-water mark).
   uint64_t QueueHighWater = 0;
   uint64_t QueueDepth = 0;

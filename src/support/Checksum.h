@@ -6,8 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The checksum the persisted formats use to turn damage into a
-/// deterministic reject: flat unit images (flat/Flat.h) and disk cache
+/// The two hashes of the project. Fnv1a is byte-wise 64-bit FNV-1a, the
+/// content address of the compile cache key (service/Hash.h) and of
+/// declaration prefixes (core/Prefix.h). wordChecksum is the checksum
+/// the persisted formats use to turn damage into a deterministic
+/// reject: flat unit images (flat/Flat.h) and disk cache
 /// entries (service/DiskCache.h) both verify it before parsing anything.
 ///
 /// It is FNV-1a's xor-multiply step applied to 8-byte little-endian
@@ -39,6 +42,30 @@
 #include <string_view>
 
 namespace rml {
+
+/// 64-bit FNV-1a, incremental: fold in bytes as they arrive.
+class Fnv1a {
+public:
+  static constexpr uint64_t Offset = 0xcbf29ce484222325ull;
+  static constexpr uint64_t Prime = 0x100000001b3ull;
+
+  Fnv1a &bytes(std::string_view S) {
+    for (unsigned char C : S) {
+      H ^= C;
+      H *= Prime;
+    }
+    return *this;
+  }
+  Fnv1a &byte(uint8_t B) {
+    H ^= B;
+    H *= Prime;
+    return *this;
+  }
+  uint64_t value() const { return H; }
+
+private:
+  uint64_t H = Offset;
+};
 
 static_assert(std::endian::native == std::endian::little,
               "wordChecksum reads native words as little-endian");

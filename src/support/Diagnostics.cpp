@@ -34,6 +34,12 @@ void DiagnosticEngine::note(SrcLoc Loc, std::string Message) {
   Diags.push_back({DiagKind::Note, Loc, std::move(Message)});
 }
 
+void DiagnosticEngine::report(const Diagnostic &D) {
+  Diags.push_back(D);
+  if (D.Kind == DiagKind::Error)
+    ++NumErrors;
+}
+
 std::string DiagnosticEngine::str() const {
   std::string Out;
   for (const Diagnostic &D : Diags) {

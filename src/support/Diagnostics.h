@@ -51,6 +51,9 @@ public:
   void error(SrcLoc Loc, std::string Message);
   void warning(SrcLoc Loc, std::string Message);
   void note(SrcLoc Loc, std::string Message);
+  /// Re-reports a diagnostic recorded elsewhere (a declaration prefix's
+  /// warnings, replayed by the compiles that resume after it).
+  void report(const Diagnostic &D);
 
   bool hasErrors() const { return NumErrors != 0; }
   unsigned errorCount() const { return NumErrors; }

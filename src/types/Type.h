@@ -101,6 +101,11 @@ public:
 
   size_t size() const { return Nodes.size(); }
 
+  /// The id the next fresh variable gets. A compile that resumes after
+  /// a declaration prefix continues from the prefix's arena's counter.
+  uint32_t nextVarId() const { return NextVarId; }
+  void setNextVarId(uint32_t Id) { NextVarId = Id; }
+
 private:
   Type *single(TypeKind K, Type *&Slot) {
     if (!Slot)

@@ -9,23 +9,18 @@ using namespace rml;
 
 namespace {
 
-/// One lexical binding: either a (possibly polymorphic) scheme from a
-/// declaration, or a monomorphic parameter type.
-struct EnvEntry {
-  TypeScheme Scheme;
-  const Dec *Origin = nullptr; // declaration that introduced the binding
-};
-
 class Checker {
 public:
-  Checker(TypeArena &Arena, Interner &Names, DiagnosticEngine &Diags,
-          TypeInfo &Info)
-      : Arena(Arena), Names(Names), Diags(Diags), Info(Info) {}
+  Checker(TopLevelTypeEnv &Env, TypeArena &Arena, Interner &Names,
+          DiagnosticEngine &Diags, TypeInfo &Info)
+      : Arena(Arena), Names(Names), Diags(Diags), Info(Info),
+        Bindings(Env.Values), Exns(Env.Exns) {}
 
-  bool run(const Program &P) {
-    for (const Dec *D : P.Decs)
+  bool run(std::span<const Dec *const> Decs, const Expr *Result) {
+    for (const Dec *D : Decs)
       checkDec(D);
-    checkExp(P.Result);
+    if (Result)
+      checkExp(Result);
     return !Diags.hasErrors();
   }
 
@@ -40,19 +35,19 @@ private:
   void closeScope(Scope S) { Bindings.resize(S); }
 
   void bindMono(Symbol Name, Type *T) {
-    EnvEntry E;
+    TypeBinding E;
     E.Scheme.Body = T;
     Bindings.emplace_back(Name, std::move(E));
   }
 
   void bindScheme(Symbol Name, TypeScheme S, const Dec *Origin) {
-    EnvEntry E;
+    TypeBinding E;
     E.Scheme = std::move(S);
     E.Origin = Origin;
     Bindings.emplace_back(Name, std::move(E));
   }
 
-  const EnvEntry *lookup(Symbol Name) const {
+  const TypeBinding *lookup(Symbol Name) const {
     for (size_t I = Bindings.size(); I-- > 0;)
       if (Bindings[I].first == Name)
         return &Bindings[I].second;
@@ -292,7 +287,7 @@ private:
       return Arena.unitTy();
 
     case Expr::Kind::Var: {
-      const EnvEntry *Entry = lookup(E->Name);
+      const TypeBinding *Entry = lookup(E->Name);
       if (!Entry) {
         Diags.error(E->Loc, "unbound variable '" + Names.text(E->Name) + "'");
         return Arena.freshVar(Level);
@@ -563,15 +558,64 @@ private:
   DiagnosticEngine &Diags;
   TypeInfo &Info;
   uint32_t Level = 0;
-  std::vector<std::pair<Symbol, EnvEntry>> Bindings;
-  std::vector<std::pair<Symbol, const Dec *>> Exns;
+  std::vector<std::pair<Symbol, TypeBinding>> &Bindings;
+  std::vector<std::pair<Symbol, const Dec *>> &Exns;
   std::unordered_map<Symbol, Type *> AnnotVars;
 };
 
+/// True when every variable reachable from \p T is in \p Own.
+bool onlyVarsOf(Type *T, const std::vector<Type *> &Own) {
+  std::vector<Type *> Vars;
+  collectAllVars(T, Vars);
+  for (Type *V : Vars)
+    if (std::find(Own.begin(), Own.end(), V) == Own.end())
+      return false;
+  return true;
+}
+
+/// Points every link reachable from \p T at its representative.
+void compressFrom(Type *T) {
+  while (T->K == TypeKind::Var && T->Link) {
+    Type *Rep = resolve(T);
+    T->Link = Rep;
+    T = Rep;
+  }
+  if (T->A)
+    compressFrom(T->A);
+  if (T->B)
+    compressFrom(T->B);
+}
+
 } // namespace
+
+bool TopLevelTypeEnv::closed(const TypeInfo &Info) const {
+  for (const auto &[Name, B] : Values)
+    if (!onlyVarsOf(B.Scheme.Body, B.Scheme.Quantified))
+      return false;
+  for (const auto &[Name, D] : Exns) {
+    auto It = Info.ExnArgTypes.find(D);
+    if (It != Info.ExnArgTypes.end() && It->second &&
+        !onlyVarsOf(It->second, {}))
+      return false;
+  }
+  return true;
+}
+
+void TopLevelTypeEnv::compressLinks() {
+  for (auto &[Name, B] : Values)
+    compressFrom(B.Scheme.Body);
+}
 
 bool rml::checkProgram(const Program &P, TypeArena &Arena, Interner &Names,
                        DiagnosticEngine &Diags, TypeInfo &Info) {
-  Checker C(Arena, Names, Diags, Info);
-  return C.run(P);
+  TopLevelTypeEnv Env;
+  return checkTopLevel(P.Decs, P.Result, Env, Arena, Names, Diags, Info);
+}
+
+bool rml::checkTopLevel(std::span<const Dec *const> Decs, const Expr *Result,
+                        TopLevelTypeEnv &Env, TypeArena &Arena,
+                        Interner &Names, DiagnosticEngine &Diags,
+                        TypeInfo &Info) {
+  Checker C(Env, Arena, Names, Diags, Info);
+  return C.run(Decs, Result);
 }

@@ -31,6 +31,7 @@
 #include "support/Interner.h"
 #include "types/Type.h"
 
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -68,11 +69,45 @@ struct TypeInfo {
   }
 };
 
+/// One lexical binding: a (possibly polymorphic) scheme from a
+/// declaration, or a monomorphic parameter type (no Origin).
+struct TypeBinding {
+  TypeScheme Scheme;
+  const Dec *Origin = nullptr; // declaration that introduced the binding
+};
+
+/// The typing environment at top level, between two declarations: the
+/// value bindings and exception constructors in scope. It is where a
+/// compile that resumes after a declaration prefix starts checking.
+struct TopLevelTypeEnv {
+  std::vector<std::pair<Symbol, TypeBinding>> Values;
+  std::vector<std::pair<Symbol, const Dec *>> Exns;
+
+  /// True when no later declaration can mutate a Type node reachable
+  /// from here: every variable of a scheme is one of its own
+  /// quantified variables, and no exception argument type (recorded in
+  /// \p Info) has a variable. Instantiation then copies each scheme
+  /// with fresh variables, so the nodes can be shared read-only.
+  bool closed(const TypeInfo &Info) const;
+
+  /// Points every variable link reachable from the schemes straight at
+  /// its representative, so resolve() never writes to those nodes again.
+  void compressLinks();
+};
+
 /// Runs algorithm W over \p P. Returns false (after reporting through
 /// \p Diags) if the program is ill-typed; \p Info is still filled for the
 /// prefix that checked.
 bool checkProgram(const Program &P, TypeArena &Arena, Interner &Names,
                   DiagnosticEngine &Diags, TypeInfo &Info);
+
+/// Checks the top-level declarations \p Decs and then, when non-null,
+/// the result expression \p Result in \p Env, which is left holding
+/// the top-level bindings in scope after \p Decs. checkProgram is this
+/// over an empty environment and the whole program.
+bool checkTopLevel(std::span<const Dec *const> Decs, const Expr *Result,
+                   TopLevelTypeEnv &Env, TypeArena &Arena, Interner &Names,
+                   DiagnosticEngine &Diags, TypeInfo &Info);
 
 } // namespace rml
 

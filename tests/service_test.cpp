@@ -732,6 +732,9 @@ TEST(ServiceTest, StatsJsonShape) {
         "\"internal_errors\":0",
         "\"disk_hits\":0", "\"disk_misses\":0", "\"disk_write_errors\":0",
         "\"disk_load_rejects\":0",
+        // "1 + 1" declares nothing, so it has no prefix to look up.
+        "\"prefix_hits\":0", "\"prefix_misses\":0",
+        "\"prefix_snapshots\":0", "\"prefix_evictions\":0",
         // The cost model saw two admissions of one source: the first
         // prediction fell back to the prior, the second hit the entry
         // the first completion learned.
