@@ -34,8 +34,6 @@
 
 namespace rml::service {
 
-using rml::Fnv1a;
-
 /// Hash of everything the static pipeline reads.
 inline uint64_t hashCompileInputs(std::string_view Source,
                                   const CompileOptions &Opts) {

@@ -2,7 +2,7 @@
 
 #include "runtime_golden.h"
 
-#include "service/Hash.h"
+#include "support/Checksum.h"
 
 #include <gtest/gtest.h>
 
@@ -75,7 +75,7 @@ std::string golden::runLine(std::string_view Key, std::string_view Source,
   char Hash[17];
   std::snprintf(Hash, sizeof(Hash), "%016llx",
                 static_cast<unsigned long long>(
-                    service::Fnv1a().bytes(Source).value()));
+                    Fnv1a().bytes(Source).value()));
   const HeapStats &H = R.Heap;
   std::string L = std::string(Key) + "\tsrc=" + Hash +
                   "\toutcome=" + outcomeName(R.Outcome) +
