@@ -109,7 +109,8 @@ TEST(PrefixStore, TopLevelDecStartsSkipNestedDeclarations) {
 
 // Every golden case, resumed after all its declarations but the last
 // (and, for a basis-prefixed program, after the basis), reproduces its
-// recorded outputs and a cold compile's diagnostics.
+// recorded outputs and a cold compile's diagnostics. Under rg with the
+// capture report on, every declaration boundary is a resume point.
 TEST(PrefixStore, EveryGoldenCaseResumesToItsRecordedLine) {
   std::map<std::string, std::string> Lines = goldenLines();
   const size_t BasisDecs =
@@ -117,11 +118,13 @@ TEST(PrefixStore, EveryGoldenCaseResumesToItsRecordedLine) {
   size_t Cases = 0, Hits = 0;
   for (const auto &[Name, Source] : goldenPrograms()) {
     size_t Decs = topLevelDecStarts(lex(Source)).size();
-    std::vector<size_t> Cuts = {Decs - 1};
+    std::vector<size_t> Cuts = {Decs - 1}, EveryCut;
     bool Basis = Source.compare(0, bench::basisSource().size(),
                                 bench::basisSource()) == 0;
     if (Basis && BasisDecs < Decs - 1)
       Cuts.push_back(BasisDecs);
+    for (size_t Cut = 1; Cut < Decs; ++Cut)
+      EveryCut.push_back(Cut);
     for (Strategy S : {Strategy::Rg, Strategy::RgMinus, Strategy::R}) {
       for (bool Caps : {false, true}) {
         CompileOptions Opts;
@@ -131,7 +134,7 @@ TEST(PrefixStore, EveryGoldenCaseResumesToItsRecordedLine) {
         auto It = Lines.find(Key);
         ASSERT_NE(It, Lines.end()) << "no golden line for " << Key;
         std::string Cold = coldDiagnostics(Source, Opts);
-        for (size_t Cut : Cuts) {
+        for (size_t Cut : S == Strategy::Rg && Caps ? EveryCut : Cuts) {
           Resumed R = compileResumed(Key, Source, Cut, Opts);
           ++Cases;
           Hits += R.Hit;
