@@ -134,9 +134,10 @@ struct CompileAndRunResult {
 ///    distinct threads may compile through one at once. The snapshots
 ///    it hands out are immutable: a resumed compile copies the
 ///    interner, typing environment and inference store, clones the
-///    prefix's terms into its own arena, and only reads the shared AST
-///    and types, whose every Var link was compressed when the snapshot
-///    was taken, so reading them never writes.
+///    prefix's terms into its own arena, and only reads the shared AST,
+///    types and records. Only closed schemes are shared, and their
+///    variable links were compressed when the snapshot was taken, so
+///    neither unification nor resolve() ever writes to them.
 ///  * Arenas grow monotonically: compiling N sources through one
 ///    Compiler keeps every previously returned CompiledUnit valid, at
 ///    the cost of memory linear in the total source compiled (see
